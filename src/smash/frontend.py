@@ -120,7 +120,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<number>\d+\.\d+|\d+)
-  | (?P<string>'(?:[^'])*')
+  | (?P<string>'(?:[^']|'')*')
   | (?P<qualified>[A-Za-z_][A-Za-z_0-9]*\.[A-Za-z_][A-Za-z_0-9]*)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op><=|>=|!=|<>|=|<|>)
@@ -154,7 +154,9 @@ def tokenize(sql):
         text = m.group()
         if kind != "ws":
             value = text
-            if kind == "ident":
+            if kind == "string":
+                value = text[1:-1].replace("''", "'")
+            elif kind == "ident":
                 upper = text.upper()
                 if upper in _KEYWORDS:
                     kind, value = "keyword", upper
@@ -332,7 +334,7 @@ class _Parser:
                 if lit_tok.kind == "number":
                     literal = float(lit_tok.value) if "." in lit_tok.value else int(lit_tok.value)
                 else:
-                    literal = lit_tok.value[1:-1]
+                    literal = lit_tok.value
                 filters.append((left, op, literal))
             elif tok.kind == "keyword" and tok.value == "SELECT":
                 self.unsupported("subqueries are not supported")
@@ -504,7 +506,7 @@ def normalize(spec: QuerySpec, db=None) -> NormalizedCQ:
 
 def _literal_sql(value):
     if isinstance(value, str):
-        return "'" + value + "'"
+        return "'" + value.replace("'", "''") + "'"
     return str(value)
 
 

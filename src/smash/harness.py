@@ -53,21 +53,28 @@ class RunEntry:
 
 @dataclass
 class RunLog:
+    """Entries in run order.  Callers may append to `entries` or replace
+    the list; entries already looked up must not be edited or removed."""
+
     config: RunConfig
     entries: list = field(default_factory=list)
+    # (query id, strategy) -> first such entry, over entries[:_n_indexed]
+    _index: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    _indexed: list | None = field(default=None, init=False, repr=False,
+                                  compare=False)
+    _n_indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     def entry(self, query_id, strategy):
-        for e in self.entries:
-            if e.query_id == query_id and e.strategy == strategy:
-                return e
-        return None
+        if self._indexed is not self.entries:
+            self._index, self._indexed, self._n_indexed = {}, self.entries, 0
+        for e in self.entries[self._n_indexed:]:
+            self._index.setdefault((e.query_id, e.strategy), e)
+        self._n_indexed = len(self.entries)
+        return self._index.get((query_id, strategy))
 
     def query_ids(self):
-        seen = []
-        for e in self.entries:
-            if e.query_id not in seen:
-                seen.append(e.query_id)
-        return seen
+        return list(dict.fromkeys(e.query_id for e in self.entries))
 
     def to_json(self):
         return json.dumps(

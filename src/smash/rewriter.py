@@ -25,6 +25,7 @@ from .engine import (
     semi_join,
 )
 from .errors import ParseError, UndefinedIntermediate
+from .frontend import _literal_sql
 
 
 @dataclass
@@ -54,12 +55,6 @@ class StatementSequence:
 
 def _quote(cid):
     return '"' + cid + '"'
-
-
-def _literal_sql(value):
-    if isinstance(value, str):
-        return "'" + value + "'"
-    return str(value)
 
 
 class _Emitter:
@@ -379,7 +374,7 @@ def interpret_sequence(seq: StatementSequence, cq, db: Database,
 _IDENT = r"[A-Za-z_][A-Za-z_0-9$]*"
 _COL = rf'(?:"{_IDENT}(?:\.{_IDENT})?(?:#\d+)?"|{_IDENT}(?:\.{_IDENT})?)'
 _CAST = rf"CAST\({_IDENT}\.{_IDENT} AS INTEGER\)"
-_VALUE = rf"(?:{_CAST}|{_COL}|-?\d+(?:\.\d+)?|'[^']*')"
+_VALUE = rf"(?:{_CAST}|{_COL}|-?\d+(?:\.\d+)?|'(?:[^']|'')*')"
 _COMPARE = rf"{_VALUE} (?:=|!=|<>|<=|>=|<|>) {_VALUE}"
 _WHERE = rf"(?:{_COMPARE}|1 = 1)(?: AND (?:{_COMPARE}))*"
 _AGG = rf"(?:MIN|MAX|COUNT|SUM|AVG)\((?:DISTINCT )?(?:{_COL}|\*)\)(?: AS EXPR\$\d+)?"

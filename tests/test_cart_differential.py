@@ -1,0 +1,201 @@
+"""Differential test of CART training against the exhaustive split search.
+
+`reference_train_cart` is CART with the exhaustive split search: every
+(feature, threshold) candidate is re-partitioned and scored from scratch.
+It is slow and obviously right, and `train_cart` must serialize byte for
+byte the same models on every dataset here.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from smash.acyclic import analyze
+from smash.augmentation import WorkloadSpec, generate_workload
+from smash.engine import OpCounter, estimate_cardinalities, evaluate_baseline
+from smash.errors import EmptyTraining, InvalidJoinTree
+from smash.features import extract_features, feature_names
+from smash.frontend import normalize
+from smash.ml import (
+    CartModel,
+    LabeledExample,
+    _gini,
+    _leaf,
+    _variance,
+    label,
+    model_to_json,
+    train_cart,
+)
+from smash.rewriter import interpret_sequence, rewrite
+
+TASKS = ("classify", "regress")
+
+
+def reference_train_cart(train, task="classify", max_depth=None, min_leaf=2) -> CartModel:
+    if not train:
+        raise EmptyTraining("cannot train CART on an empty set")
+    X = np.asarray([e.features for e in train], dtype=float)
+    if X.shape[1] < 1:
+        raise EmptyTraining("examples carry no features")
+    y = [e.class_label if task == "classify" else e.reg_target for e in train]
+    impurity = _gini if task == "classify" else _variance
+    n_total = len(train)
+    importances = np.zeros(X.shape[1])
+
+    def build(idx, depth):
+        node_y = [y[i] for i in idx]
+        imp = impurity(node_y)
+        if (
+            imp == 0.0
+            or len(idx) < min_leaf
+            or (max_depth is not None and depth >= max_depth)
+        ):
+            return _leaf(task, node_y)
+        best = None  # (gain, feature, threshold, left idx, right idx)
+        for f in range(X.shape[1]):
+            values = sorted(set(X[i, f] for i in idx))
+            for lo, hi in zip(values, values[1:]):
+                threshold = (lo + hi) / 2.0
+                left = [i for i in idx if X[i, f] <= threshold]
+                right = [i for i in idx if X[i, f] > threshold]
+                gain = imp - (
+                    len(left) / len(idx) * impurity([y[i] for i in left])
+                    + len(right) / len(idx) * impurity([y[i] for i in right])
+                )
+                if best is None or gain > best[0] + 1e-12:
+                    best = (gain, f, threshold, left, right)
+        if best is None or best[0] < -1e-12:
+            return _leaf(task, node_y)
+        gain, f, threshold, left, right = best
+        importances[f] += gain * (len(idx) / n_total)
+        return {
+            "leaf": False,
+            "feature": int(f),
+            "threshold": float(threshold),
+            "left": build(left, depth + 1),
+            "right": build(right, depth + 1),
+        }
+
+    tree = build(list(range(n_total)), 0)
+    total = importances.sum()
+    if total > 0:
+        importances = importances / total
+    return CartModel(
+        task=task,
+        tree=tree,
+        importances=[float(v) for v in importances],
+        feature_names=feature_names() if X.shape[1] == len(feature_names())
+        else [f"f{i}" for i in range(X.shape[1])],
+        n_features=X.shape[1],
+    )
+
+
+def assert_same_models(examples, **params):
+    for task in TASKS:
+        assert model_to_json(train_cart(examples, task=task, **params)) == (
+            model_to_json(reference_train_cart(examples, task=task, **params))
+        ), task
+
+
+def timed_examples(rows, seed):
+    """Examples over the given feature rows with random strategy timings."""
+    rng = random.Random(seed)
+    return [
+        label(f"q{i}", x, rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
+        for i, x in enumerate(rows)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tied_constant_and_duplicated_features(seed):
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(70):
+        ties = [float(rng.randrange(3)), float(rng.randrange(5))]
+        # a constant column, a copy of the first column, one spread column
+        rows.append(ties + [7.0, ties[0], rng.uniform(0.0, 10.0)])
+    assert_same_models(timed_examples(rows, seed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_adjacent_float_thresholds(seed):
+    """The midpoint of two neighbouring floats rounds to one of them, here
+    every other time to the upper one, and then `x <= threshold` takes the
+    upper value too.  The leading all-distinct column keeps a split with
+    two non-empty sides first in every node: both trainers recurse without
+    end when a node's first candidate leaves one side empty and no other
+    gains more than 1e-12."""
+    rng = random.Random(seed)
+    ladder = [1.0]
+    for _ in range(5):
+        ladder.append(float(np.nextafter(ladder[-1], 2.0)))
+    rows, times = [], []
+    for i in range(50):
+        step = rng.randrange(len(ladder))
+        rows.append([i + rng.random(), ladder[step], ladder[step % 2]])
+        times.append((step + rng.random(), 2.5))
+    examples = [
+        label(f"q{i}", x, t_orig, t_rewr)
+        for i, (x, (t_orig, t_rewr)) in enumerate(zip(rows, times))
+    ]
+    assert_same_models(examples)
+
+
+@pytest.mark.parametrize(
+    "max_depth,min_leaf", [(1, 2), (3, 2), (None, 0), (None, 9), (2, 30)]
+)
+def test_depth_and_leaf_limits(max_depth, min_leaf):
+    rng = random.Random(11)
+    rows = [
+        [float(rng.randrange(6)), rng.uniform(0.0, 1.0), float(rng.randrange(2))]
+        for _ in range(60)
+    ]
+    assert_same_models(
+        timed_examples(rows, 11), max_depth=max_depth, min_leaf=min_leaf
+    )
+
+
+def test_regress_targets_far_from_zero():
+    """Targets with a large common offset: the running sums must not lose
+    the small differences between splits to rounding."""
+    rng = random.Random(3)
+    examples = [
+        LabeledExample(f"q{i}", [float(rng.randrange(8)), rng.random()],
+                       1.0, 1.0, 0, -1e6 + rng.random())
+        for i in range(60)
+    ]
+    assert model_to_json(train_cart(examples, task="regress")) == (
+        model_to_json(reference_train_cart(examples, task="regress"))
+    )
+
+
+def count_labelled_dataset(seed, n_queries):
+    """Random 4-8 table queries over small tables, labelled by the exact
+    intermediate-tuple counts of the two strategies."""
+    db, queries = generate_workload(WorkloadSpec(
+        seed=seed, n_base_queries=n_queries, n_relations=(4, 8),
+        rows=(20, 60), fanout=(1, 2), shape="random", filter_prob=0.5,
+        aggregate_prob=0.5, name_prefix="sw",
+    ))
+    examples = []
+    for qid, spec in queries:
+        cq = normalize(spec, db)
+        try:
+            tree, _ = analyze(cq)
+        except InvalidJoinTree:
+            continue
+        base, rewritten = OpCounter(), OpCounter()
+        evaluate_baseline(cq, db, base)
+        interpret_sequence(rewrite(tree, cq, db), cq, db, rewritten)
+        fv = extract_features(cq, tree, estimate_cardinalities(cq, db))
+        examples.append(label(qid, fv, base.intermediate_tuples,
+                              rewritten.intermediate_tuples))
+    return examples
+
+
+def test_count_labelled_selector_dataset():
+    examples = count_labelled_dataset(5, 40)
+    assert len(examples[0].features) == len(feature_names())
+    assert len({e.class_label for e in examples}) == 2
+    assert_same_models(examples)

@@ -111,3 +111,10 @@ class TestNormalization:
         spec = parse_query(EXAMPLE1)
         again = parse_query(to_sql(spec))
         assert again == spec
+
+    def test_quoted_literal_round_trip(self):
+        spec = parse_query("SELECT MIN(u.Id) FROM users AS u WHERE u.Name = 'it''s'")
+        assert spec.filters == [(ColumnRef("u", "Name"), "=", "it's")]
+        sql = to_sql(spec)
+        assert "'it''s'" in sql
+        assert parse_query(sql).filters == spec.filters

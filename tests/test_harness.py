@@ -99,6 +99,29 @@ def synthetic_log(times):
     return log
 
 
+class TestRunLogLookup:
+    def test_direct_appends_and_duplicates(self, tmp_path):
+        log = synthetic_log({"a": (1.0, 2.0)})
+        assert log.entry("a", BASE).mean_s == 1.0
+        assert log.entry("b", BASE) is None
+        # appended after a lookup, and a duplicate key: the first one wins
+        log.entries.append(RunEntry(query_id="b", strategy=BASE, mean_s=3.0))
+        log.entries.append(RunEntry(query_id="a", strategy=BASE, mean_s=9.0))
+        log.entries.append(RunEntry(query_id="b", strategy=BASE, mean_s=4.0))
+        assert log.entry("b", BASE).mean_s == 3.0
+        assert log.entry("a", BASE).mean_s == 1.0
+        assert log.query_ids() == ["a", "b"]
+        path = tmp_path / "runlog.json"
+        log.save(path)
+        back = RunLog.load(path)
+        assert back.entry("a", BASE).mean_s == 1.0
+        assert back.entry("b", BASE).mean_s == 3.0
+        # a replaced list is indexed afresh
+        back.entries = back.entries[3:]
+        assert back.entry("a", BASE).mean_s == 9.0
+        assert back.entry("a", REWRITING) is None
+
+
 class TestBuildDataset:
     def test_labels_from_means(self):
         log = synthetic_log({"a": (3.38, 0.11), "b": (0.05, 0.09)})

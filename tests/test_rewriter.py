@@ -87,7 +87,8 @@ class TestEmission:
         assert "CAST(votes.BountyAmount AS INTEGER) >= 40" in seq.to_sql()
 
     def test_statement_texts_reparse(self):
-        for sql in (APPENDIX_SQL, CHAIN_SQL):
+        quoted = "SELECT MIN(u.Id) FROM users AS u WHERE u.Name = 'it''s'"
+        for sql in (APPENDIX_SQL, CHAIN_SQL, quoted):
             _, _, seq = rewritten(sql)
             for stmt in seq.statements:
                 parse_statement(stmt.sql)  # raises ParseError on failure
