@@ -20,7 +20,7 @@ from smash.engine import (
     save_database,
     semi_join,
 )
-from smash.errors import EmptyAggregate, UnknownAttribute
+from smash.errors import EmptyAggregate, TypeMismatch, UnknownAttribute
 from smash.frontend import parse_query, normalize
 
 from conftest import CHAIN_SQL, oracle_rows, result_multiset
@@ -149,6 +149,79 @@ class TestEstimates:
         )
         est = estimate_cardinalities(normalize(spec, chain_db), chain_db)
         assert est.table_rows[0] == 1
+
+
+class TestFilterTypes:
+    """A filter compares a value with a literal only if both are numbers or
+    neither is (bools are not numbers).  Rows are checked in table order and
+    predicates in query order; a row dropped by an intra-atom equality or an
+    earlier predicate is never compared.  The estimator and the evaluator
+    agree on all of it."""
+
+    @pytest.fixture
+    def mixed_db(self):
+        db = Database()
+        db.add(rel("T", ["a", "b"], [(5, "s"), ("t", 3), (1, 1)]))
+        db.add(rel("B", ["f", "n"], [(True, 1), (False, 0), (True, 2)]))
+        db.add(rel("U", ["a", "b"], [("s", 5), (3, "t"), (2, 2)]))
+        db.add(rel("V", ["a", "b"], [(1, "s"), (2, 5), (3, 7)]))
+        return db
+
+    @staticmethod
+    def outcomes(db, sql, literal=None):
+        """[estimated table rows, sorted result rows], or the error of each."""
+        cq = normalize(parse_query(sql), db)
+        if literal is not None:
+            (alias, [pred]), = cq.filters.items()
+            cq.filters[alias] = [Predicate(pred.attribute, pred.op, literal)]
+        out = []
+        for fn in (estimate_cardinalities, evaluate_baseline):
+            try:
+                result = fn(cq, db)
+            except Exception as exc:
+                out.append((type(exc), str(exc)))
+            else:
+                out.append(result.table_rows if fn is estimate_cardinalities
+                           else sorted(result.rows))
+        return out
+
+    @pytest.mark.parametrize("sql,message", [
+        # the first row in table order that reaches a mismatch is named
+        ("SELECT T.a FROM T WHERE T.a > 0 AND T.b > 0", "'s' with literal 0"),
+        ("SELECT T.a FROM T WHERE T.b > 0 AND T.a > 0", "'s' with literal 0"),
+        ("SELECT T.a FROM T WHERE T.a = 1 AND T.b > 0", "'t' with literal 1"),
+        ("SELECT T.a FROM T WHERE T.b = 3 AND T.a = 't'", "'s' with literal 3"),
+        ("SELECT U.a FROM U WHERE U.b = 2 AND U.a > 1", "'t' with literal 2"),
+        ("SELECT U.a FROM U WHERE U.a != 's' AND U.a > 2", "3 with literal 's'"),
+    ])
+    def test_mixed_column_raises(self, mixed_db, sql, message):
+        expected = (TypeMismatch, f"cannot compare {message}")
+        assert self.outcomes(mixed_db, sql) == [expected] * 2
+
+    def test_row_removed_by_earlier_predicate_is_not_compared(self, mixed_db):
+        sql = "SELECT V.a FROM V WHERE V.a > 1 AND V.b > 6"
+        assert self.outcomes(mixed_db, sql) == [[1], [(3,)]]
+
+    def test_row_removed_by_intra_atom_equality_is_not_compared(self, mixed_db):
+        for sql in ("SELECT T.a FROM T WHERE T.a = T.b AND T.b > 0",
+                    "SELECT T.a FROM T WHERE T.a = T.b AND T.a = 1"):
+            assert self.outcomes(mixed_db, sql) == [[1], [(1,)]]
+
+    def test_bool_values_and_literals_are_not_numbers(self, mixed_db):
+        db = mixed_db
+        assert self.outcomes(db, "SELECT B.n FROM B WHERE B.n = 1") == [[1], [(1,)]]
+        assert self.outcomes(db, "SELECT B.n FROM B WHERE B.f = 1") == [
+            (TypeMismatch, "cannot compare True with literal 1")] * 2
+        assert self.outcomes(db, "SELECT B.n FROM B WHERE B.f = 1", True) == [
+            [2], [(1,), (2,)]]
+        assert self.outcomes(db, "SELECT B.n FROM B WHERE B.n = 1", True) == [
+            (TypeMismatch, "cannot compare 1 with literal True")] * 2
+        assert self.outcomes(db, "SELECT B.n FROM B WHERE B.n = 1", 1.0) == [[1], [(1,)]]
+
+    def test_unordered_types_raise_type_error(self, mixed_db):
+        message = "'<' not supported between instances of 'bool' and 'str'"
+        assert self.outcomes(mixed_db, "SELECT B.n FROM B WHERE B.f < 1", "x") == [
+            (TypeError, message)] * 2
 
 
 class TestPersistence:

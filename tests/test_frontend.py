@@ -28,6 +28,55 @@ class TestTokenizer:
         with pytest.raises(UnsupportedConstruct):
             tokenize("SELECT a FROM x LEFT JOIN y")
 
+    def test_newline_inside_string_literal(self):
+        tokens = tokenize("SELECT R.a FROM R WHERE R.b = 'x\ny' AND R.a = 3")
+        assert [(t.kind, t.value, t.line, t.column) for t in tokens[-7:]] == [
+            ("op", "=", 1, 29), ("string", "x\ny", 1, 31),
+            ("keyword", "AND", 2, 4), ("qualified", "R.a", 2, 8),
+            ("op", "=", 2, 12), ("number", "3", 2, 14), ("eof", "", 2, 15),
+        ]
+
+    def test_doubled_quote_and_keyword_case(self):
+        tokens = tokenize("select R.a from R where R.b <> 'it''s'")
+        assert [(t.kind, t.value) for t in tokens] == [
+            ("keyword", "SELECT"), ("qualified", "R.a"), ("keyword", "FROM"),
+            ("ident", "R"), ("keyword", "WHERE"), ("qualified", "R.b"),
+            ("op", "<>"), ("string", "it's"), ("eof", ""),
+        ]
+        assert (tokens[-2].column, tokens[-1].column) == (32, 39)
+
+
+# (sql, error class, line, column) as reported by the parser
+_POSITIONED_ERRORS = [
+    ("SELECT R.a\nFROM R\nWHERE R.a = 1 OR R.a = 2", UnsupportedConstruct, 3, 15),
+    ("SELECT R.a FROM R WHERE R.b = 'x\ny' AND R.a ? 3", ParseError, 2, 12),
+    ("SELECT R.a FROM R WHERE R.b = 'it''s\n''' AND\n  R.c # 1", ParseError, 3, 7),
+    ("SELECT R.a FROM R WHERE R.b = 'it''s' AND R.c = @", ParseError, 1, 49),
+    ("SELECT R.a\r\nFROM R WHERE\n\n   R.a = ", ParseError, 4, 10),
+    ("SELECT R.a FROM R WHERE R.a = 1 \n\t LIMIT 3", UnsupportedConstruct, 2, 3),
+    ("SELECT R.a FROM R WHERE R.b = 'unterminated", ParseError, 1, 31),
+    ("SELECT MIN(R.a) FROM R\n  GROUP R.a", ParseError, 2, 9),
+    ("  \n  SELECT * FROM R", UnsupportedConstruct, 2, 10),
+    ("SELECT R.a FROM R,\n S WHERE R.a < S.a", UnsupportedConstruct, 2, 14),
+    ("SELECT R.a FROM R WHERE R.a = 1 junk", ParseError, 1, 33),
+    ("SELECT R.a FROM R WHERE R.a = 1; ;", ParseError, 1, 34),
+    ("", ParseError, 1, 1),
+    ("SELECT SUM(R.a + 1) FROM R", ParseError, 1, 16),
+]
+
+
+@pytest.mark.parametrize("sql,error,line,column", _POSITIONED_ERRORS)
+def test_error_positions(sql, error, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_query(sql)
+    assert type(info.value) is error
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value).endswith(f"(line {line}, column {column})")
+
+
+def test_trailing_whitespace_after_semicolon_accepted():
+    assert parse_query("SELECT R.a FROM R WHERE R.a = 1;  \n ").filters
+
 
 class TestParser:
     def test_example1_shape(self):
