@@ -8,8 +8,9 @@ trees (and every feature derived from them) are reproducible.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .engine import Aggregate
 from .errors import InvalidJoinTree
@@ -45,13 +46,20 @@ class JoinTree:
     oma_flag: bool = False
     guard: int | None = None
 
-    def children_of(self, u):
-        return [v for v in self.nodes if self.parent[v] == u]
+    def children(self):
+        """node -> its children in node order, for every node."""
+        kids = {u: [] for u in self.nodes}
+        for v in self.nodes:
+            p = self.parent[v]
+            if p is not None:
+                kids[p].append(v)
+        return kids
 
-    def depth(self):
+    def depth(self, children=None):
+        kids = children or self.children()
+
         def rec(u):
-            kids = self.children_of(u)
-            return 0 if not kids else 1 + max(rec(c) for c in kids)
+            return 1 + max(map(rec, kids[u])) if kids[u] else 0
 
         return rec(self.root)
 
@@ -83,10 +91,11 @@ class JoinTree:
             return atom.alias if atom.alias == atom.table else f"{atom.table} AS {atom.alias}"
 
         lines = []
+        kids = self.children()
 
         def rec(u, indent):
             lines.append("  " * indent + label(u))
-            for c in self.children_of(u):
+            for c in kids[u]:
                 rec(c, indent + 1)
 
         rec(self.root, 0)
@@ -109,21 +118,21 @@ def gyo_reduce(hg: Hypergraph) -> AcyclicityResult:
     while alive:
         changed = False
         # vertices occurring in exactly one edge disappear
-        occurrence = defaultdict(list)
-        for atom, vs in alive.items():
-            for v in vs:
-                occurrence[v].append(atom)
-        for v, atoms in occurrence.items():
-            if len(atoms) == 1:
-                if v in alive[atoms[0]]:
-                    alive[atoms[0]].discard(v)
-                    changed = True
+        counts = Counter(chain.from_iterable(alive.values()))
+        once = {v for v, n in counts.items() if n == 1}
+        if once:
+            for vs in alive.values():
+                vs.difference_update(once)
+            changed = True
         # edges contained in another surviving edge get absorbed; the
         # highest-positioned witness is preferred, which yields wide
         # (star-shaped) trees rather than deep chains
-        for atom in sorted(alive):
-            others = [w for w in sorted(alive, reverse=True) if w != atom]
-            witness = next((w for w in others if alive[atom] <= alive[w]), None)
+        ascending = sorted(alive)
+        descending = ascending[::-1]
+        for atom in ascending:
+            vs = alive[atom]
+            witness = next((w for w in descending if w != atom and w in alive
+                            and vs <= alive[w]), None)
             if witness is not None:
                 ears.append((atom, witness))
                 del alive[atom]
@@ -169,10 +178,26 @@ def classify_0ma(cq) -> OmaResult:
 
 
 def check_connectedness(tree: JoinTree, cq):
-    """Exhaustive per-class subtree connectivity check."""
-    from .engine import _check_connectedness
+    """Raise InvalidJoinTree unless each class's atoms form a subtree.
 
-    _check_connectedness(tree, cq)
+    The atoms holding a class induce a forest in the tree, which is
+    connected iff it has one edge fewer than it has atoms; the edges are
+    counted over the tree once.
+    """
+    classes = [dict.fromkeys(atom.renaming.values()) for atom in cq.atoms]
+    missing = {}  # class id -> atoms holding it - 1 - tree edges inside it
+    for attrs in classes:
+        for cid in attrs:
+            missing[cid] = missing.get(cid, -1) + 1
+    for node, parent in tree.parent.items():
+        if parent is not None:
+            for cid in classes[node].keys() & classes[parent].keys():
+                missing[cid] -= 1
+    for cid, n in missing.items():
+        if n:
+            raise InvalidJoinTree(
+                f"attribute class {cid} not connected in join tree"
+            )
 
 
 def _reroot(parent, new_root):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Database, Relation
+from .engine import _OPS, Database, Relation
 from .errors import NoJoins, NotAggregate
 from .frontend import ColumnRef, QuerySpec, SelectAggregate
 
@@ -73,30 +73,6 @@ def _perturb_literal(column_values, op, literal, direction):
     return literal
 
 
-def _filter_rows(db, q, alias, flt_list):
-    table = db.table(_table_of(q, alias))
-    count = 0
-    for row in table.rows:
-        ok = True
-        for col, op, lit in flt_list:
-            idx = table.schema.index(col.attr)
-            v = row[idx]
-            ok = ok and _compare(v, op, lit)
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
-
-
-def _compare(v, op, lit):
-    import operator as _op
-
-    ops = {"=": _op.eq, "!=": _op.ne, "<": _op.lt, "<=": _op.le,
-           ">": _op.gt, ">=": _op.ge}
-    return ops[op](v, lit)
-
-
 def augment_filters(q: QuerySpec, db: Database):
     """0 filters -> [q]; 1 filter -> 2 variants; >=2 filters -> 3 variants."""
     if not q.filters:
@@ -114,11 +90,12 @@ def augment_filters(q: QuerySpec, db: Database):
     impact = []
     for i, (col, op, lit) in enumerate(q.filters):
         values = db.table(_table_of(q, col.alias)).column(col.attr)
-        base = sum(1 for v in values if _compare(v, op, lit))
+        compare = _OPS[op]
+        base = sum(1 for v in values if compare(v, lit))
         deltas = []
         for direction in ("bigger", "smaller"):
             new_lit = _perturb_literal(values, op, lit, direction)
-            deltas.append(abs(sum(1 for v in values if _compare(v, op, new_lit)) - base))
+            deltas.append(abs(sum(1 for v in values if compare(v, new_lit)) - base))
         impact.append((-max(deltas), i))
     chosen = [i for _, i in sorted(impact)[:2]]
 

@@ -15,12 +15,12 @@ import operator
 from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from pathlib import Path
 
 from .errors import (
     AggregateOverNonNumeric,
     EmptyAggregate,
-    InvalidJoinTree,
     TypeMismatch,
     UnknownAttribute,
 )
@@ -118,13 +118,6 @@ class OpCounter:
 
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def relations_equal(a: Relation, b: Relation) -> bool:
-    """Multiset equality up to column order."""
-    if set(a.schema) != set(b.schema):
-        return False
-    return a.as_multiset() == b.as_multiset()
 
 
 # ---------------------------------------------------------------------------
@@ -321,38 +314,11 @@ def evaluate_baseline(cq, db: Database, counter: OpCounter | None = None) -> Rel
     return _apply_output(rel, cq.output, counter)
 
 
-def _check_connectedness(tree, cq):
-    containing = defaultdict(set)
-    for i, atom in enumerate(cq.atoms):
-        for cid in set(atom.renaming.values()):
-            containing[cid].add(i)
-    adj = defaultdict(set)
-    for node, parent in tree.parent.items():
-        if parent is not None:
-            adj[node].add(parent)
-            adj[parent].add(node)
-    for cid, nodes in containing.items():
-        if len(nodes) <= 1:
-            continue
-        start = next(iter(nodes))
-        stack, seen = [start], {start}
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v in nodes and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if seen != nodes:
-            raise InvalidJoinTree(
-                f"attribute class {cid} not connected in join tree"
-            )
-
-
-def _postorder(tree):
+def _postorder(tree, children):
     out = []
 
     def rec(u):
-        for c in tree.children_of(u):
+        for c in children[u]:
             rec(c)
         out.append(u)
 
@@ -364,16 +330,17 @@ def semi_join_reduce(tree, cq, db: Database, counter: OpCounter | None = None):
     """Preparatory filters plus the two semi-join passes.
 
     Returns per-node relations after the full reduction (every surviving
-    tuple extends to at least one answer of the join query).
+    tuple extends to at least one answer of the join query).  The tree must
+    be a join tree of the query, as `acyclic.build_join_tree` guarantees.
     """
-    _check_connectedness(tree, cq)
     rels = {i: atom_relation(cq, atom, db, counter) for i, atom in enumerate(cq.atoms)}
-    order = _postorder(tree)
+    children = tree.children()
+    order = _postorder(tree, children)
     for u in order:  # bottom-up semi-joins
-        for c in tree.children_of(u):
+        for c in children[u]:
             rels[u] = semi_join(rels[u], rels[c], counter)
     for u in reversed(order):  # top-down semi-joins
-        for c in tree.children_of(u):
+        for c in children[u]:
             rels[c] = semi_join(rels[c], rels[u], counter)
     return rels
 
@@ -385,24 +352,25 @@ def evaluate_yannakakis(tree, cq, db: Database, counter: OpCounter | None = None
     flag), only the preparatory filters and the bottom-up semi-join pass are
     run, and the aggregate is applied to the root relation.  Otherwise all
     three passes run, projecting away attributes that are needed neither by
-    the output nor further up the tree.
+    the output nor further up the tree.  The tree must be a join tree of
+    the query, as `acyclic.build_join_tree` guarantees.
     """
-    _check_connectedness(tree, cq)
     rels = {i: atom_relation(cq, atom, db, counter) for i, atom in enumerate(cq.atoms)}
-    order = _postorder(tree)
+    children = tree.children()
+    order = _postorder(tree, children)
     for u in order:
-        for c in tree.children_of(u):
+        for c in children[u]:
             rels[u] = semi_join(rels[u], rels[c], counter)
     if tree.oma_flag:
         return _apply_output(rels[tree.root], cq.output, counter)
     for u in reversed(order):
-        for c in tree.children_of(u):
+        for c in children[u]:
             rels[c] = semi_join(rels[c], rels[u], counter)
     output_attrs = set(cq.output.needed_classes())
     joined = {}
     for u in order:
         acc = rels[u]
-        for c in tree.children_of(u):
+        for c in children[u]:
             acc = natural_join(acc, joined[c], counter)
         parent = tree.parent[u]
         if parent is None:
@@ -430,38 +398,80 @@ class EstimateSet:
 _NDV_SAMPLE_ROWS = 512
 
 
-def _atom_stats(cq, atom, db: Database):
-    """Post-filter row count and per-join-class distinct counts for one atom.
+def _is_number_type(t):
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
 
-    Scans the base table once instead of materialising the renamed relation;
-    only join-class attributes can be shared between atoms, so distinct
-    counts are limited to those.  Distinct counts come from a deterministic
-    prefix sample so the decision path stays cheap on large tables.
+
+def _select(rows, index, pred):
+    """Rows whose value at `index` satisfies `pred`, tested a column at a time.
+
+    Returns (kept rows, error).  When `pred.matches` raises on some row, the
+    error is the first such row's and only rows before it are kept: exactly
+    the rows a row-at-a-time filter compares with later predicates before it
+    raises.
+    """
+    values = [r[index] for r in rows]
+    number = _is_number(pred.literal)
+    if all(_is_number_type(t) == number for t in set(map(type, values))):
+        try:
+            keep = map(_OPS[pred.op], values, repeat(pred.literal))
+            return list(compress(rows, keep)), None
+        except Exception:
+            pass  # raised again, with its row, below
+    kept = []
+    for row, value in zip(rows, values):
+        try:
+            if pred.matches(value):
+                kept.append(row)
+        except Exception as exc:
+            return kept, exc
+    return kept, None
+
+
+def _atom_stats(cq, atom, db: Database, shared):
+    """Post-filter row count and distinct counts of the atom's `shared` classes.
+
+    Scans the base table instead of materialising the renamed relation, one
+    predicate at a time over the rows that survive the intra-atom
+    equalities and the predicates before it; errors are those of the first
+    row a row-at-a-time filter would fail on.  Only classes shared between
+    atoms enter the join estimates, so distinct counts are limited to those,
+    and come from a deterministic prefix sample so the decision path stays
+    cheap on large tables.
     """
     base = db.table(atom.table)
-    renaming = dict(atom.renaming)
-    groups = defaultdict(list)  # class id -> base column indexes
+    renaming = atom.renaming
+    unknown = renaming.keys() - set(base.schema)
+    if unknown:
+        raise UnknownAttribute(f"{sorted(unknown)} not in {atom.table}")
+    columns = {}  # class id -> base column indexes
     for i, col in enumerate(base.schema):
-        groups[renaming.get(col, f"{atom.alias}.{col}")].append(i)
-    dup = [ix for ix in groups.values() if len(ix) > 1]
-    preds = []
-    for p in cq.filters.get(atom.alias, []):
-        if p.attribute not in groups:
-            raise UnknownAttribute(f"{p.attribute} not in {atom.alias}")
-        preds.append((p, groups[p.attribute][0]))
+        cid = renaming.get(col) or f"{atom.alias}.{col}"
+        if cid in columns:
+            columns[cid].append(i)
+        else:
+            columns[cid] = [i]
     rows = base.rows
-    if dup or preds:
-        rows = [
-            r for r in rows
-            if all(len({r[i] for i in ix}) == 1 for ix in dup)
-            and all(p.matches(r[i]) for p, i in preds)
-        ]
+    if len(columns) < len(base.schema):
+        dup = [ix for ix in columns.values() if len(ix) > 1]
+        rows = [r for r in rows if all(len({r[i] for i in ix}) == 1 for ix in dup)]
+    preds = cq.filters.get(atom.alias)
+    if preds:
+        for p in preds:
+            if p.attribute not in columns:
+                raise UnknownAttribute(f"{p.attribute} not in {atom.alias}")
+        error = None
+        for p in preds:
+            rows, exc = _select(rows, columns[p.attribute][0], p)
+            if exc is not None:
+                error = exc
+        if error is not None:
+            raise error
     sample = rows if len(rows) <= _NDV_SAMPLE_ROWS else rows[:_NDV_SAMPLE_ROWS]
-    ndv = {
-        cid: len({r[ix[0]] for r in sample})
-        for cid in set(renaming.values())
-        for ix in (groups[cid],)
-    }
+    ndv = {}
+    for cid in renaming.values():
+        if cid in shared and cid not in ndv:
+            ndv[cid] = len(set(map(operator.itemgetter(columns[cid][0]), sample)))
     return len(rows), ndv
 
 
@@ -471,16 +481,17 @@ def estimate_cardinalities(cq, db: Database) -> EstimateSet:
     The per-join estimate for A joining B on shared attributes x is
     |A| * |B| / prod_x max(ndv_A(x), ndv_B(x)).
     """
-    stats = [_atom_stats(cq, atom, db) for atom in cq.atoms]
+    shared = {cid for cid, n in cq.class_occurrences().items() if n > 1}
+    stats = [_atom_stats(cq, atom, db, shared) for atom in cq.atoms]
     table_rows = [n for n, _ in stats]
     join_rows = []
     est = float(table_rows[0]) if stats else 0.0
     ndv = dict(stats[0][1]) if stats else {}
     for nrows, r_ndv in stats[1:]:
-        shared = [a for a in r_ndv if a in ndv]
         denom = 1.0
-        for a in shared:
-            denom *= max(ndv[a], r_ndv[a], 1)
+        for a, v in r_ndv.items():
+            if a in ndv:
+                denom *= max(ndv[a], v, 1)
         est = est * nrows / denom
         join_rows.append(est)
         for a, v in r_ndv.items():

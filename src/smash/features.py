@@ -44,7 +44,7 @@ def reduce_set(values) -> SixStats:
     """Six order statistics; quantiles interpolate linearly at q*(n-1)."""
     if len(values) == 0:
         raise EmptySet("cannot summarize an empty collection")
-    arr = [float(v) for v in sorted(values)]
+    arr = sorted(map(float, values))
     return SixStats(
         min=arr[0],
         q25=_quantile(arr, 0.25),
@@ -124,16 +124,15 @@ def extract_features(cq, tree, est: EstimateSet) -> FeatureVector:
     n_joins = sum(c - 1 for c in occurrences.values())
     n_filters = sum(len(ps) for ps in cq.filters.values())
     container = [occurrences[cid] for cid in cq.class_ids()]
-    branching = [
-        len(tree.children_of(u)) for u in tree.nodes if tree.children_of(u)
-    ]
+    children = tree.children()
+    branching = [len(kids) for kids in children.values() if kids]
     return FeatureVector(
         is_0ma=int(tree.oma_flag),
         n_relations=len(cq.atoms),
         n_conditions=n_joins + n_filters,
         n_filters=n_filters,
         n_joins=n_joins,
-        depth=tree.depth(),
+        depth=tree.depth(children),
         container_counts=reduce_set(container),
         branching_degrees=reduce_set(branching) if branching else SixStats.zeros(),
         est_total_cost=est.total_cost,

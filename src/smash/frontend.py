@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import AGG_FUNCTIONS, Aggregate, Predicate
 from .errors import ParseError, UnsupportedConstruct
@@ -21,8 +22,9 @@ from .errors import ParseError, UnsupportedConstruct
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColumnRef:
+class ColumnRef(NamedTuple):
+    # a tuple, so that columns hash and compare in C: normalization keys its
+    # union-find by (alias, attribute)
     alias: str
     attr: str
 
@@ -116,15 +118,20 @@ class NormalizedCQ:
 # tokenizer
 # ---------------------------------------------------------------------------
 
+# one match per token: leading whitespace is skipped inside the match, and
+# any other character no alternative accepts is a `bad` token
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+\.\d+|\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<qualified>[A-Za-z_][A-Za-z_0-9]*\.[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op><=|>=|!=|<>|=|<|>)
-  | (?P<punct>[(),;*])
+    \s*
+    (?:
+        (?P<number>\d+\.\d+|\d+)
+      | (?P<string>'(?:[^']|'')*')
+      | (?P<qualified>[A-Za-z_][A-Za-z_0-9]*\.[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<op><=|>=|!=|<>|=|<|>)
+      | (?P<punct>[(),;*])
+      | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
@@ -134,49 +141,65 @@ _REJECTED = {"OR", "JOIN", "LEFT", "RIGHT", "INNER", "OUTER", "EXISTS", "IN",
              "BETWEEN", "LIKE", "UNION", "NOT", "HAVING", "ORDER", "LIMIT"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
     column: int
 
 
+def _position(sql, offset):
+    """1-based (line, column) of a character offset; only "\n" ends a line."""
+    return sql.count("\n", 0, offset) + 1, offset - sql.rfind("\n", 0, offset)
+
+
+def _scan(sql):
+    """(kind, value, offset) per token, ending with an "eof" token.
+
+    Keywords are upper-cased and string literals unquoted; positions are
+    only turned into lines and columns when an error needs them.
+    """
+    tokens = []
+    for m in _TOKEN_RE.finditer(sql):
+        kind = m.lastgroup
+        value = m.group(kind)
+        start = m.start(kind)
+        if kind == "ident":
+            upper = value.upper()
+            if upper in _KEYWORDS:
+                kind, value = "keyword", upper
+            elif upper in _REJECTED:
+                raise UnsupportedConstruct(f"{upper} is not supported",
+                                           *_position(sql, start))
+        elif kind == "string":
+            value = value[1:-1].replace("''", "'")
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {value!r}",
+                             *_position(sql, start))
+        tokens.append((kind, value, start))
+    tokens.append(("eof", "", len(sql)))
+    return tokens
+
+
 def tokenize(sql):
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(sql):
-        m = _TOKEN_RE.match(sql, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {sql[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind != "ws":
-            value = text
-            if kind == "string":
-                value = text[1:-1].replace("''", "'")
-            elif kind == "ident":
-                upper = text.upper()
-                if upper in _KEYWORDS:
-                    kind, value = "keyword", upper
-                elif upper in _REJECTED:
-                    raise UnsupportedConstruct(f"{upper} is not supported", line, col)
-            tokens.append(Token(kind, value, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, seen = 1, -1, 0
+    for kind, value, offset in _scan(sql):
+        breaks = sql.count("\n", seen, offset)
+        if breaks:
+            line += breaks
+            line_start = sql.rfind("\n", seen, offset)
+        seen = offset
+        tokens.append(Token(kind, value, line, offset - line_start))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over `_scan` tokens, (kind, value, offset) tuples."""
+
+    def __init__(self, sql):
+        self.sql = sql
+        self.tokens = _scan(sql)
         self.pos = 0
 
     def peek(self):
@@ -189,36 +212,36 @@ class _Parser:
 
     def error(self, message, tok=None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise ParseError(message, *_position(self.sql, tok[2]))
 
     def unsupported(self, message, tok=None):
         tok = tok or self.peek()
-        raise UnsupportedConstruct(message, tok.line, tok.column)
+        raise UnsupportedConstruct(message, *_position(self.sql, tok[2]))
 
     def expect_keyword(self, kw):
         tok = self.next()
-        if tok.kind != "keyword" or tok.value != kw:
-            self.error(f"expected {kw}, found {tok.value!r}", tok)
+        if tok[0] != "keyword" or tok[1] != kw:
+            self.error(f"expected {kw}, found {tok[1]!r}", tok)
         return tok
 
     def accept_keyword(self, kw):
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.value == kw:
-            self.next()
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "keyword" and value == kw:
+            self.pos += 1
             return True
         return False
 
     def accept_punct(self, ch):
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == ch:
-            self.next()
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "punct" and value == ch:
+            self.pos += 1
             return True
         return False
 
     def expect_punct(self, ch):
         tok = self.next()
-        if tok.kind != "punct" or tok.value != ch:
-            self.error(f"expected {ch!r}, found {tok.value!r}", tok)
+        if tok[0] != "punct" or tok[1] != ch:
+            self.error(f"expected {ch!r}, found {tok[1]!r}", tok)
 
     # -- grammar ------------------------------------------------------------
 
@@ -236,54 +259,50 @@ class _Parser:
             group_by = self.column_list()
         self.accept_punct(";")
         tok = self.peek()
-        if tok.kind != "eof":
-            self.error(f"trailing input {tok.value!r}", tok)
+        if tok[0] != "eof":
+            self.error(f"trailing input {tok[1]!r}", tok)
         return tables, columns, aggregates, group_by, join_conds, filters
 
     def select_list(self):
+        # bare columns next to aggregates must be grouping columns; that is
+        # validated against GROUP BY after parsing
         columns, aggregates = [], []
         while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.value == "*":
+            kind, value, _ = self.peek()
+            if kind == "punct" and value == "*":
                 self.unsupported("SELECT * is not supported")
-            if tok.kind == "ident" and tok.value.upper() in AGG_FUNCTIONS:
+            if kind == "ident" and value.upper() in AGG_FUNCTIONS:
                 aggregates.append(self.aggregate_expr())
-            elif tok.kind == "qualified":
+            elif kind == "qualified":
                 columns.append(self.column_ref())
             else:
-                self.error(f"expected column or aggregate, found {tok.value!r}")
+                self.error(f"expected column or aggregate, found {value!r}")
             if not self.accept_punct(","):
                 break
-        if columns and aggregates:
-            # bare columns next to aggregates must be grouping columns;
-            # validated against GROUP BY after parsing
-            pass
         return columns, aggregates
 
     def aggregate_expr(self):
         fn_tok = self.next()
-        fn = fn_tok.value.upper()
+        fn = fn_tok[1].upper()
         self.expect_punct("(")
         distinct = self.accept_keyword("DISTINCT")
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == "*":
-            self.next()
+        if self.accept_punct("*"):
             if fn != "COUNT":
                 self.error(f"{fn}(*) is not valid", fn_tok)
             col = None
         else:
             col = self.column_ref()
-        tok = self.peek()
-        if tok.kind == "op" or (tok.kind == "punct" and tok.value == "("):
+        kind, value, _ = self.peek()
+        if kind == "op" or (kind == "punct" and value == "("):
             self.unsupported("arithmetic inside aggregates is not supported")
         self.expect_punct(")")
         return SelectAggregate(fn, col, distinct)
 
     def column_ref(self):
         tok = self.next()
-        if tok.kind != "qualified":
-            self.error(f"expected alias.attribute, found {tok.value!r}", tok)
-        alias, attr = tok.value.split(".")
+        if tok[0] != "qualified":
+            self.error(f"expected alias.attribute, found {tok[1]!r}", tok)
+        alias, attr = tok[1].split(".")
         return ColumnRef(alias, attr)
 
     def column_list(self):
@@ -296,16 +315,16 @@ class _Parser:
         tables = []
         while True:
             tok = self.next()
-            if tok.kind != "ident":
-                self.error(f"expected table name, found {tok.value!r}", tok)
-            name = tok.value
+            if tok[0] != "ident":
+                self.error(f"expected table name, found {tok[1]!r}", tok)
+            name = tok[1]
             if self.accept_keyword("AS"):
                 alias_tok = self.next()
-                if alias_tok.kind != "ident":
+                if alias_tok[0] != "ident":
                     self.error("expected alias after AS", alias_tok)
-                alias = alias_tok.value
-            elif self.peek().kind == "ident":
-                alias = self.next().value
+                alias = alias_tok[1]
+            elif self.peek()[0] == "ident":
+                alias = self.next()[1]
             else:
                 alias = name  # bare table auto-aliased to itself
             tables.append((name, alias))
@@ -318,35 +337,34 @@ class _Parser:
         while True:
             left = self.column_ref()
             op_tok = self.next()
-            if op_tok.kind != "op":
-                self.error(f"expected comparison operator, found {op_tok.value!r}", op_tok)
-            op = "!=" if op_tok.value == "<>" else op_tok.value
-            tok = self.peek()
-            if tok.kind == "qualified":
+            if op_tok[0] != "op":
+                self.error(f"expected comparison operator, found {op_tok[1]!r}", op_tok)
+            op = "!=" if op_tok[1] == "<>" else op_tok[1]
+            kind, value, _ = tok = self.peek()
+            if kind == "qualified":
                 right = self.column_ref()
                 if op != "=":
                     self.unsupported("non-equality conditions between columns", op_tok)
                 if left == right:
                     self.error("join condition must relate two distinct columns", op_tok)
                 join_conds.append((left, right))
-            elif tok.kind in ("number", "string"):
-                lit_tok = self.next()
-                if lit_tok.kind == "number":
-                    literal = float(lit_tok.value) if "." in lit_tok.value else int(lit_tok.value)
-                else:
-                    literal = lit_tok.value
-                filters.append((left, op, literal))
-            elif tok.kind == "keyword" and tok.value == "SELECT":
+            elif kind == "number":
+                self.pos += 1
+                filters.append((left, op, float(value) if "." in value else int(value)))
+            elif kind == "string":
+                self.pos += 1
+                filters.append((left, op, value))
+            elif kind == "keyword" and value == "SELECT":
                 self.unsupported("subqueries are not supported")
             else:
-                self.error(f"expected literal or column, found {tok.value!r}", tok)
+                self.error(f"expected literal or column, found {value!r}", tok)
             if not self.accept_keyword("AND"):
                 break
         return join_conds, filters
 
 
 def parse_query(sql: str) -> QuerySpec:
-    parser = _Parser(tokenize(sql))
+    parser = _Parser(sql)
     tables, columns, aggregates, group_by, join_conds, filters = parser.parse()
     aliases = [a for _, a in tables]
     if len(set(aliases)) != len(aliases):
@@ -390,25 +408,6 @@ def parse_query(sql: str) -> QuerySpec:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def normalize(spec: QuerySpec, db=None) -> NormalizedCQ:
     """Merge equi-join columns into shared attribute classes.
 
@@ -417,51 +416,63 @@ def normalize(spec: QuerySpec, db=None) -> NormalizedCQ:
     every table column participates (unmentioned ones as singletons);
     otherwise only columns referenced by the query.
     """
-    alias_pos = {a: i for i, (_, a) in enumerate(spec.tables)}
-    uf = _UnionFind()
-    mentioned = []
+    # union-find over (alias, attr) tuples; a ColumnRef is one, so spec
+    # columns and plain tuples for table columns find the same entries.
+    # Insertion order is first-mention order.
+    parent = {}
 
-    def touch(col: ColumnRef):
-        if col not in uf.parent:
-            mentioned.append(col)
-        uf.find(col)
+    def find(col):
+        root = parent[col]
+        if root == col:
+            return col
+        while parent[root] != root:
+            root = parent[root]
+        while parent[col] != root:
+            parent[col], col = root, parent[col]
+        return root
 
     for l, r in spec.join_conds:
-        touch(l)
-        touch(r)
-        uf.union(l, r)
+        parent.setdefault(l, l)
+        parent.setdefault(r, r)
+        root_l, root_r = find(l), find(r)
+        if root_l != root_r:
+            parent[root_r] = root_l
     for col in spec.select_columns:
-        touch(col)
+        parent.setdefault(col, col)
     for agg in spec.select_aggregates:
         if agg.column is not None:
-            touch(agg.column)
+            parent.setdefault(agg.column, agg.column)
     for col in spec.group_by:
-        touch(col)
+        parent.setdefault(col, col)
     for col, _, _ in spec.filters:
-        touch(col)
+        parent.setdefault(col, col)
     if db is not None:
         for name, alias in spec.tables:
             for attr in db.table(name).schema:
-                touch(ColumnRef(alias, attr))
+                col = (alias, attr)
+                parent.setdefault(col, col)
 
     classes = {}
-    for col in mentioned:
-        classes.setdefault(uf.find(col), []).append(col)
+    for col in parent:
+        classes.setdefault(find(col), []).append(col)
+    alias_pos = {a: i for i, (_, a) in enumerate(spec.tables)}
     class_id = {}
-    for root, members in classes.items():
-        rep = min(members, key=lambda c: (alias_pos[c.alias], c.attr))
-        cid = f"{rep.alias}.{rep.attr}"
+    renamings = {alias: {} for alias in alias_pos}
+    for members in classes.values():
+        if len(members) == 1:
+            rep = members[0]
+        else:
+            rep = min(members, key=lambda c: (alias_pos[c[0]], c[1]))
+        cid = f"{rep[0]}.{rep[1]}"
         for col in members:
             class_id[col] = cid
-
-    atoms = []
-    for name, alias in spec.tables:
-        renaming = {
-            col.attr: class_id[col]
-            for col in class_id
-            if col.alias == alias
-        }
-        atoms.append(Atom(alias=alias, table=name, renaming=renaming))
+    # renamings list each atom's attributes in class order, then first mention
+    for (alias, attr), cid in class_id.items():
+        renamings[alias][attr] = cid
+    atoms = [
+        Atom(alias=alias, table=name, renaming=renamings[alias])
+        for name, alias in spec.tables
+    ]
 
     filters = {}
     for col, op, literal in spec.filters:

@@ -5,7 +5,8 @@ five timed repetitions (arithmetic mean reported).  A repetition exceeding
 the timeout marks the entry timed out and charges exactly the timeout.
 The end-to-end report compares Base, Rewriting, the learned SMASH
 selector (charged the chosen strategy's measured mean plus the measured
-decision latency), and the per-query oracle best.
+decision latency), and the per-query oracle best, and splits the decision
+latency into its normalize, analyze, estimate, features and predict stages.
 """
 
 from __future__ import annotations
@@ -200,6 +201,14 @@ class StrategyTotals:
     slowdown_fraction: float = 0.0
 
 
+DECISION_STAGES = ("normalize", "analyze", "estimate", "features", "predict")
+
+
+def _nearest_rank(values, q):
+    ordered = sorted(values)
+    return ordered[max(0, -(-len(ordered) * q // 100) - 1)] if ordered else 0.0
+
+
 @dataclass
 class E2eReport:
     strategies: dict  # name -> StrategyTotals
@@ -207,6 +216,17 @@ class E2eReport:
     excluded_query_ids: list
     decision_latencies_s: list
     clock_resolution_s: float
+    # stage -> per-query seconds, in DECISION_STAGES order and query order;
+    # a query's stages sum to its decision latency
+    stage_latencies_s: dict = field(default_factory=dict)
+
+    def stage_percentiles(self):
+        """stage -> (p50, p99) seconds, nearest rank; "total" last."""
+        out = {}
+        columns = dict(self.stage_latencies_s, total=self.decision_latencies_s)
+        for stage, values in columns.items():
+            out[stage] = (_nearest_rank(values, 50), _nearest_rank(values, 99))
+        return out
 
     def to_json(self):
         return json.dumps(
@@ -215,6 +235,11 @@ class E2eReport:
                 "n_queries": self.n_queries,
                 "excluded_query_ids": self.excluded_query_ids,
                 "decision_latencies_s": self.decision_latencies_s,
+                "stage_latencies_s": self.stage_latencies_s,
+                "decision_stages": {
+                    stage: {"p50_s": p50, "p99_s": p99}
+                    for stage, (p50, p99) in self.stage_percentiles().items()
+                },
                 "strategies": {k: vars(v) for k, v in self.strategies.items()},
             },
             sort_keys=True,
@@ -235,6 +260,9 @@ class E2eReport:
                 f"{name:<12}{t.total_seconds:>12.4f}{t.oma_seconds:>12.4f}"
                 f"{t.enum_seconds:>12.4f}{t.slowdown_fraction:>10.3f}"
             )
+        lines.append(f"{'decision':<12}{'p50_us':>12}{'p99_us':>12}")
+        for stage, (p50, p99) in self.stage_percentiles().items():
+            lines.append(f"{stage:<12}{p50 * 1e6:>12.1f}{p99 * 1e6:>12.1f}")
         return "\n".join(lines)
 
 
@@ -244,6 +272,7 @@ def smash_e2e(db: Database, test_queries, model, threshold, log: RunLog) -> E2eR
               ("Base", "Rewriting", "SMASH", "OracleBest")}
     excluded = set(excluded_query_ids(log))
     latencies = []
+    stages = {stage: [] for stage in DECISION_STAGES}
     n = 0
     for qid, spec in test_queries:
         if qid in excluded:
@@ -252,14 +281,23 @@ def smash_e2e(db: Database, test_queries, model, threshold, log: RunLog) -> E2eR
         rewr = log.entry(qid, REWRITING)
         if base is None or rewr is None:
             raise MissingStrategy(f"query {qid} missing from the run log")
-        start = time.perf_counter()
+        # one shared timestamp at each stage boundary, so the stages of a
+        # query add up to its latency exactly
+        marks = [time.perf_counter()]
         cq = normalize(spec, db)
+        marks.append(time.perf_counter())
         tree, _ = analyze(cq)
+        marks.append(time.perf_counter())
         est = estimate_cardinalities(cq, db)
+        marks.append(time.perf_counter())
         fv = extract_features(cq, tree, est)
+        marks.append(time.perf_counter())
         choice = decide(model, fv, threshold)
-        latency = time.perf_counter() - start
+        marks.append(time.perf_counter())
+        latency = marks[-1] - marks[0]
         latencies.append(latency)
+        for stage, start, end in zip(DECISION_STAGES, marks, marks[1:]):
+            stages[stage].append(end - start)
         n += 1
         chosen = rewr.mean_s if choice == REWRITTEN else base.mean_s
         # (charged seconds, strategy time used for the slowdown test);
@@ -288,4 +326,5 @@ def smash_e2e(db: Database, test_queries, model, threshold, log: RunLog) -> E2eR
         excluded_query_ids=sorted(excluded),
         decision_latencies_s=latencies,
         clock_resolution_s=time.get_clock_info("perf_counter").resolution,
+        stage_latencies_s=stages,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .engine import (
     Database,
@@ -66,22 +67,29 @@ class _Emitter:
         self.statements = []
         # views are numbered by 1-based FROM position of the atom
         self.view_name = {i: f"E{i + 1}" for i in range(len(cq.atoms))}
+        self.children = tree.children()
+        # per atom: class id -> its alphabetically first original attribute
+        self.original = []
+        for atom in cq.atoms:
+            first = {}
+            for attr, cid in sorted(atom.renaming.items()):
+                first.setdefault(cid, attr)
+            self.original.append(first)
 
     def _children(self, node):
         # higher FROM positions are semi-joined in first (E3E2 before E1)
-        return sorted(self.tree.children_of(node), reverse=True)
+        return sorted(self.children[node], reverse=True)
 
     # -- helpers ------------------------------------------------------------
 
     def table_kw(self):
         return "UNLOGGED TABLE" if self.unlogged else "TABLE"
 
-    def _filter_sql(self, atom):
+    def _filter_sql(self, node):
+        atom = self.cq.atoms[node]
         parts = []
         for pred in self.cq.filters.get(atom.alias, []):
-            original = next(
-                a for a, cid in sorted(atom.renaming.items()) if cid == pred.attribute
-            )
+            original = self.original[node][pred.attribute]
             lhs = f"{atom.table}.{original}"
             if self._needs_cast(atom, original, pred.literal):
                 lhs = f"CAST({lhs} AS INTEGER)"
@@ -92,26 +100,22 @@ class _Emitter:
         if self.db is None or isinstance(literal, str):
             return False
         table = self.db.table(atom.table)
-        col = table.column(original)
-        return any(isinstance(v, str) for v in col)
+        values = map(itemgetter(table._index(original)), table.rows)
+        return any(issubclass(t, str) for t in set(map(type, values)))
 
-    def _join_condition_sql(self, left_name, left_atom, right_name, right_atom):
-        shared = sorted(
-            set(left_atom.renaming.values()) & set(right_atom.renaming.values())
-        )
-        conds = []
-        for cid in shared:
-            la = next(a for a, c in sorted(left_atom.renaming.items()) if c == cid)
-            ra = next(a for a, c in sorted(right_atom.renaming.items()) if c == cid)
-            conds.append(f"{left_name}.{la} = {right_name}.{ra}")
-        return conds
+    def _join_condition_sql(self, left_name, left_node, right_name, right_node):
+        left, right = self.original[left_node], self.original[right_node]
+        return [
+            f"{left_name}.{left[cid]} = {right_name}.{right[cid]}"
+            for cid in sorted(left.keys() & right.keys())
+        ]
 
     # -- statement constructors --------------------------------------------
 
     def view(self, node):
         atom = self.cq.atoms[node]
         name = self.view_name[node]
-        where = self._filter_sql(atom)
+        where = self._filter_sql(node)
         sql = f"CREATE VIEW {name} AS SELECT * FROM {atom.table} AS {atom.table}"
         if where:
             sql += " WHERE " + " AND ".join(where)
@@ -120,9 +124,7 @@ class _Emitter:
 
     def semijoin_table(self, left_name, left_node, right_name, right_node,
                        out_name, select="*", group_by=None):
-        conds = self._join_condition_sql(
-            left_name, self.cq.atoms[left_node], right_name, self.cq.atoms[right_node]
-        )
+        conds = self._join_condition_sql(left_name, left_node, right_name, right_node)
         cond_sql = " AND ".join(conds) if conds else "1 = 1"
         sql = (
             f"CREATE {self.table_kw()} {out_name} AS SELECT {select} "
@@ -136,7 +138,7 @@ class _Emitter:
     def _aggregate_select(self):
         out = self.cq.output
         parts = []
-        for atom_idx, cid in enumerate(out.group_by):
+        for cid in out.group_by:
             parts.append(_quote(cid))
         for i, agg in enumerate(out.aggregates):
             inner = _quote(agg.attribute) if agg.attribute is not None else "*"
@@ -200,21 +202,16 @@ class _Emitter:
             return StatementSequence(self.statements)
 
         # reconstruct per-node phase-1 artifact names (leaf view or last
-        # accumulated semi-join table)
+        # accumulated semi-join table), children before their parents
+        order = self._preorder()
         art = {}
-
-        def art_name(node):
-            name = self.view_name[node]
-            for child in self._children(node):
-                name = name + art_name(child)
-            return name
-
-        for node in tree.nodes:
-            art[node] = art_name(node)
+        for node in reversed(order):
+            art[node] = self.view_name[node] + "".join(
+                art[child] for child in self._children(node)
+            )
 
         # top-down semi-joins
         topdown = {tree.root: art[tree.root]}
-        order = self._preorder()
         for node in order:
             if node == tree.root:
                 continue
@@ -237,7 +234,7 @@ class _Emitter:
         }
         sub_schema = {}
         for node in reversed(order):
-            children = tree.children_of(node)
+            children = self.children[node]
             attrs = set(schema[node])
             for c in children:
                 attrs |= sub_schema[c]
@@ -287,8 +284,7 @@ class _Emitter:
         while stack:
             u = stack.pop()
             order.append(u)
-            for c in reversed(self.tree.children_of(u)):
-                stack.append(c)
+            stack.extend(reversed(self.children[u]))
         return order
 
     def _drops(self):

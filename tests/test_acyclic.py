@@ -2,9 +2,14 @@
 
 import pytest
 
+import random
+
 from smash.acyclic import (
+    JoinTree,
     analyze,
     build_hypergraph,
+    build_join_tree,
+    check_connectedness,
     classify_0ma,
     gyo_reduce,
 )
@@ -113,3 +118,69 @@ class TestJoinTree:
         cq, tree, _ = analyzed(CHAIN_SQL)
         text = tree.to_text(cq)
         assert "R" in text and "S" in text and "T" in text
+
+    def test_children_and_depth(self):
+        cq, tree, _ = analyzed(
+            "SELECT MIN(R.a) FROM R, S, T, U WHERE R.a = S.a AND R.a = T.a "
+            "AND T.b = U.b"
+        )
+        kids = tree.children()
+        assert sorted(kids) == tree.nodes
+        assert sorted(c for cs in kids.values() for c in cs) == sorted(
+            u for u in tree.nodes if u != tree.root)
+        for u, cs in kids.items():
+            assert cs == sorted(cs) and all(tree.parent[c] == u for c in cs)
+        assert tree.depth() == tree.depth(kids) == 2
+
+
+class TestConnectedness:
+    def test_disconnected_ear_order_rejected(self):
+        cq = normalize(parse_query(CHAIN_SQL))
+        oma = classify_0ma(cq)
+        build_join_tree([(0, 1), (1, 2), (2, None)], cq, oma)
+        # R and S share R.b, but the path between them runs through T
+        with pytest.raises(InvalidJoinTree, match="R.b not connected"):
+            build_join_tree([(0, 2), (1, 2), (2, None)], cq, oma)
+
+    @staticmethod
+    def connected_by_search(tree, cq):
+        """Independent check: walk each class's atoms along tree edges."""
+        adjacent = {u: set() for u in tree.nodes}
+        for u, p in tree.parent.items():
+            if p is not None:
+                adjacent[u].add(p)
+                adjacent[p].add(u)
+        classes = {c for atom in cq.atoms for c in atom.renaming.values()}
+        for cid in classes:
+            holders = {i for i, atom in enumerate(cq.atoms)
+                       if cid in atom.renaming.values()}
+            start = min(holders)
+            seen, stack = {start}, [start]
+            while stack:
+                for v in adjacent[stack.pop()] & holders - seen:
+                    seen.add(v)
+                    stack.append(v)
+            if seen != holders:
+                return False
+        return True
+
+    def test_matches_search_on_random_trees(self):
+        rng = random.Random(3)
+        verdicts = set()
+        for db, spec in random_specs(5, 60):
+            cq = normalize(spec, db)
+            for _ in range(5):
+                order = list(range(len(cq.atoms)))
+                rng.shuffle(order)
+                parent = {order[0]: None}
+                for i, u in enumerate(order[1:], 1):
+                    parent[u] = rng.choice(order[:i])
+                tree = JoinTree(nodes=sorted(parent), parent=parent, root=order[0])
+                expected = self.connected_by_search(tree, cq)
+                verdicts.add(expected)
+                if expected:
+                    check_connectedness(tree, cq)
+                else:
+                    with pytest.raises(InvalidJoinTree):
+                        check_connectedness(tree, cq)
+        assert verdicts == {True, False}

@@ -218,6 +218,11 @@ class TestFilterTypes:
             (TypeMismatch, "cannot compare 1 with literal True")] * 2
         assert self.outcomes(db, "SELECT B.n FROM B WHERE B.n = 1", 1.0) == [[1], [(1,)]]
 
+    def test_unknown_column_raises(self, mixed_db):
+        cq = normalize(parse_query("SELECT MIN(T.zzz) FROM T"), mixed_db)
+        with pytest.raises(UnknownAttribute, match="zzz"):
+            estimate_cardinalities(cq, mixed_db)
+
     def test_unordered_types_raise_type_error(self, mixed_db):
         message = "'<' not supported between instances of 'bool' and 'str'"
         assert self.outcomes(mixed_db, "SELECT B.n FROM B WHERE B.f < 1", "x") == [

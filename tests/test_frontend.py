@@ -62,6 +62,11 @@ _POSITIONED_ERRORS = [
     ("SELECT R.a FROM R WHERE R.a = 1; ;", ParseError, 1, 34),
     ("", ParseError, 1, 1),
     ("SELECT SUM(R.a + 1) FROM R", ParseError, 1, 16),
+    # errors at the first character of a line
+    ("SELECT R.a FROM R\n#", ParseError, 2, 1),
+    ("SELECT R.a FROM R WHERE R.a = 1\nLIMIT 3", UnsupportedConstruct, 2, 1),
+    ("SELECT R.a FROM R WHERE R.a =\n", ParseError, 2, 1),
+    ("SELECT R.a FROM R WHERE R.a = 'x\n'\n  junk", ParseError, 3, 3),
 ]
 
 

@@ -1,5 +1,7 @@
 """Harness tests: run protocol, dataset assembly, e2e accounting."""
 
+import json
+
 import pytest
 
 from smash.acyclic import analyze
@@ -9,6 +11,7 @@ from smash.features import extract_features
 from smash.frontend import normalize, parse_query
 from smash.harness import (
     BASE,
+    DECISION_STAGES,
     REWRITING,
     E2eReport,
     RunConfig,
@@ -181,3 +184,21 @@ class TestSmashE2e:
         assert "SMASH" in report.to_json()
         text = report.to_text()
         assert "OracleBest" in text and "clock resolution" in text
+
+    def test_decision_stages_sum_to_latency(self, chain_db, chain_run):
+        queries, log = chain_run
+        report = smash_e2e(chain_db, queries, constant_model(0.5), 0.0, log)
+        stages = report.stage_latencies_s
+        assert list(stages) == list(DECISION_STAGES)
+        for i, latency in enumerate(report.decision_latencies_s):
+            parts = [stages[stage][i] for stage in DECISION_STAGES]
+            assert all(p >= 0.0 for p in parts)
+            assert sum(parts) == latency  # exact: shared boundary timestamps
+        summary = json.loads(report.to_json())["decision_stages"]
+        assert list(summary) == sorted([*DECISION_STAGES, "total"])
+        assert summary["total"]["p99_s"] == max(report.decision_latencies_s)
+        for stage in DECISION_STAGES:
+            assert summary[stage]["p50_s"] <= summary[stage]["p99_s"]
+            assert summary[stage]["p99_s"] == max(stages[stage])
+        text = report.to_text().splitlines()
+        assert [line.split()[0] for line in text[-6:]] == [*DECISION_STAGES, "total"]

@@ -54,6 +54,8 @@ _HAND_SQL = [
     "SELECT COUNT(*) FROM P AS x, P AS y WHERE x.id = y.id AND x.name <> 'it''s'",
     "SELECT Q.pid, COUNT(DISTINCT Q.qty) FROM P, Q WHERE P.id = Q.pid GROUP BY Q.pid",
     "SELECT SUM(Q.qty) FROM Q, P WHERE Q.pid = P.id AND Q.qty >= 2.5",
+    # attributes mentioned out of alphabetical order
+    "SELECT P.score, Q.qty FROM P, Q WHERE Q.pid = P.id AND P.name = 'a'",
 ]
 
 
