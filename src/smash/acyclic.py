@@ -55,8 +55,8 @@ class JoinTree:
                 kids[p].append(v)
         return kids
 
-    def depth(self, children=None):
-        kids = children or self.children()
+    def depth(self):
+        kids = self.children()
 
         def rec(u):
             return 1 + max(map(rec, kids[u])) if kids[u] else 0

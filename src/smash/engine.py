@@ -443,7 +443,7 @@ def _atom_stats(cq, atom, db: Database, shared):
     renaming = atom.renaming
     unknown = renaming.keys() - set(base.schema)
     if unknown:
-        raise UnknownAttribute(f"{sorted(unknown)} not in {atom.table}")
+        raise UnknownAttribute(f"{atom.table} has no column {min(unknown)}")
     columns = {}  # class id -> base column indexes
     for i, col in enumerate(base.schema):
         cid = renaming.get(col) or f"{atom.alias}.{col}"

@@ -124,15 +124,14 @@ def extract_features(cq, tree, est: EstimateSet) -> FeatureVector:
     n_joins = sum(c - 1 for c in occurrences.values())
     n_filters = sum(len(ps) for ps in cq.filters.values())
     container = [occurrences[cid] for cid in cq.class_ids()]
-    children = tree.children()
-    branching = [len(kids) for kids in children.values() if kids]
+    branching = [len(kids) for kids in tree.children().values() if kids]
     return FeatureVector(
         is_0ma=int(tree.oma_flag),
         n_relations=len(cq.atoms),
         n_conditions=n_joins + n_filters,
         n_filters=n_filters,
         n_joins=n_joins,
-        depth=tree.depth(children),
+        depth=tree.depth(),
         container_counts=reduce_set(container),
         branching_degrees=reduce_set(branching) if branching else SixStats.zeros(),
         est_total_cost=est.total_cost,

@@ -218,15 +218,13 @@ class E2eReport:
     clock_resolution_s: float
     # stage -> per-query seconds, in DECISION_STAGES order and query order;
     # a query's stages sum to its decision latency
-    stage_latencies_s: dict = field(default_factory=dict)
+    stage_latencies_s: dict
 
     def stage_percentiles(self):
         """stage -> (p50, p99) seconds, nearest rank; "total" last."""
-        out = {}
         columns = dict(self.stage_latencies_s, total=self.decision_latencies_s)
-        for stage, values in columns.items():
-            out[stage] = (_nearest_rank(values, 50), _nearest_rank(values, 99))
-        return out
+        return {stage: (_nearest_rank(values, 50), _nearest_rank(values, 99))
+                for stage, values in columns.items()}
 
     def to_json(self):
         return json.dumps(

@@ -130,7 +130,7 @@ class TestJoinTree:
             u for u in tree.nodes if u != tree.root)
         for u, cs in kids.items():
             assert cs == sorted(cs) and all(tree.parent[c] == u for c in cs)
-        assert tree.depth() == tree.depth(kids) == 2
+        assert tree.depth() == 2
 
 
 class TestConnectedness:
