@@ -446,13 +446,9 @@ def _atom_stats(cq, atom, db: Database, shared):
         raise UnknownAttribute(f"{atom.table} has no column {min(unknown)}")
     columns = {}  # class id -> base column indexes
     for i, col in enumerate(base.schema):
-        cid = renaming.get(col) or f"{atom.alias}.{col}"
-        if cid in columns:
-            columns[cid].append(i)
-        else:
-            columns[cid] = [i]
+        columns.setdefault(renaming.get(col) or f"{atom.alias}.{col}", []).append(i)
     rows = base.rows
-    if len(columns) < len(base.schema):
+    if len(columns) < len(base.schema):  # intra-atom equalities
         dup = [ix for ix in columns.values() if len(ix) > 1]
         rows = [r for r in rows if all(len({r[i] for i in ix}) == 1 for ix in dup)]
     preds = cq.filters.get(atom.alias)

@@ -67,7 +67,7 @@ class _Emitter:
         self.statements = []
         # views are numbered by 1-based FROM position of the atom
         self.view_name = {i: f"E{i + 1}" for i in range(len(cq.atoms))}
-        self.children = tree.children()
+        self.children_of = tree.children()
         # per atom: class id -> its alphabetically first original attribute
         self.original = []
         for atom in cq.atoms:
@@ -78,7 +78,7 @@ class _Emitter:
 
     def _children(self, node):
         # higher FROM positions are semi-joined in first (E3E2 before E1)
-        return sorted(self.children[node], reverse=True)
+        return sorted(self.children_of[node], reverse=True)
 
     # -- helpers ------------------------------------------------------------
 
@@ -234,7 +234,7 @@ class _Emitter:
         }
         sub_schema = {}
         for node in reversed(order):
-            children = self.children[node]
+            children = self.children_of[node]
             attrs = set(schema[node])
             for c in children:
                 attrs |= sub_schema[c]
@@ -284,7 +284,7 @@ class _Emitter:
         while stack:
             u = stack.pop()
             order.append(u)
-            stack.extend(reversed(self.children[u]))
+            stack.extend(reversed(self.children_of[u]))
         return order
 
     def _drops(self):

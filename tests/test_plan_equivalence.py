@@ -30,8 +30,7 @@ from smash.features import extract_features
 from smash.frontend import normalize, parse_query, to_sql
 from smash.rewriter import rewrite
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from conftest import random_specs  # noqa: E402
+from conftest import random_specs
 
 FIXTURE = Path(__file__).resolve().parent / "plan_digests.json"
 STAGES = ("spec", "cq", "tree", "est", "features", "statements")
