@@ -2,9 +2,10 @@
 
 Relations are named schemas over multisets of tuples.  The module provides
 the basic operators (filter, semi-join, natural join, projection, grouping),
-two evaluators for normalized conjunctive queries (a left-deep baseline and
-a join-tree based semi-join evaluator), and a simple cardinality estimator
-based on distinct-value counts.
+the left-deep baseline evaluator for normalized conjunctive queries, and a
+simple cardinality estimator based on distinct-value counts.  The
+semi-join (Yannakakis) program is the rewriter's plan, which
+`rewriter.interpret_sequence` runs on these operators.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import operator
-from abc import ABC, abstractmethod
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from pathlib import Path
@@ -80,13 +80,6 @@ class Relation:
             return self.schema.index(attr)
         except ValueError:
             raise UnknownAttribute(f"{attr} not in {self.name}{tuple(self.schema)}")
-
-    def as_multiset(self, attr_order=None):
-        """Counter of tuples, optionally with columns reordered."""
-        if attr_order is None:
-            attr_order = sorted(self.schema)
-        idxs = [self._index(a) for a in attr_order]
-        return Counter(tuple(r[i] for i in idxs) for r in self.rows)
 
     def __len__(self):
         return len(self.rows)
@@ -175,9 +168,14 @@ def natural_join(left: Relation, right: Relation, counter: OpCounter | None = No
 
 
 def project(rel: Relation, attrs, counter: OpCounter | None = None) -> Relation:
+    """Projection that tolerates repeated attributes (labels get suffixed)."""
     idxs = [rel._index(a) for a in attrs]
+    labels, seen = [], {}
+    for a in attrs:
+        seen[a] = seen.get(a, 0) + 1
+        labels.append(a if seen[a] == 1 else f"{a}#{seen[a]}")
     rows = [tuple(r[i] for i in idxs) for r in rel.rows]
-    return Relation(rel.name, list(attrs), rows)
+    return Relation(rel.name, labels, rows)
 
 
 @dataclass(frozen=True)
@@ -288,20 +286,9 @@ def atom_relation(cq, atom, db: Database, counter: OpCounter | None = None) -> R
     return rel
 
 
-def project_columns(rel: Relation, columns) -> Relation:
-    """Projection that tolerates repeated columns (labels get suffixed)."""
-    idxs = [rel._index(c) for c in columns]
-    labels, seen = [], {}
-    for c in columns:
-        seen[c] = seen.get(c, 0) + 1
-        labels.append(c if seen[c] == 1 else f"{c}#{seen[c]}")
-    rows = [tuple(r[i] for i in idxs) for r in rel.rows]
-    return Relation(rel.name, labels, rows)
-
-
 def _apply_output(rel: Relation, output, counter: OpCounter | None = None) -> Relation:
     if output.kind == "enumeration":
-        return project_columns(rel, output.columns)
+        return project(rel, output.columns)
     return group_aggregate(rel, output.group_by, output.aggregates, counter)
 
 
@@ -312,76 +299,6 @@ def evaluate_baseline(cq, db: Database, counter: OpCounter | None = None) -> Rel
         r = atom_relation(cq, atom, db, counter)
         rel = r if rel is None else natural_join(rel, r, counter)
     return _apply_output(rel, cq.output, counter)
-
-
-def _postorder(tree, children):
-    out = []
-
-    def rec(u):
-        for c in children[u]:
-            rec(c)
-        out.append(u)
-
-    rec(tree.root)
-    return out
-
-
-def semi_join_reduce(tree, cq, db: Database, counter: OpCounter | None = None):
-    """Preparatory filters plus the two semi-join passes.
-
-    Returns per-node relations after the full reduction (every surviving
-    tuple extends to at least one answer of the join query).  The tree must
-    be a join tree of the query, as `acyclic.build_join_tree` guarantees.
-    """
-    rels = {i: atom_relation(cq, atom, db, counter) for i, atom in enumerate(cq.atoms)}
-    children = tree.children()
-    order = _postorder(tree, children)
-    for u in order:  # bottom-up semi-joins
-        for c in children[u]:
-            rels[u] = semi_join(rels[u], rels[c], counter)
-    for u in reversed(order):  # top-down semi-joins
-        for c in children[u]:
-            rels[c] = semi_join(rels[c], rels[u], counter)
-    return rels
-
-
-def evaluate_yannakakis(tree, cq, db: Database, counter: OpCounter | None = None) -> Relation:
-    """Join-tree based evaluation.
-
-    For guarded set-safe aggregate queries (the tree's zero-materialization
-    flag), only the preparatory filters and the bottom-up semi-join pass are
-    run, and the aggregate is applied to the root relation.  Otherwise all
-    three passes run, projecting away attributes that are needed neither by
-    the output nor further up the tree.  The tree must be a join tree of
-    the query, as `acyclic.build_join_tree` guarantees.
-    """
-    rels = {i: atom_relation(cq, atom, db, counter) for i, atom in enumerate(cq.atoms)}
-    children = tree.children()
-    order = _postorder(tree, children)
-    for u in order:
-        for c in children[u]:
-            rels[u] = semi_join(rels[u], rels[c], counter)
-    if tree.oma_flag:
-        return _apply_output(rels[tree.root], cq.output, counter)
-    for u in reversed(order):
-        for c in children[u]:
-            rels[c] = semi_join(rels[c], rels[u], counter)
-    output_attrs = set(cq.output.needed_classes())
-    joined = {}
-    for u in order:
-        acc = rels[u]
-        for c in children[u]:
-            acc = natural_join(acc, joined[c], counter)
-        parent = tree.parent[u]
-        if parent is None:
-            keep = [a for a in acc.schema if a in output_attrs]
-        else:
-            up = set(rels[parent].schema)
-            keep = [a for a in acc.schema if a in output_attrs or a in up]
-        if keep != acc.schema:
-            acc = project(acc, keep)
-        joined[u] = acc
-    return _apply_output(joined[tree.root], cq.output, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -556,19 +473,3 @@ def load_database(directory) -> Database:
         sidecar = path.with_suffix(".schema.json")
         db.add(load_table(path, schema_file=sidecar if sidecar.exists() else None))
     return db
-
-
-# ---------------------------------------------------------------------------
-# DBMS adapter (interface only; no concrete driver ships with the package)
-# ---------------------------------------------------------------------------
-
-class DbmsAdapter(ABC):
-    """Minimal surface a live database driver would have to implement."""
-
-    @abstractmethod
-    def execute(self, statement: str) -> list:
-        """Run one SQL statement, returning result rows (possibly empty)."""
-
-    @abstractmethod
-    def close(self) -> None:
-        """Release the connection."""

@@ -87,12 +87,6 @@ class NormalizedCQ:
     filters: dict  # alias -> [engine.Predicate] over class ids
     output: OutputSpec
 
-    def atom_index(self, alias):
-        for i, atom in enumerate(self.atoms):
-            if atom.alias == alias:
-                return i
-        raise KeyError(alias)
-
     def class_ids(self):
         """All class ids, deterministic order (FROM order, then attribute)."""
         out = []
@@ -124,7 +118,7 @@ _TOKEN_RE = re.compile(
     r"""
     \s*
     (?:
-        (?P<number>\d+\.\d+|\d+)
+        (?P<number>[0-9]+\.[0-9]+|[0-9]+)
       | (?P<string>'(?:[^']|'')*')
       | (?P<qualified>[A-Za-z_][A-Za-z_0-9]*\.[A-Za-z_][A-Za-z_0-9]*)
       | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)

@@ -6,13 +6,16 @@ guarded set-safe aggregate queries only the bottom-up semi-join pass is
 emitted, with the aggregation on the last step.  For all other queries the
 top-down semi-join pass and the bottom-up join pass are materialized as
 well.  Each statement also carries a structural form that the in-memory
-engine can execute directly.
+engine can execute directly: `interpret_sequence` runs a whole plan, and
+`full_reduce` runs a plan's filters and both semi-join passes, so the plan
+is the one implementation of the Yannakakis passes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from operator import itemgetter
 
 from .engine import (
@@ -22,7 +25,6 @@ from .engine import (
     group_aggregate,
     natural_join,
     project,
-    project_columns,
     semi_join,
 )
 from .errors import ParseError, UndefinedIntermediate
@@ -40,6 +42,9 @@ class Statement:
 @dataclass
 class StatementSequence:
     statements: list = field(default_factory=list)
+    # node -> artifact holding its fully reduced relation (top-down pass);
+    # empty for plans that run only the bottom-up pass
+    reduced: dict = field(default_factory=dict)
 
     def created_names(self):
         return [s.name for s in self.statements if s.kind in ("CreateView", "CreateTable")]
@@ -65,6 +70,8 @@ class _Emitter:
         self.db = db
         self.unlogged = unlogged
         self.statements = []
+        self.art = {}  # node -> its bottom-up pass artifact
+        self.finished = []  # nodes in the order that pass finishes them
         # views are numbered by 1-based FROM position of the atom
         self.view_name = {i: f"E{i + 1}" for i in range(len(cq.atoms))}
         self.children_of = tree.children()
@@ -151,7 +158,8 @@ class _Emitter:
 
     def bottom_up_semijoins(self, node, aggregate_at_root=False):
         """Views plus one semi-join table per (node, child); returns the
-        node's accumulated artifact name."""
+        node's accumulated artifact name and records it in `art`, and the
+        node in `finished`, children before their parents."""
         acc = self.view(node)
         children = self._children(node)
         is_root = self.tree.parent[node] is None
@@ -169,8 +177,7 @@ class _Emitter:
                 self.statements.append(
                     Statement("CreateTable", name, sql, ("aggregate", acc))
                 )
-                return name
-            return acc
+                acc = name
         acc_node = node
         for pos, child in enumerate(children):
             child_art = self.bottom_up_semijoins(child, aggregate_at_root=False)
@@ -188,6 +195,8 @@ class _Emitter:
                 form = ("semijoin", acc, child_art)
             self.statements.append(Statement("CreateTable", out_name, sql, form))
             acc = out_name
+        self.art[node] = acc
+        self.finished.append(node)
         return acc
 
     def emit(self):
@@ -201,20 +210,10 @@ class _Emitter:
             self._drops()
             return StatementSequence(self.statements)
 
-        # reconstruct per-node phase-1 artifact names (leaf view or last
-        # accumulated semi-join table), children before their parents
-        order = self._preorder()
-        art = {}
-        for node in reversed(order):
-            art[node] = self.view_name[node] + "".join(
-                art[child] for child in self._children(node)
-            )
-
-        # top-down semi-joins
+        # top-down semi-joins, parents before their children
+        art = self.art
         topdown = {tree.root: art[tree.root]}
-        for node in order:
-            if node == tree.root:
-                continue
+        for node in reversed(self.finished[:-1]):
             parent = tree.parent[node]
             out_name = f"D{self.view_name[node][1:]}"
             sql = self.semijoin_table(
@@ -233,7 +232,7 @@ class _Emitter:
             n: set(cq.atoms[n].renaming.values()) for n in tree.nodes
         }
         sub_schema = {}
-        for node in reversed(order):
+        for node in self.finished:
             children = self.children_of[node]
             attrs = set(schema[node])
             for c in children:
@@ -276,16 +275,7 @@ class _Emitter:
             form = ("final_agg", root_art)
         self.statements.append(Statement("FinalSelect", None, sql, form))
         self._drops()
-        return StatementSequence(self.statements)
-
-    def _preorder(self):
-        order = []
-        stack = [self.tree.root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            stack.extend(reversed(self.children_of[u]))
-        return order
+        return StatementSequence(self.statements, topdown)
 
     def _drops(self):
         for s in reversed([x for x in self.statements if x.kind in ("CreateView", "CreateTable")]):
@@ -307,6 +297,30 @@ def rewrite(tree, cq, db: Database | None = None, unlogged=True) -> StatementSeq
 def interpret_sequence(seq: StatementSequence, cq, db: Database,
                        counter: OpCounter | None = None):
     """Execute the structural forms against the in-memory engine."""
+    _, result = _run(seq.statements, cq, db, counter)
+    if result is None:
+        raise UndefinedIntermediate("sequence has no final SELECT")
+    return result
+
+
+def full_reduce(tree, cq, db: Database, counter: OpCounter | None = None):
+    """Per-node relations after the preparatory filters and both semi-join
+    passes of the plan for `tree`.
+
+    Every surviving tuple extends to at least one answer of the join query.
+    The plan is emitted without the zero-materialization shortcut, so the
+    top-down pass exists for every tree, and runs up to its first statement
+    that is neither a view nor a semi-join.
+    """
+    seq = rewrite(replace(tree, oma_flag=False), cq)
+    passes = takewhile(lambda s: s.form[0] in ("atom", "semijoin"), seq.statements)
+    namespace, _ = _run(passes, cq, db, counter)
+    return {node: namespace[name] for node, name in seq.reduced.items()}
+
+
+def _run(statements, cq, db, counter):
+    """Execute statements in order; returns the intermediates still bound
+    and the relation of the last final SELECT (None if there is none)."""
     namespace = {}
 
     def resolve(name):
@@ -315,7 +329,7 @@ def interpret_sequence(seq: StatementSequence, cq, db: Database,
         return namespace[name]
 
     result = None
-    for stmt in seq.statements:
+    for stmt in statements:
         form = stmt.form
         op = form[0]
         if op == "atom":
@@ -341,7 +355,7 @@ def interpret_sequence(seq: StatementSequence, cq, db: Database,
             result = resolve(form[1])
             continue
         elif op == "final_project":
-            result = project_columns(resolve(form[1]), form[2])
+            result = project(resolve(form[1]), form[2])
             continue
         elif op == "final_agg":
             result = group_aggregate(
@@ -358,9 +372,7 @@ def interpret_sequence(seq: StatementSequence, cq, db: Database,
         if stmt.name in namespace:
             raise ValueError(f"duplicate intermediate name {stmt.name!r}")
         namespace[stmt.name] = rel
-    if result is None:
-        raise UndefinedIntermediate("sequence has no final SELECT")
-    return result
+    return namespace, result
 
 
 # ---------------------------------------------------------------------------

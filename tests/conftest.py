@@ -172,3 +172,12 @@ def random_specs(seed, count, max_relations=6, max_rows=40):
         )
         db, queries = generate_workload(spec)
         yield db, queries[0][1]
+
+
+def selector_wide(seed, n):
+    """The benchmark's selector_wide generator, on fewer queries."""
+    return generate_workload(WorkloadSpec(
+        seed=seed, n_base_queries=n, n_relations=(4, 8), rows=(20, 60),
+        fanout=(1, 2), shape="random", filter_prob=0.5, aggregate_prob=0.5,
+        name_prefix="sw",
+    ))

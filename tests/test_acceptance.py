@@ -21,13 +21,7 @@ from smash.augmentation import (
     generate_two_regime_workload,
     generate_workload,
 )
-from smash.engine import (
-    OpCounter,
-    estimate_cardinalities,
-    evaluate_baseline,
-    evaluate_yannakakis,
-    semi_join_reduce,
-)
+from smash.engine import OpCounter, estimate_cardinalities, evaluate_baseline
 from smash.features import extract_features, reduce_set
 from smash.frontend import normalize, parse_query
 from smash.harness import RunConfig, build_dataset, run_workload, smash_e2e
@@ -44,7 +38,7 @@ from smash.ml import (
     train_cart,
     train_knn,
 )
-from smash.rewriter import interpret_sequence, rewrite
+from smash.rewriter import full_reduce, interpret_sequence, rewrite
 from smash.stats_tests import PairedSample, paired_t_test, wilcoxon_signed_rank
 
 from conftest import oracle_matches, oracle_rows, random_specs, result_multiset
@@ -61,7 +55,7 @@ def report(capsys, number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
-def test_01_three_evaluators_match_oracle(capsys):
+def test_01_base_and_plan_match_oracle(capsys):
     start = time.perf_counter()
     n = mismatches = 0
     for db, spec in random_specs(101, 200):
@@ -70,7 +64,6 @@ def test_01_three_evaluators_match_oracle(capsys):
         tree, _ = analyze(cq)
         results = [
             evaluate_baseline(cq, db),
-            evaluate_yannakakis(tree, cq, db),
             interpret_sequence(rewrite(tree, cq, db), cq, db),
         ]
         mismatches += sum(result_multiset(r) != expected for r in results)
@@ -95,7 +88,7 @@ def test_02_full_reducer_property(capsys):
     for db, spec in random_specs(202, 50):
         cq = normalize(spec, db)
         tree, _ = analyze(cq)
-        rels = semi_join_reduce(tree, cq, db)
+        rels = full_reduce(tree, cq, db)
         envs = oracle_matches(spec, db)
         for i, atom in enumerate(cq.atoms):
             keep = _kept_indices(atom, db.table(atom.table).schema)
@@ -117,7 +110,7 @@ def test_03_zero_joins_for_0ma(capsys):
         if not tree.oma_flag:
             continue
         counter = OpCounter()
-        evaluate_yannakakis(tree, cq, db, counter)
+        interpret_sequence(rewrite(tree, cq, db), cq, db, counter)
         joins += counter.joins
         checked += 1
     report(capsys, 3, checked >= 30 and joins == 0,

@@ -13,9 +13,10 @@ from smash.augmentation import (
     generate_two_regime_workload,
     generate_workload,
 )
-from smash.engine import OpCounter, evaluate_baseline, evaluate_yannakakis
+from smash.engine import OpCounter, evaluate_baseline
 from smash.errors import NoJoins, NotAggregate
 from smash.frontend import normalize, parse_query, to_sql
+from smash.rewriter import interpret_sequence, rewrite
 
 EXAMPLE_SQL = (
     "SELECT MIN(u.Id) FROM users AS u, votes AS v, badges AS b "
@@ -159,7 +160,7 @@ class TestGenerator:
             tree, _ = analyze(cq)
             cb, cy = OpCounter(), OpCounter()
             evaluate_baseline(cq, db, cb)
-            evaluate_yannakakis(tree, cq, db, cy)
+            interpret_sequence(rewrite(tree, cq, db), cq, db, cy)
             if cy.intermediate_tuples < cb.intermediate_tuples:
                 wins += 1
         assert wins == len(queries)

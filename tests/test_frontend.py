@@ -67,6 +67,8 @@ _POSITIONED_ERRORS = [
     ("SELECT R.a FROM R WHERE R.a = 1\nLIMIT 3", UnsupportedConstruct, 2, 1),
     ("SELECT R.a FROM R WHERE R.a =\n", ParseError, 2, 1),
     ("SELECT R.a FROM R WHERE R.a = 'x\n'\n  junk", ParseError, 3, 3),
+    # number literals are ASCII digits only, as in sqlite3
+    ("SELECT R.a FROM R WHERE R.a = \u0663", ParseError, 1, 31),
 ]
 
 

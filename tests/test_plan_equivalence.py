@@ -20,29 +20,16 @@ import sys
 from pathlib import Path
 
 from smash.acyclic import analyze
-from smash.augmentation import (
-    WorkloadSpec,
-    generate_two_regime_workload,
-    generate_workload,
-)
+from smash.augmentation import generate_two_regime_workload
 from smash.engine import Database, Relation, estimate_cardinalities
 from smash.features import extract_features
 from smash.frontend import normalize, parse_query, to_sql
 from smash.rewriter import rewrite
 
-from conftest import random_specs
+from conftest import random_specs, selector_wide
 
 FIXTURE = Path(__file__).resolve().parent / "plan_digests.json"
 STAGES = ("spec", "cq", "tree", "est", "features", "statements")
-
-
-def _selector_wide(seed, n):
-    """The benchmark's selector_wide generator, on fewer queries."""
-    return generate_workload(WorkloadSpec(
-        seed=seed, n_base_queries=n, n_relations=(4, 8), rows=(20, 60),
-        fanout=(1, 2), shape="random", filter_prob=0.5, aggregate_prob=0.5,
-        name_prefix="sw",
-    ))
 
 
 # string, mixed-type and self-joined columns, which the generators never make
@@ -75,7 +62,7 @@ def corpus():
     for i, (db, spec) in enumerate(random_specs(2024, 200)):
         yield f"random/{i:03d}", db, spec
     for seed, n in ((42, 120), (7, 60)):
-        db, queries = _selector_wide(seed, n)
+        db, queries = selector_wide(seed, n)
         for qid, spec in queries:
             yield f"selector_wide/seed{seed}/{qid}", db, spec
     for seed in (42, 7):

@@ -3,18 +3,32 @@
 import pytest
 
 from smash.acyclic import analyze
-from smash.engine import Database, Relation, evaluate_baseline
+from smash.augmentation import generate_two_regime_workload
+from smash.engine import (
+    Database,
+    Relation,
+    atom_relation,
+    evaluate_baseline,
+    natural_join,
+)
 from smash.errors import ParseError, UndefinedIntermediate
 from smash.frontend import normalize, parse_query
 from smash.rewriter import (
     Statement,
     StatementSequence,
+    full_reduce,
     interpret_sequence,
     parse_statement,
     rewrite,
 )
 
-from conftest import CHAIN_SQL, oracle_rows, random_specs, result_multiset
+from conftest import (
+    CHAIN_SQL,
+    oracle_rows,
+    random_specs,
+    result_multiset,
+    selector_wide,
+)
 
 APPENDIX_SQL = (
     "SELECT MIN(u.Id) FROM votes AS v, badges AS b, users AS u "
@@ -139,6 +153,31 @@ class TestInterpretation:
         ])
         with pytest.raises(UndefinedIntermediate):
             interpret_sequence(broken, cq, chain_db)
+
+
+class TestFullReduce:
+    """The plan's semi-join passes on benchmark-shaped workloads, whose
+    tables are too large for the brute-force oracle of acceptance 2."""
+
+    @pytest.mark.parametrize("workload", [
+        lambda: generate_two_regime_workload(7, 24),
+        lambda: selector_wide(7, 60),
+    ], ids=["two_regime", "selector_wide"])
+    def test_reduced_relations_are_projections_of_the_join(self, workload):
+        db, queries = workload()
+        for qid, spec in queries:
+            cq = normalize(spec, db)
+            tree, _ = analyze(cq)
+            joined = None
+            for atom in cq.atoms:
+                rel = atom_relation(cq, atom, db)
+                joined = rel if joined is None else natural_join(joined, rel)
+            reduced = full_reduce(tree, cq, db)
+            assert sorted(reduced) == sorted(tree.nodes), qid
+            for node, rel in reduced.items():
+                idx = [joined.schema.index(a) for a in rel.schema]
+                expected = {tuple(r[i] for i in idx) for r in joined.rows}
+                assert set(rel.rows) == expected, (qid, node)
 
 
 class TestStatementParser:
