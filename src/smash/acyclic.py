@@ -56,12 +56,15 @@ class JoinTree:
         return kids
 
     def depth(self):
-        kids = self.children()
+        """Edges on the longest root-to-leaf path, from the parent map alone."""
+        level = {self.root: 0}
 
         def rec(u):
-            return 1 + max(map(rec, kids[u])) if kids[u] else 0
+            if u not in level:
+                level[u] = rec(self.parent[u]) + 1
+            return level[u]
 
-        return rec(self.root)
+        return max(map(rec, self.nodes))
 
     def edge_set(self):
         return {frozenset((u, p)) for u, p in self.parent.items() if p is not None}

@@ -325,9 +325,14 @@ def _generate_one(rng, spec: WorkloadSpec, qid):
 
 def generate_workload(spec: WorkloadSpec):
     """Seeded database + query list; identical seeds reproduce both."""
+    db = Database()
+    return db, _add_workload(db, spec)
+
+
+def _add_workload(db, spec: WorkloadSpec):
+    """Add the spec's tables to `db`; returns its queries."""
     spec.validate()
     rng = random.Random(spec.seed)
-    db = Database()
     queries = []
     for i in range(spec.n_base_queries):
         qid = f"{spec.name_prefix}{i:04d}"
@@ -335,7 +340,7 @@ def generate_workload(spec: WorkloadSpec):
         for rel in relations:
             db.add(rel)
         queries.append((qid, query))
-    return db, queries
+    return queries
 
 
 def generate_two_regime_workload(seed=42, n_queries=200):
@@ -372,9 +377,6 @@ def generate_two_regime_workload(seed=42, n_queries=200):
         aggregate_prob=0.0,
         name_prefix="lt",
     )
-    db_h, q_h = generate_workload(heavy)
-    db_l, q_l = generate_workload(light)
     db = Database()
-    for rel in list(db_h.tables.values()) + list(db_l.tables.values()):
-        db.add(rel)
-    return db, q_h + q_l
+    queries = _add_workload(db, heavy)
+    return db, queries + _add_workload(db, light)

@@ -3,7 +3,8 @@
 Relations are named schemas over multisets of tuples.  The module provides
 the basic operators (filter, semi-join, natural join, projection, grouping),
 the left-deep baseline evaluator for normalized conjunctive queries, and a
-simple cardinality estimator based on distinct-value counts.  The
+simple cardinality estimator based on distinct-value counts, which a
+`Database` records per base table when the table is added.  The
 semi-join (Yannakakis) program is the rewriter's plan, which
 `rewriter.interpret_sequence` runs on these operators.
 """
@@ -85,14 +86,49 @@ class Relation:
         return len(self.rows)
 
 
+_NDV_SAMPLE_ROWS = 512
+
+
+def _prefix_ndv(rows, indexes):
+    """Distinct counts of the columns at `indexes` over the first
+    `_NDV_SAMPLE_ROWS` rows, from one transposition of that prefix.
+
+    A deterministic prefix keeps the count cheap on large tables.
+    """
+    columns = list(zip(*rows[:_NDV_SAMPLE_ROWS]))
+    if not columns:
+        return [0] * len(indexes)
+    return [len(set(columns[i])) for i in indexes]
+
+
+@dataclass(frozen=True)
+class TableStats:
+    """What the estimator knows of a base table without reading its rows."""
+
+    index: dict  # column -> position in the schema
+    ndv: dict  # column -> distinct values among the first _NDV_SAMPLE_ROWS rows
+
+
 @dataclass
 class Database:
-    tables: dict = field(default_factory=dict)
+    """Named base tables and their statistics.
+
+    `add` is the only way in: it records each table's `TableStats` once, so
+    a table must not change after it is added.
+    """
+
+    tables: dict = field(default_factory=dict, init=False)
+    stats: dict = field(default_factory=dict, init=False, repr=False)
 
     def add(self, rel: Relation):
         if rel.name in self.tables:
             raise ValueError(f"duplicate table {rel.name}")
         self.tables[rel.name] = rel
+        schema = rel.schema
+        self.stats[rel.name] = TableStats(
+            index={col: i for i, col in enumerate(schema)},
+            ndv=dict(zip(schema, _prefix_ndv(rel.rows, range(len(schema))))),
+        )
 
     def table(self, name):
         if name not in self.tables:
@@ -312,9 +348,6 @@ class EstimateSet:
     total_cost: float
 
 
-_NDV_SAMPLE_ROWS = 512
-
-
 def _is_number_type(t):
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
@@ -348,53 +381,62 @@ def _select(rows, index, pred):
 def _atom_stats(cq, atom, db: Database, shared):
     """Post-filter row count and distinct counts of the atom's `shared` classes.
 
-    Scans the base table instead of materialising the renamed relation, one
-    predicate at a time over the rows that survive the intra-atom
-    equalities and the predicates before it; errors are those of the first
-    row a row-at-a-time filter would fail on.  Only classes shared between
-    atoms enter the join estimates, so distinct counts are limited to those,
-    and come from a deterministic prefix sample so the decision path stays
-    cheap on large tables.
+    An atom without filters and intra-atom equalities is its base table
+    renamed, so its counts are the table's ingestion `TableStats` and no row
+    is read.  Any other atom scans the base table instead of materialising
+    the renamed relation, one predicate at a time over the rows that survive
+    the intra-atom equalities and the predicates before it; errors are those
+    of the first row a row-at-a-time filter would fail on.  Its distinct
+    counts come from the same prefix sample as the table's.  Only classes
+    shared between atoms enter the join estimates, so distinct counts are
+    limited to those.
     """
     base = db.table(atom.table)
+    stats = db.stats[atom.table]
     renaming = atom.renaming
-    unknown = renaming.keys() - set(base.schema)
+    unknown = renaming.keys() - stats.index.keys()
     if unknown:
         raise UnknownAttribute(f"{atom.table} has no column {min(unknown)}")
-    columns = {}  # class id -> base column indexes
-    for i, col in enumerate(base.schema):
-        columns.setdefault(renaming.get(col) or f"{atom.alias}.{col}", []).append(i)
-    rows = base.rows
-    if len(columns) < len(base.schema):  # intra-atom equalities
-        dup = [ix for ix in columns.values() if len(ix) > 1]
-        rows = [r for r in rows if all(len({r[i] for i in ix}) == 1 for ix in dup)]
     preds = cq.filters.get(atom.alias)
+    if not preds and len(set(renaming.values())) == len(renaming):
+        ndv = stats.ndv
+        return len(base.rows), {
+            cid: ndv[attr] for attr, cid in renaming.items() if cid in shared
+        }
+    columns = {}  # class id -> schema positions of its attributes
+    for attr, cid in renaming.items():
+        columns.setdefault(cid, []).append(stats.index[attr])
+    rows = base.rows
+    dup = [ix for ix in columns.values() if len(ix) > 1]
+    if dup:  # intra-atom equalities
+        rows = [r for r in rows if all(len({r[i] for i in ix}) == 1 for ix in dup)]
     if preds:
         for p in preds:
             if p.attribute not in columns:
                 raise UnknownAttribute(f"{p.attribute} not in {atom.alias}")
         error = None
         for p in preds:
-            rows, exc = _select(rows, columns[p.attribute][0], p)
+            rows, exc = _select(rows, min(columns[p.attribute]), p)
             if exc is not None:
                 error = exc
         if error is not None:
             raise error
-    sample = rows if len(rows) <= _NDV_SAMPLE_ROWS else rows[:_NDV_SAMPLE_ROWS]
-    ndv = {}
-    for cid in renaming.values():
-        if cid in shared and cid not in ndv:
-            ndv[cid] = len(set(map(operator.itemgetter(columns[cid][0]), sample)))
-    return len(rows), ndv
+    wanted = [cid for cid in columns if cid in shared]
+    counts = _prefix_ndv(rows, [min(columns[cid]) for cid in wanted])
+    return len(rows), dict(zip(wanted, counts))
 
 
 def estimate_cardinalities(cq, db: Database) -> EstimateSet:
     """Exact post-filter counts plus distinct-value join-size estimates.
 
     The per-join estimate for A joining B on shared attributes x is
-    |A| * |B| / prod_x max(ndv_A(x), ndv_B(x)).
+    |A| * |B| / prod_x max(ndv_A(x), ndv_B(x)).  Distinct counts are taken
+    over the first `_NDV_SAMPLE_ROWS` rows of an atom.  `Database.add`
+    records them for every column of a base table once, so an atom without
+    filters and intra-atom equalities reads them from there; other atoms
+    count them over their surviving rows on each call.
     """
-    shared = {cid for cid, n in cq.class_occurrences().items() if n > 1}
+    shared = {cid for cid, n in cq.occurrences.items() if n > 1}
     stats = [_atom_stats(cq, atom, db, shared) for atom in cq.atoms]
     table_rows = [n for n, _ in stats]
     join_rows = []

@@ -120,7 +120,7 @@ FEATURE_COUNT = len(feature_names())
 
 
 def extract_features(cq, tree, est: EstimateSet) -> FeatureVector:
-    occurrences = cq.class_occurrences()
+    occurrences = cq.occurrences
     n_joins = sum(c - 1 for c in occurrences.values())
     n_filters = sum(len(ps) for ps in cq.filters.values())
     container = [occurrences[cid] for cid in cq.class_ids()]

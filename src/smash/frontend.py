@@ -86,6 +86,16 @@ class NormalizedCQ:
     atoms: list  # Atom, FROM order
     filters: dict  # alias -> [engine.Predicate] over class ids
     output: OutputSpec
+    # class id -> number of atoms containing it; both the estimator and the
+    # feature extractor read it, so it is counted once, from `atoms`
+    occurrences: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        occ = {}
+        for atom in self.atoms:
+            for cid in set(atom.renaming.values()):
+                occ[cid] = occ.get(cid, 0) + 1
+        self.occurrences = occ
 
     def class_ids(self):
         """All class ids, deterministic order (FROM order, then attribute)."""
@@ -98,14 +108,6 @@ class NormalizedCQ:
                     seen.add(cid)
                     out.append(cid)
         return out
-
-    def class_occurrences(self):
-        """class id -> number of atoms containing it."""
-        occ = {}
-        for atom in self.atoms:
-            for cid in set(atom.renaming.values()):
-                occ[cid] = occ.get(cid, 0) + 1
-        return occ
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ class _Emitter:
             original = self.original[node][pred.attribute]
             lhs = f"{atom.table}.{original}"
             if self._needs_cast(atom, original, pred.literal):
-                lhs = f"CAST({lhs} AS INTEGER)"
+                lhs = f"CAST({lhs} AS REAL)"
             parts.append(f"{lhs} {pred.op} {_literal_sql(pred.literal)}")
         return parts
 
@@ -380,12 +380,12 @@ def _run(statements, cq, db, counter):
 # ---------------------------------------------------------------------------
 
 _IDENT = r"[A-Za-z_][A-Za-z_0-9$]*"
-_COL = rf'(?:"{_IDENT}(?:\.{_IDENT})?(?:#\d+)?"|{_IDENT}(?:\.{_IDENT})?)'
-_CAST = rf"CAST\({_IDENT}\.{_IDENT} AS INTEGER\)"
-_VALUE = rf"(?:{_CAST}|{_COL}|-?\d+(?:\.\d+)?|'(?:[^']|'')*')"
+_COL = rf'(?:"{_IDENT}(?:\.{_IDENT})?(?:#[0-9]+)?"|{_IDENT}(?:\.{_IDENT})?)'
+_CAST = rf"CAST\({_IDENT}\.{_IDENT} AS REAL\)"
+_VALUE = rf"(?:{_CAST}|{_COL}|-?[0-9]+(?:\.[0-9]+)?|'(?:[^']|'')*')"
 _COMPARE = rf"{_VALUE} (?:=|!=|<>|<=|>=|<|>) {_VALUE}"
 _WHERE = rf"(?:{_COMPARE}|1 = 1)(?: AND (?:{_COMPARE}))*"
-_AGG = rf"(?:MIN|MAX|COUNT|SUM|AVG)\((?:DISTINCT )?(?:{_COL}|\*)\)(?: AS EXPR\$\d+)?"
+_AGG = rf"(?:MIN|MAX|COUNT|SUM|AVG)\((?:DISTINCT )?(?:{_COL}|\*)\)(?: AS EXPR\$[0-9]+)?"
 _SELECT_ITEM = rf"(?:\*|{_AGG}|{_COL})"
 _SELECT_LIST = rf"{_SELECT_ITEM}(?:, {_SELECT_ITEM})*"
 _EXISTS = rf"EXISTS \(SELECT 1 FROM {_IDENT} WHERE {_WHERE}\)"

@@ -298,6 +298,7 @@ def test_08_statistics(capsys):
            f"antisymmetry {antisymmetric}/100")
 
 
+@pytest.mark.slow
 def test_09_end_to_end_selection(capsys):
     db, queries = generate_two_regime_workload(seed=42, n_queries=240)
     log = run_workload(db, queries, RunConfig(repeats=3))

@@ -1,5 +1,8 @@
 """Rewriter emission and interpretation tests."""
 
+import sqlite3
+from collections import Counter
+
 import pytest
 
 from smash.acyclic import analyze
@@ -98,7 +101,29 @@ class TestEmission:
         _, _, seq = rewritten(
             "SELECT MIN(v.Id) FROM votes AS v WHERE v.BountyAmount >= 40", db
         )
-        assert "CAST(votes.BountyAmount AS INTEGER) >= 40" in seq.to_sql()
+        assert "CAST(votes.BountyAmount AS REAL) >= 40" in seq.to_sql()
+
+    def test_cast_keeps_fractional_values_on_sqlite(self):
+        # a float below the literal's next integer: CAST(... AS INTEGER)
+        # would truncate 1.5 to 1 and drop id 1
+        db = Database()
+        db.add(Relation("P", ["id", "score"], [(1, 1.5), (2, "n/a"), (3, 7)]))
+        sql = "SELECT P.id FROM P WHERE P.id != 2 AND P.score > 1"
+        cq, _, seq = rewritten(sql, db)
+        (view,) = [s for s in seq.statements if s.kind == "CreateView"]
+        assert "CAST(P.score AS REAL) > 1" in view.sql
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.execute("CREATE TABLE P (id, score)")
+            conn.executemany("INSERT INTO P VALUES (?, ?)", db.table("P").rows)
+            original = conn.execute(sql).fetchall()
+            conn.execute(view.sql)
+            emitted = conn.execute(f"SELECT id FROM {view.name}").fetchall()
+        finally:
+            conn.close()
+        engine = evaluate_baseline(cq, db).rows
+        assert Counter(emitted) == Counter(original) == Counter(engine) == \
+            Counter([(1,), (3,)])
 
     def test_statement_texts_reparse(self):
         quoted = "SELECT MIN(u.Id) FROM users AS u WHERE u.Name = 'it''s'"
@@ -184,6 +209,13 @@ class TestStatementParser:
     def test_rejects_garbage(self):
         with pytest.raises(ParseError):
             parse_statement("FROBNICATE THE TABLES")
+
+    def test_rejects_non_ascii_digits(self):
+        parse_statement("SELECT * FROM A WHERE A.x = 3")
+        with pytest.raises(ParseError):
+            parse_statement("SELECT * FROM A WHERE A.x = \u0663")
+        with pytest.raises(ParseError):
+            parse_statement('SELECT "A.x#\u0663" FROM A')
 
     def test_accepts_exists_form(self):
         parse_statement(
