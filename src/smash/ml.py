@@ -6,18 +6,21 @@ t_rewritten - t_original, so negative predictions favor rewriting).  The
 decision tree and k-NN models are implemented from scratch with fully
 deterministic tie-breaking so that identical inputs serialize identically.
 
-CART split search sorts each node's rows once per feature (one stable
-argsort over all features) and reads every (feature, threshold) candidate's
-gain off running sums: class counts for Gini, sums of node-centred targets
-for variance.  That is O(n log n * features) per node, plus O(n) for each
-re-scored partition, instead of the exhaustive O(n * thresholds * features).
-The running-sum gains only screen: every candidate within
-1e-9 (times the node impurity, if above 1) of the best is re-scored exactly
-as the exhaustive search scores it -- threshold (lo + hi) / 2, partition
+CART grows breadth-first, one tree level per pass (as SLIQ does over
+presorted attribute lists).  The level's rows are sorted once per feature
+by (node, value), and every (feature, threshold) candidate of every node
+on it gets its gain from running sums: class counts for Gini, sums of
+node-centred targets for variance.  That is O(m log m * features) per
+level of m rows, plus O(n) for each re-scored partition of an n-row node,
+instead of the exhaustive O(n * thresholds * features) per node.  The
+running-sum gains only screen: every candidate within 1e-9 (times the node
+impurity, if above 1) of its node's best is re-scored exactly as the
+exhaustive search scores it -- threshold (lo + hi) / 2, partition
 x <= threshold in row order, `_gini`/`_variance` -- and the first
 candidate, in feature then threshold order, that no later one beats by
 more than 1e-12 wins.  Models are therefore byte-identical to the
-exhaustive search's; tests/test_cart_differential.py checks this.
+exhaustive depth-first search's; tests/test_cart_differential.py checks
+this.
 """
 
 from __future__ import annotations
@@ -135,27 +138,32 @@ def _gini(labels):
     n = len(labels)
     if n == 0:
         return 0.0
-    p1 = sum(labels) / n
+    p1 = float(np.asarray(labels, dtype=float).sum()) / n
     return 1.0 - p1 * p1 - (1.0 - p1) ** 2
 
 
 def _variance(values):
-    if len(values) == 0:
+    """float(np.var(values)) for non-empty input, bit for bit: np.var's own
+    steps (sum / n, squared deviations, sum / n), without its dispatch."""
+    a = np.asarray(values, dtype=float)
+    if len(a) == 0:
         return 0.0
-    return float(np.var(np.asarray(values, dtype=float)))
+    d = a - a.sum() / len(a)
+    return float((d * d).sum() / len(a))
 
 
 def _leaf(task, y):
+    y = np.asarray(y, dtype=float)
     if task == "classify":
-        ones = int(sum(y))
+        ones = int(y.sum())
         zeros = len(y) - ones
         return {
             "leaf": True,
             "counts": [zeros, ones],
             "prediction": 1 if ones > zeros else 0,
         }
-    mean = float(np.mean(np.asarray(y, dtype=float)))
-    return {"leaf": True, "n": len(y), "prediction": mean}
+    # np.mean's steps, bit for bit; an empty leaf gets NaN, as np.mean gives
+    return {"leaf": True, "n": len(y), "prediction": float(y.sum() / len(y))}
 
 
 _SCREEN_TOL = 1e-9
@@ -165,8 +173,34 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def _best_split(X, y, y_arr, idx, imp, impurity, task):
-    """The split the exhaustive search picks at one node, or None.
+def _ranks(X):
+    """Each value's dense rank in its column; equal values share a rank.
+
+    A stable sort on (node, rank) therefore orders a level's rows exactly
+    as a stable sort on value within each node would.  NaNs sort last,
+    each with its own rank, in row order, as they do in a stable sort.
+    """
+    order = np.argsort(X, axis=0, kind="stable")
+    ordered = np.take_along_axis(X, order, axis=0)
+    steps = np.zeros(X.shape, dtype=np.int64)
+    np.cumsum(ordered[1:] != ordered[:-1], axis=0, out=steps[1:])
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, steps, axis=0)
+    return ranks
+
+
+def _screen_level(X, ranks, nodes, task):
+    """Every open node's split candidates on one tree level, from one pass.
+
+    `nodes` holds (rows in ascending order, node targets, impurity) per
+    node, each with at least two rows.  The rows are concatenated node by
+    node and each feature is sorted once by (node, value), so every array
+    is (rows on the level) x features.  Each node's running sums, gains and
+    screening cut are those a sort of that node alone gives, bit for bit:
+    class counts for Gini, sums of node-centred targets for variance, and
+    a score within _SCREEN_TOL (times the impurity, if above 1) of the
+    node's best.  Returns, per node, its (feature, threshold) candidates
+    in feature then threshold order.
 
     Screening is safe: the rounding error of a running-sum gain is orders
     of magnitude below the tolerance, so a candidate left out gains nearly
@@ -174,30 +208,42 @@ def _best_split(X, y, y_arr, idx, imp, impurity, task):
     out could change the pick only through a chain of about a thousand
     candidates, each within 1e-12 of the one before.
     """
-    n = len(idx)
-    Xn = X[idx]
-    order = np.argsort(Xn, axis=0, kind="stable")
-    V = np.take_along_axis(Xn, order, axis=0)
+    sizes = np.array([len(rows) for rows, _, _ in nodes])
+    starts = np.cumsum(sizes) - sizes
+    rows = np.concatenate([rows for rows, _, _ in nodes])
+    m, n_features = len(rows), X.shape[1]
+    node = np.repeat(np.arange(len(nodes)), sizes)
+    order = np.argsort(node[:, None] * len(X) + ranks[rows], axis=0, kind="stable")
+    V = X[rows[order], np.arange(n_features)]
     lo, hi = V[:-1], V[1:]
-    distinct = lo < hi
-    if not distinct.any():
-        return None
-    with np.errstate(over="ignore"):
+    pair_node = node[:-1]  # pair k is rows k and k + 1 of the sorted level
+    distinct = (lo < hi) & (pair_node == node[1:])[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
         T = (lo + hi) / 2.0
-    # rows with x <= T: the k + 1 rows up to lo, unless T rounded to hi
-    # (adjacent floats) or overflowed
-    n_left = np.repeat(np.arange(1.0, n)[:, None], X.shape[1], axis=1)
+    first = starts[pair_node][:, None]
+    # rows with x <= T: the rows of the node up to lo, unless T rounded to
+    # hi (adjacent floats) or overflowed
+    n_left = np.repeat(np.arange(1.0, m)[:, None] - first, n_features, axis=1)
     for k, f in zip(*np.nonzero(distinct & ((T >= hi) | (T < lo)))):
-        n_left[k, f] = np.searchsorted(V[:, f], T[k, f], side="right")
-    yn = y_arr[idx]
+        s = first[k, 0]
+        n_left[k, f] = np.searchsorted(
+            V[s:s + sizes[pair_node[k]], f], T[k, f], side="right")
+    y = np.concatenate([ys for _, ys, _ in nodes])
     if task == "regress":
-        yn = yn - yn.mean()
-    running = np.cumsum(yn[order], axis=0)
+        y = y - np.array([ys.sum() / len(ys) for _, ys, _ in nodes])[node]
+    y = y[order]
+    # cumulative sums restart at each node: nodes of one size at a time,
+    # which keeps each node's additions in its own order
+    running = np.empty_like(y)
+    for size in np.unique(sizes).tolist():
+        block = starts[sizes == size][:, None] + np.arange(size)
+        running[block] = np.cumsum(y[block], axis=1)
     s_left = np.take_along_axis(
-        running, np.maximum(n_left.astype(np.intp) - 1, 0), axis=0
+        running, first + np.maximum(n_left.astype(np.intp) - 1, 0), axis=0
     )
     s_left[n_left == 0] = 0.0
-    s_right = running[-1] - s_left
+    s_right = running[(starts + sizes - 1)[pair_node]] - s_left
+    n = sizes[pair_node][:, None]
     n_right = n - n_left
     # score = gain + a per-node constant
     if task == "classify":
@@ -209,61 +255,116 @@ def _best_split(X, y, y_arr, idx, imp, impurity, task):
         # node's total minus it
         score = _ratio(s_left**2, n_left) + _ratio(s_right**2, n_right)
     score /= n
-    tol = _SCREEN_TOL * max(1.0, imp)
-    near = distinct & (score >= score[distinct].max() - tol)
-    best = None  # (gain, feature, threshold, left idx, right idx)
+    best = np.maximum.reduceat(np.where(distinct, score, -np.inf).max(axis=1), starts)
+    cut = best - np.array([_SCREEN_TOL * max(1.0, imp) for _, _, imp in nodes])
+    near = distinct & (score >= cut[pair_node][:, None])
+    candidates = [[] for _ in nodes]
+    features, pairs = np.nonzero(near.T)  # feature, then threshold order
+    for f, j, threshold in zip(features.tolist(), pair_node[pairs].tolist(),
+                               T[pairs, features].tolist()):
+        candidates[j].append((f, threshold))
+    return candidates
+
+
+def _best_candidate(X, rows, ys, imp, candidates, impurity):
+    """The candidate the exhaustive search picks, or None: each is scored
+    on its `x <= threshold` partition in row order, and the first one, in
+    feature then threshold order, that no later one beats by more than
+    1e-12 wins.  Returns (gain, feature, threshold, goes-left mask)."""
+    n = len(rows)
+    best = None
     gains = {}  # partition -> exact gain; tied features repeat partitions
-    for f, k in zip(*np.nonzero(near.T)):  # feature, then threshold order
-        threshold = T[k, f]
-        goes_left = Xn[:, f] <= threshold
+    for f, threshold in candidates:
+        goes_left = X[rows, f] <= threshold
         key = goes_left.tobytes()
         if key not in gains:
-            left, right = idx[goes_left].tolist(), idx[~goes_left].tolist()
+            left, right = ys[goes_left], ys[~goes_left]
             gains[key] = imp - (
-                len(left) / n * impurity([y[i] for i in left])
-                + len(right) / n * impurity([y[i] for i in right])
+                len(left) / n * impurity(left)
+                + len(right) / n * impurity(right)
             )
         gain = gains[key]
         if best is None or gain > best[0] + 1e-12:
-            best = (gain, f, threshold, idx[goes_left], idx[~goes_left])
+            best = (gain, f, threshold, goes_left)
     return best
 
 
 def train_cart(train, task="classify", max_depth=None, min_leaf=2) -> CartModel:
+    """Grow a CART breadth-first, one tree level per pass.
+
+    Each level's open nodes are screened together by `_screen_level`, so
+    the fixed cost of the array operations is paid once per depth instead
+    of once per node; its arrays hold (rows on the level) x features
+    values, at most the training set's size per feature.  Each node then
+    re-scores its screened candidates as the exhaustive search scores them
+    (threshold (lo + hi) / 2, partition x <= threshold in row order,
+    `_gini`/`_variance`, the 1e-12 rule), and Gini importances are summed
+    in the pre-order a recursive build visits the nodes.  Models are
+    therefore byte-identical to the exhaustive depth-first search's;
+    tests/test_cart_differential.py checks this.
+
+    A chosen split can leave one side empty (the threshold overflowed or
+    rounded onto the upper value).  The node's rows then reach the next
+    level unchanged and would split the same way forever, so without
+    `max_depth` that raises RecursionError; with it, the tree grows to the
+    limit.
+    """
     if not train:
         raise EmptyTraining("cannot train CART on an empty set")
     X = np.asarray([e.features for e in train], dtype=float)
     if X.shape[1] < 1:
         raise EmptyTraining("examples carry no features")
-    y = [e.class_label if task == "classify" else e.reg_target for e in train]
-    y_arr = np.asarray(y, dtype=float)
+    y_arr = np.asarray(
+        [e.class_label if task == "classify" else e.reg_target for e in train],
+        dtype=float,
+    )
     impurity = _gini if task == "classify" else _variance
     n_total = len(train)
+    ranks = _ranks(X)
+    tree = {}
+    # (node dict to fill, its rows in ascending order, its pre-order path)
+    level = [(tree, np.arange(n_total), ())]
+    splits = []  # (pre-order path, feature, weighted gain)
+    depth = 0
+    while level:
+        open_nodes = []
+        for node, rows, path in level:
+            ys = y_arr[rows]
+            if (
+                len(rows) < max(min_leaf, 2)  # a single row has no threshold
+                or (max_depth is not None and depth >= max_depth)
+                or (imp := impurity(ys)) == 0.0
+            ):
+                node.update(_leaf(task, ys))
+            else:
+                open_nodes.append((node, rows, path, ys, imp))
+        if not open_nodes:
+            break
+        screened = _screen_level(
+            X, ranks, [(rows, ys, imp) for _, rows, _, ys, imp in open_nodes], task
+        )
+        level = []
+        for (node, rows, path, ys, imp), candidates in zip(open_nodes, screened):
+            best = _best_candidate(X, rows, ys, imp, candidates, impurity)
+            if best is None or best[0] < -1e-12:
+                node.update(_leaf(task, ys))
+                continue
+            gain, f, threshold, goes_left = best
+            left, right = rows[goes_left], rows[~goes_left]
+            if max_depth is None and not (len(left) and len(right)):
+                raise RecursionError(
+                    f"the best split of a {len(rows)}-row node leaves one side "
+                    "empty, so it would repeat without end; set max_depth"
+                )
+            splits.append((path, f, gain * (len(rows) / n_total)))
+            node.update(leaf=False, feature=int(f), threshold=float(threshold),
+                        left={}, right={})
+            level += [(node["left"], left, path + (0,)),
+                      (node["right"], right, path + (1,))]
+        depth += 1
     importances = np.zeros(X.shape[1])
-
-    def build(idx, depth):
-        node_y = [y[i] for i in idx.tolist()]
-        imp = impurity(node_y)
-        if (
-            imp == 0.0
-            or len(idx) < min_leaf
-            or (max_depth is not None and depth >= max_depth)
-        ):
-            return _leaf(task, node_y)
-        best = _best_split(X, y, y_arr, idx, imp, impurity, task)
-        if best is None or best[0] < -1e-12:
-            return _leaf(task, node_y)
-        gain, f, threshold, left, right = best
-        importances[f] += gain * (len(idx) / n_total)
-        return {
-            "leaf": False,
-            "feature": int(f),
-            "threshold": float(threshold),
-            "left": build(left, depth + 1),
-            "right": build(right, depth + 1),
-        }
-
-    tree = build(np.arange(n_total), 0)
+    for _, f, weighted_gain in sorted(splits, key=lambda s: s[0]):
+        importances[f] += weighted_gain
     total = importances.sum()
     if total > 0:
         importances = importances / total

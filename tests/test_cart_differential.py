@@ -1,12 +1,18 @@
 """Differential test of CART training against the exhaustive split search.
 
 `reference_train_cart` is CART with the exhaustive split search: every
-(feature, threshold) candidate is re-partitioned and scored from scratch.
-It is slow and obviously right, and `train_cart` must serialize byte for
-byte the same models on every dataset here.
+(feature, threshold) candidate is re-partitioned and scored from scratch,
+and the tree is built depth-first by recursion.  It is slow and obviously
+right, and `train_cart`, which grows the tree level by level, must
+serialize byte for byte the same models on every dataset here.  The
+oracle keeps its own impurity and leaf definitions (`np.var`/`np.mean` on
+lists), so a change to the trainer's arithmetic cannot change both sides.
 """
 
 import random
+import signal
+from collections import defaultdict
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -20,9 +26,6 @@ from smash.frontend import normalize
 from smash.ml import (
     CartModel,
     LabeledExample,
-    _gini,
-    _leaf,
-    _variance,
     label,
     model_to_json,
     train_cart,
@@ -32,6 +35,33 @@ from smash.rewriter import interpret_sequence, rewrite
 TASKS = ("classify", "regress")
 
 
+def gini(labels):
+    n = len(labels)
+    if n == 0:
+        return 0.0
+    p1 = sum(labels) / n
+    return 1.0 - p1 * p1 - (1.0 - p1) ** 2
+
+
+def variance(values):
+    if len(values) == 0:
+        return 0.0
+    return float(np.var(np.asarray(values, dtype=float)))
+
+
+def leaf(task, y):
+    if task == "classify":
+        ones = int(sum(y))
+        zeros = len(y) - ones
+        return {
+            "leaf": True,
+            "counts": [zeros, ones],
+            "prediction": 1 if ones > zeros else 0,
+        }
+    mean = float(np.mean(np.asarray(y, dtype=float)))
+    return {"leaf": True, "n": len(y), "prediction": mean}
+
+
 def reference_train_cart(train, task="classify", max_depth=None, min_leaf=2) -> CartModel:
     if not train:
         raise EmptyTraining("cannot train CART on an empty set")
@@ -39,7 +69,7 @@ def reference_train_cart(train, task="classify", max_depth=None, min_leaf=2) -> 
     if X.shape[1] < 1:
         raise EmptyTraining("examples carry no features")
     y = [e.class_label if task == "classify" else e.reg_target for e in train]
-    impurity = _gini if task == "classify" else _variance
+    impurity = gini if task == "classify" else variance
     n_total = len(train)
     importances = np.zeros(X.shape[1])
 
@@ -51,7 +81,7 @@ def reference_train_cart(train, task="classify", max_depth=None, min_leaf=2) -> 
             or len(idx) < min_leaf
             or (max_depth is not None and depth >= max_depth)
         ):
-            return _leaf(task, node_y)
+            return leaf(task, node_y)
         best = None  # (gain, feature, threshold, left idx, right idx)
         for f in range(X.shape[1]):
             values = sorted(set(X[i, f] for i in idx))
@@ -66,7 +96,7 @@ def reference_train_cart(train, task="classify", max_depth=None, min_leaf=2) -> 
                 if best is None or gain > best[0] + 1e-12:
                     best = (gain, f, threshold, left, right)
         if best is None or best[0] < -1e-12:
-            return _leaf(task, node_y)
+            return leaf(task, node_y)
         gain, f, threshold, left, right = best
         importances[f] += gain * (len(idx) / n_total)
         return {
@@ -123,9 +153,9 @@ def test_adjacent_float_thresholds(seed):
     """The midpoint of two neighbouring floats rounds to one of them, here
     every other time to the upper one, and then `x <= threshold` takes the
     upper value too.  The leading all-distinct column keeps a split with
-    two non-empty sides first in every node: both trainers recurse without
-    end when a node's first candidate leaves one side empty and no other
-    gains more than 1e-12."""
+    two non-empty sides first in every node: when a node's first candidate
+    leaves one side empty and no other gains more than 1e-12, neither
+    trainer can finish without max_depth (see the empty-side tests)."""
     rng = random.Random(seed)
     ladder = [1.0]
     for _ in range(5):
@@ -141,7 +171,6 @@ def test_adjacent_float_thresholds(seed):
     ]
     assert_same_models(examples)
 
-
 @pytest.mark.parametrize(
     "max_depth,min_leaf", [(1, 2), (3, 2), (None, 0), (None, 9), (2, 30)]
 )
@@ -154,6 +183,19 @@ def test_depth_and_leaf_limits(max_depth, min_leaf):
     assert_same_models(
         timed_examples(rows, 11), max_depth=max_depth, min_leaf=min_leaf
     )
+
+
+def test_zero_gain_levels():
+    """Labels are the parity of three bits, so no single split gains
+    anything until the last bit: every node of the first levels picks its
+    first candidate at gain 0, beside sibling nodes on the same level."""
+    rows = [[float(a), float(b), float(c)]
+            for a in (0, 1) for b in (0, 1) for c in (0, 1)] * 3
+    examples = [
+        LabeledExample(f"q{i}", x, 1.0, 1.0, int(sum(x)) % 2, float(sum(x) % 2))
+        for i, x in enumerate(rows)
+    ]
+    assert_same_models(examples)
 
 
 def test_regress_targets_far_from_zero():
@@ -199,3 +241,103 @@ def test_count_labelled_selector_dataset():
     assert len(examples[0].features) == len(feature_names())
     assert len({e.class_label for e in examples}) == 2
     assert_same_models(examples)
+
+
+@pytest.fixture(scope="module")
+def wide_examples():
+    """A few hundred rows: the deeper levels hold one large node beside many
+    2-7-row nodes, the mix that a level-wise pass must keep apart."""
+    return count_labelled_dataset(7, 240)
+
+
+def node_sizes_by_depth(model, examples):
+    """depth -> sizes of the nodes at that depth, by routing each training
+    example down the tree."""
+    visits = defaultdict(int)
+    for e in examples:
+        node, depth = model.tree, 0
+        while True:
+            visits[(depth, id(node))] += 1
+            if node["leaf"]:
+                break
+            side = "left" if e.features[node["feature"]] <= node["threshold"] else "right"
+            node, depth = node[side], depth + 1
+    sizes = defaultdict(list)
+    for (depth, _), count in visits.items():
+        sizes[depth].append(count)
+    return sizes
+
+
+def test_count_labelled_wide_dataset(wide_examples):
+    model = train_cart(wide_examples, task="regress")
+    assert any(
+        max(sizes) >= 30 and sum(2 <= s <= 7 for s in sizes) >= 3
+        for sizes in node_sizes_by_depth(model, wide_examples).values()
+    )
+    assert_same_models(wide_examples)
+
+
+def split_depths(node, depth=0):
+    """(depths of split nodes, depths of leaves)."""
+    if node["leaf"]:
+        return set(), {depth}
+    splits, leaves = {depth}, set()
+    for child in (node["left"], node["right"]):
+        s, l = split_depths(child, depth + 1)
+        splits |= s
+        leaves |= l
+    return splits, leaves
+
+
+def test_max_depth_cuts_a_level_in_the_middle(wide_examples):
+    """At the cut, the unlimited tree has both leaves and split nodes, so
+    the limit closes some open nodes of a level that also holds leaves."""
+    max_depth = 5
+    for task in TASKS:
+        splits, leaves = split_depths(train_cart(wide_examples, task=task).tree)
+        assert max_depth in splits and max_depth in leaves, task
+    assert_same_models(wide_examples, max_depth=max_depth)
+
+
+def overflowing_midpoint_examples():
+    """Two rows whose midpoint overflows to inf, so the only split sends
+    both rows left and leaves the right side empty."""
+    return [
+        LabeledExample("q0", [1.7e308], 1.0, 1.0, 0, 0.0),
+        LabeledExample("q1", [1.75e308], 1.0, 1.0, 1, 1.0),
+    ]
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow
+@pytest.mark.parametrize("task", TASKS)
+def test_split_with_an_empty_side_raises_without_max_depth(task):
+    """The node reaches the next level unchanged and would split the same
+    way forever; the recursive oracle runs out of stack instead."""
+    with time_limit(10), pytest.raises(RecursionError, match="one side empty"):
+        train_cart(overflowing_midpoint_examples(), task=task)
+    with pytest.raises(RecursionError):
+        reference_train_cart(overflowing_midpoint_examples(), task=task)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, empty mean
+def test_split_with_an_empty_side_grows_to_max_depth():
+    examples = overflowing_midpoint_examples()
+    assert_same_models(examples, max_depth=3)
+    regress = model_to_json(train_cart(examples, task="regress", max_depth=3))
+    assert regress.count('"prediction": NaN') == 3
+    assert regress.count('"threshold": Infinity') == 3

@@ -2,7 +2,9 @@
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from smash.errors import (
@@ -15,6 +17,8 @@ from smash.ml import (
     ORIGINAL,
     REWRITTEN,
     CartModel,
+    _leaf,
+    _variance,
     compute_metrics,
     cross_validate,
     decide,
@@ -166,6 +170,39 @@ class TestCart:
             return 1 + max(depth(node["left"]), depth(node["right"]))
 
         assert depth(model.tree) <= 1
+
+
+class TestImpurityArithmetic:
+    """`_variance` and the regress leaf mean take np.var's and np.mean's own
+    steps; the trainer's models stay byte-identical only if they agree with
+    NumPy bit for bit, on lists and on arrays."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(6)
+        for n in range(1, 301):
+            for offset in (0.0, 1e6, -1e6):
+                for magnitude in (1e-3, 1.0, 1e5):
+                    x = offset + magnitude * rng.standard_normal(n)
+                    yield x
+                    yield x.tolist()
+                    yield x[::2]  # a strided view
+
+    def test_variance_is_np_var(self):
+        for x in self.inputs():
+            assert _variance(x).hex() == float(np.var(x)).hex()
+
+    def test_leaf_mean_is_np_mean(self):
+        for x in self.inputs():
+            assert _leaf("regress", x)["prediction"].hex() == float(np.mean(x)).hex()
+
+    def test_empty_input(self):
+        for empty in ([], np.array([])):
+            assert _variance(empty) == 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert math.isnan(_leaf("regress", empty)["prediction"])
+                assert math.isnan(np.mean(empty))
 
 
 class TestKnn:
