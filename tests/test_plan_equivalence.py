@@ -5,7 +5,9 @@ benchmark and `smash plan` do: parse -> normalize -> analyze -> estimate ->
 features -> rewrite.  Each stage's output is hashed (SHA-256 of its repr)
 and compared with `plan_digests.json`, so a change to any planning stage
 that alters a spec, a normalized query, a join tree, an estimate, a feature
-vector or an emitted statement fails here and names the query.
+vector, an emitted statement or its SQL text fails here and names the
+query.  The `statements` stage pins the plan the engine runs; the `sql`
+stage pins the text rendered from it.
 
 The corpus is the 200 `random_specs` of the correctness tests plus seeded
 samples of both benchmark workload generators.  Regenerate the fixture
@@ -29,7 +31,7 @@ from smash.rewriter import rewrite
 from conftest import random_specs, selector_wide
 
 FIXTURE = Path(__file__).resolve().parent / "plan_digests.json"
-STAGES = ("spec", "cq", "tree", "est", "features", "statements")
+STAGES = ("spec", "cq", "tree", "est", "features", "statements", "sql")
 
 
 # string, mixed-type and self-joined columns, which the generators never make
@@ -84,7 +86,8 @@ def plan_digests(db, spec):
     seq = rewrite(tree, cq, db)
     outputs = (
         spec, cq, tree, est, fv.as_list(),
-        [(s.kind, s.name, s.sql, s.form) for s in seq.statements],
+        [(s.kind, s.name, s.form) for s in seq.statements],
+        seq.to_sql(),
     )
     return dict(zip(STAGES, map(_sha, outputs)))
 
