@@ -1,19 +1,21 @@
-"""Rewriting a join tree into an explicit sequence of SQL statements.
+"""Rewriting a join tree into a Yannakakis-style sequence of SQL statements.
 
-Leaf and base relations become filtered views; every semi-join step
-materializes an intermediate table via a WHERE EXISTS subquery.  For
-guarded set-safe aggregate queries only the bottom-up semi-join pass is
-emitted, with the aggregation on the last step.  For all other queries the
-top-down semi-join pass and the bottom-up join pass are materialized as
-well.  Each statement also carries a structural form that the in-memory
-engine can execute directly: `interpret_sequence` runs a whole plan, and
-`full_reduce` runs a plan's filters and both semi-join passes, so the plan
-is the one implementation of the Yannakakis passes.
+A plan is a list of statements, each a name and a structural form: a view
+per atom, a table per semi-join step and a final SELECT.  For guarded
+set-safe aggregate queries only the bottom-up semi-join pass is planned,
+with the aggregation on its last step.  For all other queries the top-down
+semi-join pass and the bottom-up join pass follow.  The forms are the
+plan, and it has two readings.  `interpret_sequence` runs it on the
+in-memory engine, and `full_reduce` runs its filters and both semi-join
+passes, so the plan is the one implementation of the Yannakakis passes.
+`StatementSequence.render` writes it as plain SQL, one statement per form:
+views rename every column to its class id, and semi-joins and joins state
+their equalities on the class columns they share, so the text computes the
+engine's result on a SQL engine such as stdlib sqlite3.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
 from operator import itemgetter
@@ -27,16 +29,31 @@ from .engine import (
     project,
     semi_join,
 )
-from .errors import ParseError, UndefinedIntermediate
-from .frontend import _literal_sql
+from .errors import UndefinedIntermediate
+from .frontend import NormalizedCQ, _literal_sql
+
+_KINDS = {
+    "atom": "CreateView",
+    "semijoin": "CreateTable",
+    "semijoin_agg": "CreateTable",
+    "aggregate": "CreateTable",
+    "join_project": "CreateTable",
+    "final_all": "FinalSelect",
+    "final_project": "FinalSelect",
+    "final_agg": "FinalSelect",
+    "drop": "Drop",
+}
 
 
 @dataclass
 class Statement:
-    kind: str  # CreateView | CreateTable | FinalSelect | Drop
     name: str | None
-    sql: str
-    form: tuple  # structural form executed by interpret_sequence
+    form: tuple  # structural form: the op, then its operands
+
+    @property
+    def kind(self):
+        """CreateView | CreateTable | FinalSelect | Drop, from the form's op."""
+        return _KINDS[self.form[0]]
 
 
 @dataclass
@@ -45,6 +62,9 @@ class StatementSequence:
     # node -> artifact holding its fully reduced relation (top-down pass);
     # empty for plans that run only the bottom-up pass
     reduced: dict = field(default_factory=dict)
+    # the query and database the plan was made for, which rendering reads
+    cq: NormalizedCQ | None = field(default=None, repr=False, compare=False)
+    db: Database | None = field(default=None, repr=False, compare=False)
 
     def created_names(self):
         return [s.name for s in self.statements if s.kind in ("CreateView", "CreateTable")]
@@ -52,185 +72,79 @@ class StatementSequence:
     def dropped_names(self):
         return [s.name for s in self.statements if s.kind == "Drop"]
 
-    def to_sql(self, with_drops=True):
-        stmts = self.statements if with_drops else [
-            s for s in self.statements if s.kind != "Drop"
-        ]
-        return ";\n".join(s.sql for s in stmts) + ";"
+    def render(self, with_drops=True, unlogged=True):
+        """SQL text of each statement, in order.
 
+        `unlogged` writes the tables as PostgreSQL's CREATE UNLOGGED TABLE,
+        the only difference between the dialects rendered.
+        """
+        texts = _render(self.statements, self.cq, self.db, unlogged)
+        return [text for s, text in zip(self.statements, texts)
+                if with_drops or s.kind != "Drop"]
 
-def _quote(cid):
-    return '"' + cid + '"'
+    def to_sql(self, with_drops=True, unlogged=True):
+        return ";\n".join(self.render(with_drops, unlogged)) + ";"
 
 
 class _Emitter:
-    def __init__(self, tree, cq, db=None, unlogged=True):
+    def __init__(self, tree, cq):
         self.tree = tree
         self.cq = cq
-        self.db = db
-        self.unlogged = unlogged
         self.statements = []
         self.art = {}  # node -> its bottom-up pass artifact
         self.finished = []  # nodes in the order that pass finishes them
         # views are numbered by 1-based FROM position of the atom
         self.view_name = {i: f"E{i + 1}" for i in range(len(cq.atoms))}
         self.children_of = tree.children()
-        # per atom: class id -> its alphabetically first original attribute
-        self.original = []
-        for atom in cq.atoms:
-            first = {}
-            for attr, cid in sorted(atom.renaming.items()):
-                first.setdefault(cid, attr)
-            self.original.append(first)
 
     def _children(self, node):
         # higher FROM positions are semi-joined in first (E3E2 before E1)
         return sorted(self.children_of[node], reverse=True)
 
-    # -- helpers ------------------------------------------------------------
-
-    def table_kw(self):
-        return "UNLOGGED TABLE" if self.unlogged else "TABLE"
-
-    def _filter_sql(self, node):
-        atom = self.cq.atoms[node]
-        parts = []
-        for pred in self.cq.filters.get(atom.alias, []):
-            original = self.original[node][pred.attribute]
-            lhs = f"{atom.table}.{original}"
-            if self._needs_cast(atom, original, pred.literal):
-                lhs = f"CAST({lhs} AS REAL)"
-            parts.append(f"{lhs} {pred.op} {_literal_sql(pred.literal)}")
-        return parts
-
-    def _needs_cast(self, atom, original, literal):
-        if self.db is None or isinstance(literal, str):
-            return False
-        table = self.db.table(atom.table)
-        values = map(itemgetter(table._index(original)), table.rows)
-        return any(issubclass(t, str) for t in set(map(type, values)))
-
-    def _join_condition_sql(self, left_name, left_node, right_name, right_node):
-        left, right = self.original[left_node], self.original[right_node]
-        return [
-            f"{left_name}.{left[cid]} = {right_name}.{right[cid]}"
-            for cid in sorted(left.keys() & right.keys())
-        ]
-
-    # -- statement constructors --------------------------------------------
-
-    def view(self, node):
-        atom = self.cq.atoms[node]
-        name = self.view_name[node]
-        where = self._filter_sql(node)
-        sql = f"CREATE VIEW {name} AS SELECT * FROM {atom.table} AS {atom.table}"
-        if where:
-            sql += " WHERE " + " AND ".join(where)
-        self.statements.append(Statement("CreateView", name, sql, ("atom", node)))
+    def _add(self, name, *form):
+        self.statements.append(Statement(name, form))
         return name
 
-    def semijoin_table(self, left_name, left_node, right_name, right_node,
-                       out_name, select="*", group_by=None):
-        conds = self._join_condition_sql(left_name, left_node, right_name, right_node)
-        cond_sql = " AND ".join(conds) if conds else "1 = 1"
-        sql = (
-            f"CREATE {self.table_kw()} {out_name} AS SELECT {select} "
-            f"FROM {left_name} WHERE EXISTS (SELECT 1 FROM {right_name} "
-            f"WHERE {cond_sql})"
-        )
-        if group_by:
-            sql += " GROUP BY " + ", ".join(group_by)
-        return sql
-
-    def _aggregate_select(self):
-        out = self.cq.output
-        parts = []
-        for cid in out.group_by:
-            parts.append(_quote(cid))
-        for i, agg in enumerate(out.aggregates):
-            inner = _quote(agg.attribute) if agg.attribute is not None else "*"
-            if agg.distinct:
-                inner = "DISTINCT " + inner
-            parts.append(f"{agg.fn}({inner}) AS EXPR${i}")
-        return ", ".join(parts)
-
-    # -- traversals ---------------------------------------------------------
-
     def bottom_up_semijoins(self, node, aggregate_at_root=False):
-        """Views plus one semi-join table per (node, child); returns the
+        """A view plus one semi-join table per (node, child); returns the
         node's accumulated artifact name and records it in `art`, and the
         node in `finished`, children before their parents."""
-        acc = self.view(node)
+        acc = self._add(self.view_name[node], "atom", node)
         children = self._children(node)
-        is_root = self.tree.parent[node] is None
-        if not children:
-            if aggregate_at_root and is_root:
-                name = acc + "A"
-                sql = (
-                    f"CREATE {self.table_kw()} {name} AS "
-                    f"SELECT {self._aggregate_select()} FROM {acc}"
-                )
-                if self.cq.output.group_by:
-                    sql += " GROUP BY " + ", ".join(
-                        _quote(g) for g in self.cq.output.group_by
-                    )
-                self.statements.append(
-                    Statement("CreateTable", name, sql, ("aggregate", acc))
-                )
-                acc = name
-        acc_node = node
+        at_root = aggregate_at_root and self.tree.parent[node] is None
+        if at_root and not children:
+            acc = self._add(acc + "A", "aggregate", acc)
         for pos, child in enumerate(children):
-            child_art = self.bottom_up_semijoins(child, aggregate_at_root=False)
-            out_name = acc + child_art
+            child_art = self.bottom_up_semijoins(child)
             last = pos == len(children) - 1
-            if aggregate_at_root and is_root and last:
-                select = self._aggregate_select()
-                group = [_quote(g) for g in self.cq.output.group_by] or None
-                sql = self.semijoin_table(
-                    acc, acc_node, child_art, child, out_name, select, group
-                )
-                form = ("semijoin_agg", acc, child_art)
-            else:
-                sql = self.semijoin_table(acc, acc_node, child_art, child, out_name)
-                form = ("semijoin", acc, child_art)
-            self.statements.append(Statement("CreateTable", out_name, sql, form))
-            acc = out_name
+            op = "semijoin_agg" if at_root and last else "semijoin"
+            acc = self._add(acc + child_art, op, acc, child_art)
         self.art[node] = acc
         self.finished.append(node)
         return acc
 
     def emit(self):
+        """The statements and the top-down pass's artifact per node."""
         tree, cq = self.tree, self.cq
         root_art = self.bottom_up_semijoins(tree.root, aggregate_at_root=tree.oma_flag)
         if tree.oma_flag:
-            final_sql = f"SELECT * FROM {root_art}"
-            self.statements.append(
-                Statement("FinalSelect", None, final_sql, ("final_all", root_art))
-            )
+            self._add(None, "final_all", root_art)
             self._drops()
-            return StatementSequence(self.statements)
+            return self.statements, {}
 
         # top-down semi-joins, parents before their children
         art = self.art
         topdown = {tree.root: art[tree.root]}
         for node in reversed(self.finished[:-1]):
-            parent = tree.parent[node]
-            out_name = f"D{self.view_name[node][1:]}"
-            sql = self.semijoin_table(
-                art[node], node, topdown[parent], parent, out_name
+            topdown[node] = self._add(
+                f"D{self.view_name[node][1:]}",
+                "semijoin", art[node], topdown[tree.parent[node]],
             )
-            self.statements.append(
-                Statement("CreateTable", out_name, sql,
-                          ("semijoin", art[node], topdown[parent]))
-            )
-            topdown[node] = out_name
 
         # bottom-up joins with projection
         output_attrs = set(cq.output.needed_classes())
         joined = {}
-        schema = {
-            n: set(cq.atoms[n].renaming.values()) for n in tree.nodes
-        }
+        schema = {n: set(cq.atoms[n].renaming.values()) for n in tree.nodes}
         sub_schema = {}
         for node in self.finished:
             children = self.children_of[node]
@@ -246,52 +160,38 @@ class _Emitter:
                 )
             sub_schema[node] = set(keep)
             if not children:
-                joined[node] = (topdown[node], None)
+                joined[node] = topdown[node]
                 continue
-            out_name = f"F{self.view_name[node][1:]}"
-            sources = [topdown[node]] + [
-                joined[c][0] if joined[c][1] is None else joined[c][1]
-                for c in children
-            ]
-            select = ", ".join(_quote(a) for a in keep) or "*"
-            sql = (
-                f"CREATE {self.table_kw()} {out_name} AS SELECT {select} "
-                f"FROM " + ", ".join(sources)
+            sources = [joined[c] for c in children]
+            joined[node] = self._add(
+                f"F{self.view_name[node][1:]}",
+                "join_project", topdown[node], sources, keep,
             )
-            form = ("join_project", sources[0], sources[1:], keep)
-            self.statements.append(Statement("CreateTable", out_name, sql, form))
-            joined[node] = (out_name, out_name)
 
-        root_art = joined[tree.root][0]
+        root_art = joined[tree.root]
         out = cq.output
         if out.kind == "enumeration":
-            select = ", ".join(_quote(c) for c in out.columns)
-            sql = f"SELECT {select} FROM {root_art}"
-            form = ("final_project", root_art, list(out.columns))
+            self._add(None, "final_project", root_art, list(out.columns))
         else:
-            sql = f"SELECT {self._aggregate_select()} FROM {root_art}"
-            if out.group_by:
-                sql += " GROUP BY " + ", ".join(_quote(g) for g in out.group_by)
-            form = ("final_agg", root_art)
-        self.statements.append(Statement("FinalSelect", None, sql, form))
+            self._add(None, "final_agg", root_art)
         self._drops()
-        return StatementSequence(self.statements, topdown)
+        return self.statements, topdown
 
     def _drops(self):
         for s in reversed([x for x in self.statements if x.kind in ("CreateView", "CreateTable")]):
-            obj = "VIEW" if s.kind == "CreateView" else "TABLE"
-            self.statements.append(
-                Statement("Drop", s.name, f"DROP {obj} {s.name}", ("drop", s.name))
-            )
+            self._add(s.name, "drop", s.name)
 
 
-def rewrite(tree, cq, db: Database | None = None, unlogged=True) -> StatementSequence:
-    """Emit the statement sequence that forces semi-join style evaluation.
+def rewrite(tree, cq, db: Database | None = None) -> StatementSequence:
+    """Plan the statement sequence that forces semi-join style evaluation.
 
-    The optional database enables CAST wrapping for numeric comparisons on
-    string-typed columns; without it no casts are emitted.
+    Planning reads no table row and writes no SQL text.  The sequence keeps
+    `cq` and `db` for rendering, where the database decides the CAST of a
+    numeric comparison on a string-typed column; without it no casts are
+    rendered.
     """
-    return _Emitter(tree, cq, db=db, unlogged=unlogged).emit()
+    statements, reduced = _Emitter(tree, cq).emit()
+    return StatementSequence(statements, reduced, cq, db)
 
 
 def interpret_sequence(seq: StatementSequence, cq, db: Database,
@@ -376,36 +276,133 @@ def _run(statements, cq, db, counter):
 
 
 # ---------------------------------------------------------------------------
-# well-formedness check for emitted statement text
+# rendering: SQL text from the structural forms
 # ---------------------------------------------------------------------------
 
-_IDENT = r"[A-Za-z_][A-Za-z_0-9$]*"
-_COL = rf'(?:"{_IDENT}(?:\.{_IDENT})?(?:#[0-9]+)?"|{_IDENT}(?:\.{_IDENT})?)'
-_CAST = rf"CAST\({_IDENT}\.{_IDENT} AS REAL\)"
-_VALUE = rf"(?:{_CAST}|{_COL}|-?[0-9]+(?:\.[0-9]+)?|'(?:[^']|'')*')"
-_COMPARE = rf"{_VALUE} (?:=|!=|<>|<=|>=|<|>) {_VALUE}"
-_WHERE = rf"(?:{_COMPARE}|1 = 1)(?: AND (?:{_COMPARE}))*"
-_AGG = rf"(?:MIN|MAX|COUNT|SUM|AVG)\((?:DISTINCT )?(?:{_COL}|\*)\)(?: AS EXPR\$[0-9]+)?"
-_SELECT_ITEM = rf"(?:\*|{_AGG}|{_COL})"
-_SELECT_LIST = rf"{_SELECT_ITEM}(?:, {_SELECT_ITEM})*"
-_EXISTS = rf"EXISTS \(SELECT 1 FROM {_IDENT} WHERE {_WHERE}\)"
-_SELECT = (
-    rf"SELECT {_SELECT_LIST} FROM {_IDENT}(?: AS {_IDENT})?(?:, {_IDENT})*"
-    rf"(?: WHERE (?:{_EXISTS}|{_WHERE}))?(?: GROUP BY {_COL}(?:, {_COL})*)?"
-)
+def _render(statements, cq, db, unlogged):
+    """SQL text of each statement, walking the forms in order as `_run`
+    does and tracking each artifact's class-id columns where `_run` tracks
+    its relation."""
+    create = "CREATE UNLOGGED TABLE" if unlogged else "CREATE TABLE"
+    columns = {}  # artifact -> its class-id columns
+    views = set()
+    texts = []
+    for stmt in statements:
+        form = stmt.form
+        op = form[0]
+        if op == "atom":
+            columns[stmt.name], select = _view(cq, cq.atoms[form[1]], db)
+            views.add(stmt.name)
+            texts.append(f"CREATE VIEW {stmt.name} AS {select}")
+            continue
+        if op == "semijoin":
+            cols = columns[form[1]]
+            select = "SELECT * FROM " + _semi_joined(form[1], form[2], columns)
+        elif op == "semijoin_agg":
+            cols, select = _aggregate(
+                cq.output, _semi_joined(form[1], form[2], columns)
+            )
+        elif op == "aggregate":
+            cols, select = _aggregate(cq.output, form[1])
+        elif op == "join_project":
+            cols, select = _join(form[1], form[2], form[3], columns)
+        elif op == "final_all":
+            texts.append(f"SELECT * FROM {form[1]}")
+            continue
+        elif op == "final_project":
+            texts.append(f"SELECT {', '.join(map(_quote, form[2]))} FROM {form[1]}")
+            continue
+        elif op == "final_agg":
+            texts.append(_aggregate(cq.output, form[1])[1])
+            continue
+        elif op == "drop":
+            texts.append(f"DROP {'VIEW' if form[1] in views else 'TABLE'} {form[1]}")
+            continue
+        else:
+            raise ValueError(f"unknown structural form {op!r}")
+        columns[stmt.name] = cols
+        texts.append(f"{create} {stmt.name} AS {select}")
+    return texts
 
-_STATEMENT_RES = [
-    re.compile(rf"CREATE VIEW {_IDENT} AS {_SELECT}$"),
-    re.compile(rf"CREATE (?:UNLOGGED )?TABLE {_IDENT} AS {_SELECT}$"),
-    re.compile(rf"{_SELECT}$"),
-    re.compile(rf"DROP (?:VIEW|TABLE) {_IDENT}$"),
-]
+
+def _quote(cid):
+    return '"' + cid + '"'
 
 
-def parse_statement(sql: str):
-    """Validate a statement against the extended (CREATE/EXISTS) grammar."""
-    text = sql.strip().rstrip(";")
-    for pattern in _STATEMENT_RES:
-        if pattern.match(text):
-            return True
-    raise ParseError(f"statement does not match the extended grammar: {sql!r}")
+def _where(conditions):
+    return " WHERE " + " AND ".join(conditions) if conditions else ""
+
+
+def _view(cq, atom, db):
+    """Class-id columns and SELECT of an atom's relation, as
+    `engine.atom_relation` builds it: every column renamed to its class id,
+    one column per class under the intra-atom equalities, then the filters.
+    """
+    first = {}  # class id -> its first attribute in the atom
+    conditions = []
+    for attr, cid in atom.renaming.items():
+        if cid in first:
+            conditions.append(f"{first[cid]} = {attr}")
+        else:
+            first[cid] = attr
+    for pred in cq.filters.get(atom.alias, []):
+        lhs = first[pred.attribute]
+        if _needs_cast(db, atom.table, lhs, pred.literal):
+            lhs = f"CAST({lhs} AS REAL)"
+        conditions.append(f"{lhs} {pred.op} {_literal_sql(pred.literal)}")
+    # without a database, an atom whose columns the query never names has
+    # no class column to select
+    select = ", ".join(f"{attr} AS {_quote(cid)}" for cid, attr in first.items())
+    return list(first), f"SELECT {select or '*'} FROM {atom.table}{_where(conditions)}"
+
+
+def _needs_cast(db, table, column, literal):
+    """Whether a numeric literal meets a column holding strings, which a SQL
+    engine compares as numbers only through a CAST (REAL keeps fractions)."""
+    if db is None or isinstance(literal, str):
+        return False
+    rel = db.table(table)
+    return any(isinstance(v, str) for v in map(itemgetter(rel._index(column)), rel.rows))
+
+
+def _semi_joined(left, right, columns):
+    """FROM operand of `semi_join(left, right)`: the left rows with a right
+    row equal on every class column the two share."""
+    on = [f"{left}.{_quote(c)} = {right}.{_quote(c)}"
+          for c in columns[left] if c in columns[right]]
+    return f"{left} WHERE EXISTS (SELECT 1 FROM {right}{_where(on)})"
+
+
+def _aggregate(output, source):
+    """Columns and SELECT of the query's groups and aggregates over `source`."""
+    group = [_quote(g) for g in output.group_by]
+    names = [f"EXPR${i}" for i in range(len(output.aggregates))]
+    items = list(group)
+    for agg, name in zip(output.aggregates, names):
+        inner = "*" if agg.attribute is None else _quote(agg.attribute)
+        if agg.distinct and agg.attribute is not None:
+            inner = "DISTINCT " + inner
+        items.append(f"{agg.fn}({inner}) AS {name}")
+    select = f"SELECT {', '.join(items)} FROM {source}"
+    if group:
+        select += " GROUP BY " + ", ".join(group)
+    return list(output.group_by) + names, select
+
+
+def _join(first, others, keep, columns):
+    """Columns and SELECT of `natural_join` over the sources from left to
+    right, projected on `keep` (on every column when it is empty).  A class
+    column is read from the first source holding it, and each later source
+    holding it is equated with that one."""
+    owner = dict.fromkeys(columns[first], first)
+    conditions = []
+    for source in others:
+        for cid in columns[source]:
+            if cid in owner:
+                conditions.append(f"{owner[cid]}.{_quote(cid)} = {source}.{_quote(cid)}")
+            else:
+                owner[cid] = source
+    cols = list(keep) or list(owner)
+    select = ", ".join(f"{owner[c]}.{_quote(c)}" for c in cols) or "*"
+    sources = ", ".join([first, *others])
+    return cols, f"SELECT {select} FROM {sources}{_where(conditions)}"

@@ -11,6 +11,7 @@ import operator
 
 import pytest
 
+from smash.acyclic import analyze
 from smash.augmentation import generate_two_regime_workload
 from smash.engine import (
     _NDV_SAMPLE_ROWS,
@@ -24,6 +25,7 @@ from smash.engine import (
 )
 from smash.errors import UnknownAttribute
 from smash.frontend import normalize, parse_query
+from smash.rewriter import rewrite
 
 from conftest import random_specs, selector_wide
 from test_plan_equivalence import _HAND_SQL, _hand_db
@@ -138,6 +140,17 @@ def test_filtered_atoms_still_read_their_rows():
     cq = normalize(parse_query(_HAND_SQL[1]), db)
     estimate_cardinalities(cq, db)
     assert CountingRows.reads > 0  # the counting list does see reads
+
+
+def test_rewrite_reads_no_row_and_rendering_decides_the_cast():
+    db = _hand_db()
+    cq = normalize(parse_query(_HAND_SQL[1]), db)  # P.score holds 'n/a'
+    tree, _ = analyze(cq)
+    _counted(db)
+    seq = rewrite(tree, cq, db)
+    assert CountingRows.reads == 0
+    assert "CAST(score AS REAL) > 1" in seq.to_sql()
+    assert CountingRows.reads > 0  # rendering reads the column's values
 
 
 # intra-atom equalities over values that compare equal across types
