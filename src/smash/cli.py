@@ -172,13 +172,10 @@ def cmd_train(args):
 def cmd_evaluate(args):
     examples = ml.load_dataset(args.dataset)
     model = ml.load_model(args.model)
-    if model.task == "classify":
-        preds = [ml.predict(model, e.features) for e in examples]
-    else:
-        preds = [
-            1 if ml.predict(model, e.features) < args.threshold else 0
-            for e in examples
-        ]
+    preds = [
+        1 if ml.decide(model, e.features, args.threshold) == ml.REWRITTEN else 0
+        for e in examples
+    ]
     metrics = ml.compute_metrics(preds, [e.class_label for e in examples])
     print(json.dumps(vars(metrics), indent=2))
 

@@ -1,12 +1,15 @@
 """In-memory bag-semantics relational engine.
 
 Relations are named schemas over multisets of tuples.  The module provides
-the basic operators (filter, semi-join, natural join, projection, grouping),
-the left-deep baseline evaluator for normalized conjunctive queries, and a
+the basic operators (semi-join, natural join, projection, grouping), the
+left-deep baseline evaluator for normalized conjunctive queries, and a
 simple cardinality estimator based on distinct-value counts, which a
-`Database` records per base table when the table is added.  The
-semi-join (Yannakakis) program is the rewriter's plan, which
-`rewriter.interpret_sequence` runs on these operators.
+`Database` records per base table when the table is added.  Evaluation and
+estimation read a query atom through one scan (renaming, intra-atom
+equalities, filters), so both reject a column its table lacks and raise
+the same filter errors.  The semi-join (Yannakakis) program is the
+rewriter's plan, which `rewriter.interpret_sequence` runs on these
+operators.
 """
 
 from __future__ import annotations
@@ -153,14 +156,6 @@ def _is_number(v):
 # basic operators
 # ---------------------------------------------------------------------------
 
-def apply_filter(rel: Relation, preds, counter: OpCounter | None = None) -> Relation:
-    idx = {p: rel._index(p.attribute) for p in preds}
-    rows = [r for r in rel.rows if all(p.matches(r[idx[p]]) for p in preds)]
-    if counter is not None:
-        counter.filters += 1
-    return Relation(rel.name, rel.schema, rows)
-
-
 def _shared(left: Relation, right: Relation):
     rset = set(right.schema)
     return [a for a in left.schema if a in rset]
@@ -287,67 +282,6 @@ def group_aggregate(rel: Relation, grouping, aggs, counter: OpCounter | None = N
 # query evaluation over a NormalizedCQ
 # ---------------------------------------------------------------------------
 
-def atom_relation(cq, atom, db: Database, counter: OpCounter | None = None) -> Relation:
-    """Renamed, filtered relation for one query atom.
-
-    Attributes are renamed to join-class ids; if two attributes of the atom
-    fall into the same class, the implied intra-atom equality is applied and
-    one column kept.
-    """
-    base = db.table(atom.table)
-    renaming = dict(atom.renaming)
-    for col in base.schema:
-        renaming.setdefault(col, f"{atom.alias}.{col}")
-    seen = {}
-    keep = []  # (source index, class id)
-    eq_groups = defaultdict(list)
-    for i, col in enumerate(base.schema):
-        cid = renaming[col]
-        eq_groups[cid].append(i)
-        if cid not in seen:
-            seen[cid] = i
-            keep.append((i, cid))
-    rows = base.rows
-    dup_groups = [idxs for idxs in eq_groups.values() if len(idxs) > 1]
-    if dup_groups:
-        rows = [
-            r for r in rows
-            if all(len({r[i] for i in idxs}) == 1 for idxs in dup_groups)
-        ]
-    rel = Relation(atom.alias, [cid for _, cid in keep],
-                   [tuple(r[i] for i, _ in keep) for r in rows])
-    preds = cq.filters.get(atom.alias, [])
-    if preds:
-        rel = apply_filter(rel, preds, counter)
-    return rel
-
-
-def _apply_output(rel: Relation, output, counter: OpCounter | None = None) -> Relation:
-    if output.kind == "enumeration":
-        return project(rel, output.columns)
-    return group_aggregate(rel, output.group_by, output.aggregates, counter)
-
-
-def evaluate_baseline(cq, db: Database, counter: OpCounter | None = None) -> Relation:
-    """Filters, then left-deep natural joins in FROM order, then output."""
-    rel = None
-    for atom in cq.atoms:
-        r = atom_relation(cq, atom, db, counter)
-        rel = r if rel is None else natural_join(rel, r, counter)
-    return _apply_output(rel, cq.output, counter)
-
-
-# ---------------------------------------------------------------------------
-# cardinality estimation (stand-in for optimizer estimates)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EstimateSet:
-    table_rows: list  # exact post-filter row counts, FROM order
-    join_rows: list  # per-join estimates for the left-deep join sequence
-    total_cost: float
-
-
 def _is_number_type(t):
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
@@ -378,51 +312,98 @@ def _select(rows, index, pred):
     return kept, None
 
 
-def _atom_stats(cq, atom, db: Database, shared):
-    """Post-filter row count and distinct counts of the atom's `shared` classes.
+def _atom_rows(cq, atom, db: Database):
+    """The one scan of a query atom, which execution and estimation share.
 
-    An atom without filters and intra-atom equalities is its base table
-    renamed, so its counts are the table's ingestion `TableStats` and no row
-    is read.  Any other atom scans the base table instead of materialising
-    the renamed relation, one predicate at a time over the rows that survive
-    the intra-atom equalities and the predicates before it; errors are those
-    of the first row a row-at-a-time filter would fail on.  Its distinct
-    counts come from the same prefix sample as the table's.  Only classes
-    shared between atoms enter the join estimates, so distinct counts are
-    limited to those.
+    Returns (columns, rows).  `columns` maps each class id to the schema
+    positions of its attributes, in schema order; a column the renaming
+    does not name is the class `alias.col`.  `rows` are the base rows, in
+    the table's layout and order, that satisfy the intra-atom equalities
+    and then each predicate in query order (see `_select`).
     """
     base = db.table(atom.table)
-    stats = db.stats[atom.table]
     renaming = atom.renaming
-    unknown = renaming.keys() - stats.index.keys()
+    unknown = renaming.keys() - db.stats[atom.table].index.keys()
     if unknown:
         raise UnknownAttribute(f"{atom.table} has no column {min(unknown)}")
-    preds = cq.filters.get(atom.alias)
-    if not preds and len(set(renaming.values())) == len(renaming):
-        ndv = stats.ndv
-        return len(base.rows), {
-            cid: ndv[attr] for attr, cid in renaming.items() if cid in shared
-        }
-    columns = {}  # class id -> schema positions of its attributes
-    for attr, cid in renaming.items():
-        columns.setdefault(cid, []).append(stats.index[attr])
+    columns = {}
+    for i, col in enumerate(base.schema):
+        columns.setdefault(renaming.get(col, f"{atom.alias}.{col}"), []).append(i)
     rows = base.rows
     dup = [ix for ix in columns.values() if len(ix) > 1]
     if dup:  # intra-atom equalities
         rows = [r for r in rows if all(len({r[i] for i in ix}) == 1 for ix in dup)]
-    if preds:
-        for p in preds:
-            if p.attribute not in columns:
-                raise UnknownAttribute(f"{p.attribute} not in {atom.alias}")
-        error = None
-        for p in preds:
-            rows, exc = _select(rows, min(columns[p.attribute]), p)
-            if exc is not None:
-                error = exc
-        if error is not None:
-            raise error
-    wanted = [cid for cid in columns if cid in shared]
-    counts = _prefix_ndv(rows, [min(columns[cid]) for cid in wanted])
+    error = None
+    for p in cq.filters.get(atom.alias, ()):
+        rows, exc = _select(rows, columns[p.attribute][0], p)
+        if exc is not None:
+            error = exc
+    if error is not None:
+        raise error
+    return columns, rows
+
+
+def atom_relation(cq, atom, db: Database, counter: OpCounter | None = None) -> Relation:
+    """Renamed, filtered relation for one query atom: the atom's scan with
+    one column per join class, read at the class's first attribute."""
+    columns, rows = _atom_rows(cq, atom, db)
+    if counter is not None and cq.filters.get(atom.alias):
+        counter.filters += 1
+    firsts = [ix[0] for ix in columns.values()]
+    return Relation(atom.alias, list(columns),
+                    [tuple(r[i] for i in firsts) for r in rows])
+
+
+def _apply_output(rel: Relation, output, counter: OpCounter | None = None) -> Relation:
+    if output.kind == "enumeration":
+        return project(rel, output.columns)
+    return group_aggregate(rel, output.group_by, output.aggregates, counter)
+
+
+def evaluate_baseline(cq, db: Database, counter: OpCounter | None = None) -> Relation:
+    """Filters, then left-deep natural joins in FROM order, then output."""
+    rel = None
+    for atom in cq.atoms:
+        r = atom_relation(cq, atom, db, counter)
+        rel = r if rel is None else natural_join(rel, r, counter)
+    return _apply_output(rel, cq.output, counter)
+
+
+# ---------------------------------------------------------------------------
+# cardinality estimation (stand-in for optimizer estimates)
+# ---------------------------------------------------------------------------
+
+@dataclass
+class EstimateSet:
+    table_rows: list  # exact post-filter row counts, FROM order
+    join_rows: list  # per-join estimates for the left-deep join sequence
+    total_cost: float
+
+
+def _atom_stats(cq, atom, db: Database, shared):
+    """Post-filter row count and distinct counts of the atom's `shared` classes.
+
+    An atom without filters and intra-atom equalities whose renaming names
+    only columns of its table is that table renamed, so its counts are the
+    table's ingestion `TableStats` and no row is read.  Any other atom
+    counts the rows of its scan, `_atom_rows`, over the same prefix sample
+    as the table's, a class at its first attribute.  Only classes shared
+    between atoms enter the join estimates, so distinct counts are limited
+    to those, in the renaming's order.
+    """
+    base = db.table(atom.table)
+    stats = db.stats[atom.table]
+    renaming = atom.renaming
+    if (not cq.filters.get(atom.alias)
+            and len(set(renaming.values())) == len(renaming)
+            and renaming.keys() <= stats.index.keys()):
+        ndv = stats.ndv
+        return len(base.rows), {
+            cid: ndv[attr] for attr, cid in renaming.items() if cid in shared
+        }
+    columns, rows = _atom_rows(cq, atom, db)
+    wanted = [cid for cid in dict.fromkeys(renaming.values()) if cid in shared]
+    counts = _prefix_ndv(rows, [columns[cid][0] for cid in wanted])
     return len(rows), dict(zip(wanted, counts))
 
 
@@ -434,7 +415,9 @@ def estimate_cardinalities(cq, db: Database) -> EstimateSet:
     over the first `_NDV_SAMPLE_ROWS` rows of an atom.  `Database.add`
     records them for every column of a base table once, so an atom without
     filters and intra-atom equalities reads them from there; other atoms
-    count them over their surviving rows on each call.
+    count them over the rows of their scan, the one `atom_relation` builds
+    its relation from, on each call.  A renamed column the table lacks
+    raises `UnknownAttribute`, as it does in execution.
     """
     shared = {cid for cid, n in cq.occurrences.items() if n > 1}
     stats = [_atom_stats(cq, atom, db, shared) for atom in cq.atoms]

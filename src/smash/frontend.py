@@ -3,9 +3,9 @@
 The dialect covers single SELECT statements with comma-separated FROM
 items, a WHERE conjunction of equality join conditions and single-table
 comparison filters, the aggregate functions MIN/MAX/COUNT/SUM/AVG
-(optionally DISTINCT, COUNT(*) allowed), and GROUP BY.  Everything else
-(OR, subqueries, explicit JOIN syntax, BETWEEN/IN/LIKE, arithmetic) is
-rejected as unsupported.
+(optionally DISTINCT; COUNT(*) is allowed, COUNT(DISTINCT *) is not), and
+GROUP BY.  Everything else (OR, subqueries, explicit JOIN syntax,
+BETWEEN/IN/LIKE, arithmetic) is rejected as unsupported.
 """
 
 from __future__ import annotations
@@ -283,8 +283,9 @@ class _Parser:
         self.expect_punct("(")
         distinct = self.accept_keyword("DISTINCT")
         if self.accept_punct("*"):
-            if fn != "COUNT":
-                self.error(f"{fn}(*) is not valid", fn_tok)
+            if fn != "COUNT" or distinct:
+                inner = "DISTINCT *" if distinct else "*"
+                self.error(f"{fn}({inner}) is not valid", fn_tok)
             col = None
         else:
             col = self.column_ref()

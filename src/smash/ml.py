@@ -558,15 +558,11 @@ def cross_validate(folds, task="classify", trainer=train_cart, **params):
     accuracies = []
     for train_part, held in folds:
         model = trainer(train_part, task=task, **params)
-        if task == "classify":
-            preds = [predict(model, e.features) for e in held]
-            truths = [e.class_label for e in held]
-        else:
-            preds = [1 if predict(model, e.features) < 0 else 0 for e in held]
-            truths = [e.class_label for e in held]
-        accuracies.append(
-            sum(1 for p, t in zip(preds, truths) if p == t) / len(held)
+        hits = sum(
+            (decide(model, e.features) == REWRITTEN) == (e.class_label == 1)
+            for e in held
         )
+        accuracies.append(hits / len(held))
     return accuracies
 
 
@@ -610,31 +606,14 @@ def load_dataset(path):
     return examples
 
 
+_MODEL_KINDS = {"cart": CartModel, "knn": KnnModel}
+
 
 def model_to_json(model) -> str:
-    if isinstance(model, CartModel):
-        payload = {
-            "kind": "cart",
-            "task": model.task,
-            "tree": model.tree,
-            "importances": model.importances,
-            "feature_names": model.feature_names,
-            "n_features": model.n_features,
-        }
-    elif isinstance(model, KnnModel):
-        payload = {
-            "kind": "knn",
-            "task": model.task,
-            "k": model.k,
-            "mean": model.mean,
-            "scale": model.scale,
-            "points": model.points,
-            "targets": model.targets,
-            "n_features": model.n_features,
-        }
-    else:
+    kind = next((k for k, cls in _MODEL_KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
         raise UntrainedModel(f"cannot serialize {type(model).__name__}")
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps({"kind": kind, **vars(model)}, sort_keys=True, indent=2)
 
 
 def save_model(model, path):
@@ -645,20 +624,7 @@ def save_model(model, path):
 def load_model(path):
     with open(path) as fh:
         payload = json.load(fh)
-    if payload["kind"] == "cart":
-        return CartModel(
-            task=payload["task"],
-            tree=payload["tree"],
-            importances=payload["importances"],
-            feature_names=payload["feature_names"],
-            n_features=payload["n_features"],
-        )
-    return KnnModel(
-        task=payload["task"],
-        k=payload["k"],
-        mean=payload["mean"],
-        scale=payload["scale"],
-        points=payload["points"],
-        targets=payload["targets"],
-        n_features=payload["n_features"],
-    )
+    kind = payload.pop("kind", None)
+    if kind not in _MODEL_KINDS:
+        raise UntrainedModel(f"unknown model kind {kind!r} in {path}")
+    return _MODEL_KINDS[kind](**payload)

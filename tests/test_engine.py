@@ -10,7 +10,7 @@ from smash.engine import (
     OpCounter,
     Predicate,
     Relation,
-    apply_filter,
+    atom_relation,
     estimate_cardinalities,
     evaluate_baseline,
     group_aggregate,
@@ -21,7 +21,10 @@ from smash.engine import (
     semi_join,
 )
 from smash.errors import EmptyAggregate, TypeMismatch, UnknownAttribute
+from smash.acyclic import analyze
 from smash.frontend import parse_query, normalize
+from smash.harness import BASE, REWRITING, RunConfig, run_workload
+from smash.rewriter import interpret_sequence, rewrite
 
 from conftest import CHAIN_SQL, oracle_rows, result_multiset
 
@@ -46,11 +49,16 @@ class TestRelation:
 
 class TestOperators:
     def test_filter_keeps_duplicates(self):
-        r = rel("x", ["a"], [(1,), (1,), (2,)])
-        out = apply_filter(r, [Predicate("a", ">=", 1)])
-        assert sorted(out.rows) == [(1,), (1,), (2,)]
-        out = apply_filter(r, [Predicate("a", "=", 1)])
-        assert sorted(out.rows) == [(1,), (1,)]
+        db = Database()
+        db.add(rel("x", ["a"], [(1,), (1,), (2,)]))
+        for sql, expected in [("SELECT x.a FROM x WHERE x.a >= 1", [(1,), (1,), (2,)]),
+                              ("SELECT x.a FROM x WHERE x.a = 1", [(1,), (1,)])]:
+            cq = normalize(parse_query(sql), db)
+            counter = OpCounter()
+            out = atom_relation(cq, cq.atoms[0], db, counter)
+            assert out.schema == ["x.a"]
+            assert sorted(out.rows) == expected
+            assert counter.filters == 1
 
     def test_semi_join_no_duplication(self):
         left = rel("l", ["a"], [(1,), (1,), (2,)])
@@ -222,6 +230,25 @@ class TestFilterTypes:
         cq = normalize(parse_query("SELECT MIN(T.zzz) FROM T"), mixed_db)
         with pytest.raises(UnknownAttribute, match="zzz"):
             estimate_cardinalities(cq, mixed_db)
+
+    def test_unknown_join_column_raises_in_execution_too(self, mixed_db):
+        # V has no column zzz; the join class names it only through V's
+        # renaming, so no relation column is missing and, unchecked, the
+        # join would run as T x V
+        sql = "SELECT T.a, V.zzz FROM T, V WHERE T.a = V.zzz"
+        spec = parse_query(sql)
+        cq = normalize(spec, mixed_db)
+        seq = rewrite(analyze(cq)[0], cq, mixed_db)
+        for run in (lambda: estimate_cardinalities(cq, mixed_db),
+                    lambda: evaluate_baseline(cq, mixed_db),
+                    lambda: interpret_sequence(seq, cq, mixed_db)):
+            with pytest.raises(UnknownAttribute, match="^V has no column zzz$"):
+                run()
+        log = run_workload(mixed_db, [("q", spec)], RunConfig(repeats=1))
+        assert [(e.strategy, e.skipped, e.reason) for e in log.entries] == [
+            (BASE, True, "V has no column zzz"),
+            (REWRITING, True, "V has no column zzz"),
+        ]
 
     def test_unordered_types_raise_type_error(self, mixed_db):
         message = "'<' not supported between instances of 'bool' and 'str'"

@@ -1,5 +1,6 @@
 """ML selector tests: labeling, splitting, CART, k-NN, metrics, decisions."""
 
+import json
 import math
 import random
 import warnings
@@ -12,6 +13,7 @@ from smash.errors import (
     LengthMismatch,
     NonFinite,
     TooFewExamples,
+    UntrainedModel,
 )
 from smash.ml import (
     ORIGINAL,
@@ -303,6 +305,27 @@ class TestImportancesAndPersistence:
         assert model_to_json(back) == model_to_json(model)
         for e in ex[:10]:
             assert predict(back, e.features) == predict(model, e.features)
+
+    def test_knn_json_round_trip(self, tmp_path):
+        ex = make_examples(40, lambda x: x[0] > 5)
+        model = train_knn(ex, k=3, task="regress")
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert back == model
+        assert json.loads(model_to_json(back))["kind"] == "knn"
+
+    @pytest.mark.parametrize("kind", ["forest", None])
+    def test_unknown_model_kind_rejected(self, tmp_path, kind):
+        model = train_knn(make_examples(10, lambda x: x[0] > 5))
+        payload = json.loads(model_to_json(model))
+        payload.pop("kind")
+        if kind is not None:
+            payload["kind"] = kind
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(UntrainedModel, match="unknown model kind"):
+            load_model(path)
 
     def test_reg_at_zero_close_to_classifier(self):
         rng = random.Random(5)

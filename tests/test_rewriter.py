@@ -14,7 +14,7 @@ from smash.engine import (
     evaluate_baseline,
     natural_join,
 )
-from smash.errors import UndefinedIntermediate
+from smash.errors import ParseError, UndefinedIntermediate
 from smash.frontend import normalize, parse_query
 from smash.rewriter import (
     Statement,
@@ -97,11 +97,12 @@ class TestEmission:
             "CreateView", "CreateTable", "FinalSelect"
         ]
 
-    def test_count_distinct_star_renders_as_count_star(self):
-        # the engine counts every row for COUNT(DISTINCT *), which SQL lacks
-        _, _, seq = rewritten("SELECT COUNT(DISTINCT *) FROM R, S WHERE R.b = S.b")
-        assert "COUNT(*) AS EXPR$0" in seq.to_sql()
-        assert "DISTINCT" not in seq.to_sql()
+    def test_count_distinct_star_is_rejected(self):
+        # SQL has no COUNT(DISTINCT *); the parser rejects it as it does MIN(*)
+        for sql in ("SELECT COUNT(DISTINCT *) FROM R, S WHERE R.b = S.b",
+                    "SELECT MIN(*) FROM R"):
+            with pytest.raises(ParseError, match=r"\*\) is not valid"):
+                parse_query(sql)
 
     def test_atoms_without_named_columns_select_star(self):
         # planned without a database, R and S have no class column to select

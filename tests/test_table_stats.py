@@ -4,10 +4,14 @@
 `_NDV_SAMPLE_ROWS` rows; `estimate_cardinalities` reads those counts for
 atoms without filters and intra-atom equalities and samples the other
 atoms' surviving rows.  The estimator as it was before the statistics
-existed is kept below as the reference for the sampled atoms.
+existed is kept below as the reference for the sampled atoms, and
+`atom_relation` as it was before it shared the estimator's scan (rename,
+then filter a row at a time) as the reference for execution.  Both
+references filter with `Predicate.matches` alone.
 """
 
 import operator
+from collections import defaultdict
 
 import pytest
 
@@ -16,9 +20,10 @@ from smash.augmentation import generate_two_regime_workload
 from smash.engine import (
     _NDV_SAMPLE_ROWS,
     Database,
+    OpCounter,
     Relation,
     _atom_stats,
-    _select,
+    atom_relation,
     estimate_cardinalities,
     load_database,
     save_database,
@@ -29,6 +34,12 @@ from smash.rewriter import rewrite
 
 from conftest import random_specs, selector_wide
 from test_plan_equivalence import _HAND_SQL, _hand_db
+
+
+def _filter_rows(rows, preds, index):
+    """Rows that satisfy every predicate, a row at a time in table order and
+    predicates in query order: the first row that raises raises."""
+    return [r for r in rows if all(p.matches(r[index(p.attribute)]) for p in preds)]
 
 
 def _reference_atom_stats(cq, atom, db, shared):
@@ -47,22 +58,47 @@ def _reference_atom_stats(cq, atom, db, shared):
         rows = [r for r in rows if all(len({r[i] for i in ix}) == 1 for ix in dup)]
     preds = cq.filters.get(atom.alias)
     if preds:
-        for p in preds:
-            if p.attribute not in columns:
-                raise UnknownAttribute(f"{p.attribute} not in {atom.alias}")
-        error = None
-        for p in preds:
-            rows, exc = _select(rows, columns[p.attribute][0], p)
-            if exc is not None:
-                error = exc
-        if error is not None:
-            raise error
+        rows = _filter_rows(rows, preds, lambda cid: columns[cid][0])
     sample = rows if len(rows) <= _NDV_SAMPLE_ROWS else rows[:_NDV_SAMPLE_ROWS]
     ndv = {}
     for cid in renaming.values():
         if cid in shared and cid not in ndv:
             ndv[cid] = len(set(map(operator.itemgetter(columns[cid][0]), sample)))
     return len(rows), ndv
+
+
+def _reference_atom_relation(cq, atom, db, counter=None):
+    """`atom_relation` before the shared scan: rename and apply the
+    intra-atom equalities, then filter the renamed relation."""
+    base = db.table(atom.table)
+    renaming = dict(atom.renaming)
+    for col in base.schema:
+        renaming.setdefault(col, f"{atom.alias}.{col}")
+    seen = {}
+    keep = []  # (source index, class id)
+    eq_groups = defaultdict(list)
+    for i, col in enumerate(base.schema):
+        cid = renaming[col]
+        eq_groups[cid].append(i)
+        if cid not in seen:
+            seen[cid] = i
+            keep.append((i, cid))
+    rows = base.rows
+    dup_groups = [idxs for idxs in eq_groups.values() if len(idxs) > 1]
+    if dup_groups:
+        rows = [
+            r for r in rows
+            if all(len({r[i] for i in idxs}) == 1 for idxs in dup_groups)
+        ]
+    rel = Relation(atom.alias, [cid for _, cid in keep],
+                   [tuple(r[i] for i, _ in keep) for r in rows])
+    preds = cq.filters.get(atom.alias, [])
+    if preds:
+        rel = Relation(rel.name, rel.schema,
+                       _filter_rows(rel.rows, preds, rel._index))
+        if counter is not None:
+            counter.filters += 1
+    return rel
 
 
 class CountingRows(list):
@@ -183,6 +219,16 @@ def _reference_corpus():
         yield db, spec
 
 
+def _atoms_of_corpus():
+    """(cq, atom, db, shared) for every atom of the corpus, normalized with
+    and without the database."""
+    for db, spec in _reference_corpus():
+        for cq in (normalize(spec, db), normalize(spec)):
+            shared = {cid for cid, n in cq.occurrences.items() if n > 1}
+            for atom in cq.atoms:
+                yield cq, atom, db, shared
+
+
 def _outcome(fn, *args):
     try:
         n, ndv = fn(*args)
@@ -193,14 +239,31 @@ def _outcome(fn, *args):
 
 def test_atom_stats_match_the_scanning_reference():
     sampled = 0
-    for db, spec in _reference_corpus():
-        for cq in (normalize(spec, db), normalize(spec)):
-            shared = {cid for cid, n in cq.occurrences.items() if n > 1}
-            for atom in cq.atoms:
-                args = (cq, atom, db, shared)
-                assert _outcome(_atom_stats, *args) == \
-                    _outcome(_reference_atom_stats, *args), (spec, atom)
-                classes = atom.renaming.values()
-                sampled += bool(cq.filters.get(atom.alias)
-                                or len(set(classes)) < len(classes))
+    for args in _atoms_of_corpus():
+        cq, atom = args[:2]
+        assert _outcome(_atom_stats, *args) == \
+            _outcome(_reference_atom_stats, *args), atom
+        classes = atom.renaming.values()
+        sampled += bool(cq.filters.get(atom.alias)
+                        or len(set(classes)) < len(classes))
     assert sampled > 100
+
+
+def _relation_outcome(fn, cq, atom, db):
+    counter = OpCounter()
+    try:
+        rel = fn(cq, atom, db, counter)
+    except Exception as exc:
+        return type(exc), str(exc), counter
+    # in order, and by repr, because 1, 1.0 and True compare equal
+    return rel.name, rel.schema, [repr(r) for r in rel.rows], counter
+
+
+def test_atom_relation_matches_the_rename_then_filter_reference():
+    filtered = errors = 0
+    for cq, atom, db, _ in _atoms_of_corpus():
+        got = _relation_outcome(atom_relation, cq, atom, db)
+        assert got == _relation_outcome(_reference_atom_relation, cq, atom, db), atom
+        filtered += got[-1].filters
+        errors += len(got) == 3
+    assert filtered > 100 and errors > 0
