@@ -8,9 +8,7 @@ trees (and every feature derived from them) are reproducible.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .engine import Aggregate
 from .errors import InvalidJoinTree
@@ -20,8 +18,8 @@ SET_SAFE_FUNCTIONS = ("MIN", "MAX")
 
 @dataclass
 class Hypergraph:
-    vertices: set
-    edges: list  # (atom id, frozenset of class ids)
+    vertices: list  # class ids; vertex i is bit i of an edge's mask
+    edges: list  # (atom id, int bitmask of its vertices)
 
 
 @dataclass
@@ -31,40 +29,60 @@ class AcyclicityResult:
     residual: list = field(default_factory=list)  # surviving edges if cyclic
 
 
-@dataclass
+@dataclass(slots=True)
 class OmaResult:
     is_0ma: bool
     guard: int | None = None
     failure_reason: str | None = None  # NotAggregate | NotGuarded | NotSetSafe
 
 
-@dataclass
+@dataclass(slots=True)
 class JoinTree:
+    """A rooted join tree over atom ids.  `children()` and `depth()` are
+    computed on first use and kept, so a tree must not change after."""
+
     nodes: list  # atom ids
     parent: dict  # atom id -> atom id | None
     root: int
     oma_flag: bool = False
     guard: int | None = None
+    _children: dict = field(default=None, init=False, repr=False, compare=False)
+    _levels: list = field(default=None, init=False, repr=False, compare=False)
 
     def children(self):
-        """node -> its children in node order, for every node."""
-        kids = {u: [] for u in self.nodes}
-        for v in self.nodes:
-            p = self.parent[v]
-            if p is not None:
-                kids[p].append(v)
-        return kids
+        """node -> its children in node order, for every node (shared: do
+        not change it)."""
+        if self._children is None:
+            kids = {u: [] for u in self.nodes}
+            for v in self.nodes:
+                p = self.parent[v]
+                if p is not None:
+                    kids[p].append(v)
+            self._children = kids
+        return self._children
+
+    def levels(self):
+        """The nodes reachable from the root, level by level; every node
+        when the parent map is a tree."""
+        if self._levels is None:
+            kids = self.children()
+            levels = [[self.root]]
+            while True:
+                below = [c for u in levels[-1] for c in kids[u]]
+                if not below:
+                    break
+                levels.append(below)
+            self._levels = levels
+        return self._levels
+
+    def is_tree(self):
+        return sum(map(len, self.levels())) == len(self.nodes)
 
     def depth(self):
-        """Edges on the longest root-to-leaf path, from the parent map alone."""
-        level = {self.root: 0}
-
-        def rec(u):
-            if u not in level:
-                level[u] = rec(self.parent[u]) + 1
-            return level[u]
-
-        return max(map(rec, self.nodes))
+        """Edges on the longest root-to-leaf path."""
+        if not self.is_tree():
+            raise InvalidJoinTree(f"parent map is not a tree rooted at {self.root}")
+        return len(self.levels()) - 1
 
     def edge_set(self):
         return {frozenset((u, p)) for u, p in self.parent.items() if p is not None}
@@ -106,62 +124,68 @@ class JoinTree:
 
 
 def build_hypergraph(cq) -> Hypergraph:
-    edges = [
-        (i, frozenset(atom.renaming.values())) for i, atom in enumerate(cq.atoms)
-    ]
-    vertices = set()
-    for _, vs in edges:
-        vertices |= vs
-    return Hypergraph(vertices=vertices, edges=edges)
+    return Hypergraph(vertices=cq.class_ids(), edges=list(enumerate(cq.masks)))
 
 
-def gyo_reduce(hg: Hypergraph) -> AcyclicityResult:
-    alive = {atom: set(vs) for atom, vs in hg.edges}
+def _gyo(masks):
+    """GYO over atom bitmasks: (ears, surviving atom -> mask).
+
+    Per pass, vertices in exactly one surviving edge disappear, then every
+    edge whose mask is a subset of another surviving edge's is an ear.
+    The highest-positioned witness is preferred, which yields wide
+    (star-shaped) trees rather than deep chains.
+    """
+    alive = dict(enumerate(masks))  # ascending atom ids, and stays so
     ears = []
     while alive:
         changed = False
-        # vertices occurring in exactly one edge disappear
-        counts = Counter(chain.from_iterable(alive.values()))
-        once = {v for v, n in counts.items() if n == 1}
+        once = many = 0
+        for mask in alive.values():
+            many |= once & mask
+            once |= mask
+        once &= ~many
         if once:
-            for vs in alive.values():
-                vs.difference_update(once)
+            keep = ~once
+            for atom in alive:
+                alive[atom] &= keep
             changed = True
-        # edges contained in another surviving edge get absorbed; the
-        # highest-positioned witness is preferred, which yields wide
-        # (star-shaped) trees rather than deep chains
-        ascending = sorted(alive)
-        descending = ascending[::-1]
+        ascending = list(alive)
         for atom in ascending:
-            vs = alive[atom]
-            witness = next((w for w in descending if w != atom and w in alive
-                            and vs <= alive[w]), None)
-            if witness is not None:
-                ears.append((atom, witness))
-                del alive[atom]
-                changed = True
+            mask = alive[atom]
+            for w in reversed(ascending):
+                if w != atom and w in alive and alive[w] & mask == mask:
+                    ears.append((atom, w))
+                    del alive[atom]
+                    changed = True
+                    break
         if len(alive) == 1:
-            last = next(iter(alive))
-            ears.append((last, None))
-            del alive[last]
+            ears.append((alive.popitem()[0], None))
             changed = True
         if not changed:
             break
+    return ears, alive
+
+
+def gyo_reduce(hg: Hypergraph) -> AcyclicityResult:
+    ears, alive = _gyo([mask for _, mask in hg.edges])
     if alive:
-        residual = [(atom, frozenset(vs)) for atom, vs in sorted(alive.items())]
+        residual = [
+            (hg.edges[i][0], frozenset(v for j, v in enumerate(hg.vertices)
+                                       if mask >> j & 1))
+            for i, mask in alive.items()
+        ]
         return AcyclicityResult(acyclic=False, residual=residual)
-    return AcyclicityResult(acyclic=True, ears=ears)
+    return AcyclicityResult(acyclic=True,
+                            ears=[(hg.edges[i][0], None if w is None else hg.edges[w][0])
+                                  for i, w in ears])
 
 
 def classify_0ma(cq) -> OmaResult:
     out = cq.output
     if out.kind != "aggregate":
         return OmaResult(False, failure_reason="NotAggregate")
-    needed = set(out.needed_classes())
-    qualifying = [
-        i for i, atom in enumerate(cq.atoms)
-        if needed <= set(atom.renaming.values())
-    ]
+    needed = cq.mask_of(out.needed_classes())
+    qualifying = [i for i, mask in enumerate(cq.masks) if not needed & ~mask]
     if not qualifying:
         return OmaResult(False, failure_reason="NotGuarded")
     # prefer the atom whose alias is written in the output, so e.g.
@@ -184,17 +208,29 @@ def check_connectedness(tree: JoinTree, cq):
     """Raise InvalidJoinTree unless each class's atoms form a subtree.
 
     The atoms holding a class induce a forest in the tree, which is
-    connected iff it has one edge fewer than it has atoms; the edges are
-    counted over the tree once.
+    connected iff it has one edge fewer than it has atoms.  No forest has
+    more, so in a tree one sum over all classes decides: the tree edges
+    inside each class, counted as the bits two adjacent atoms' masks share,
+    against the atoms holding each class less one.  A parent map that is
+    not a tree, or a tree that fails, is counted class by class to name
+    the first disconnected class.
     """
-    classes = [dict.fromkeys(atom.renaming.values()) for atom in cq.atoms]
+    masks = cq.masks
+    inside = 0
+    for node, parent in tree.parent.items():
+        if parent is not None:
+            inside += (masks[node] & masks[parent]).bit_count()
+    occurrences = cq.occurrences
+    if inside == sum(occurrences.values()) - len(occurrences) and tree.is_tree():
+        return
+    classes = cq.atom_classes
     missing = {}  # class id -> atoms holding it - 1 - tree edges inside it
     for attrs in classes:
         for cid in attrs:
             missing[cid] = missing.get(cid, -1) + 1
     for node, parent in tree.parent.items():
         if parent is not None:
-            for cid in classes[node].keys() & classes[parent].keys():
+            for cid in set(classes[node]) & set(classes[parent]):
                 missing[cid] -= 1
     for cid, n in missing.items():
         if n:
@@ -236,12 +272,12 @@ def build_join_tree(ears, cq, oma: OmaResult) -> JoinTree:
 
 
 def analyze(cq):
-    """GYO + 0MA classification + join tree in one step.
+    """GYO + 0MA classification + join tree in one step, over the query IR.
 
     Returns (tree, oma) or raises InvalidJoinTree for cyclic queries.
     """
-    result = gyo_reduce(build_hypergraph(cq))
-    if not result.acyclic:
+    ears, alive = _gyo(cq.masks)
+    if alive:
         raise InvalidJoinTree("query is cyclic; no join tree exists")
     oma = classify_0ma(cq)
-    return build_join_tree(result.ears, cq, oma), oma
+    return build_join_tree(ears, cq, oma), oma

@@ -41,7 +41,7 @@ _OPS = {
 AGG_FUNCTIONS = ("MIN", "MAX", "COUNT", "SUM", "AVG")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Predicate:
     """Single-relation comparison against a literal."""
 
@@ -94,14 +94,12 @@ _NDV_SAMPLE_ROWS = 512
 
 def _prefix_ndv(rows, indexes):
     """Distinct counts of the columns at `indexes` over the first
-    `_NDV_SAMPLE_ROWS` rows, from one transposition of that prefix.
+    `_NDV_SAMPLE_ROWS` rows, one set per column.
 
     A deterministic prefix keeps the count cheap on large tables.
     """
-    columns = list(zip(*rows[:_NDV_SAMPLE_ROWS]))
-    if not columns:
-        return [0] * len(indexes)
-    return [len(set(columns[i])) for i in indexes]
+    sample = rows[:_NDV_SAMPLE_ROWS]
+    return [len({r[i] for r in sample}) for i in indexes]
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,7 @@ def project(rel: Relation, attrs, counter: OpCounter | None = None) -> Relation:
     return Relation(rel.name, labels, rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Aggregate:
     fn: str  # MIN | MAX | COUNT | SUM | AVG
     attribute: str | None  # None only for COUNT(*)
@@ -286,6 +284,11 @@ def _is_number_type(t):
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
+# value types that need no subclass test: every one is, or none is, a number
+_PLAIN_NUMBER_TYPES = {int, float}
+_STR_TYPE = {str}
+
+
 def _select(rows, index, pred):
     """Rows whose value at `index` satisfies `pred`, tested a column at a time.
 
@@ -296,7 +299,9 @@ def _select(rows, index, pred):
     """
     values = [r[index] for r in rows]
     number = _is_number(pred.literal)
-    if all(_is_number_type(t) == number for t in set(map(type, values))):
+    types = set(map(type, values))
+    if (types <= _PLAIN_NUMBER_TYPES if number else types == _STR_TYPE) or all(
+            _is_number_type(t) == number for t in types):
         try:
             keep = map(_OPS[pred.op], values, repeat(pred.literal))
             return list(compress(rows, keep)), None
@@ -323,15 +328,17 @@ def _atom_rows(cq, atom, db: Database):
     """
     base = db.table(atom.table)
     renaming = atom.renaming
-    unknown = renaming.keys() - db.stats[atom.table].index.keys()
-    if unknown:
+    index = db.stats[atom.table].index
+    if not renaming.keys() <= index.keys():
+        unknown = renaming.keys() - index.keys()
         raise UnknownAttribute(f"{atom.table} has no column {min(unknown)}")
     columns = {}
     for i, col in enumerate(base.schema):
-        columns.setdefault(renaming.get(col, f"{atom.alias}.{col}"), []).append(i)
+        cid = renaming.get(col)
+        columns.setdefault(f"{atom.alias}.{col}" if cid is None else cid, []).append(i)
     rows = base.rows
-    dup = [ix for ix in columns.values() if len(ix) > 1]
-    if dup:  # intra-atom equalities
+    if len(columns) < len(base.schema):  # intra-atom equalities
+        dup = [ix for ix in columns.values() if len(ix) > 1]
         rows = [r for r in rows if all(len({r[i] for i in ix}) == 1 for ix in dup)]
     error = None
     for p in cq.filters.get(atom.alias, ()):
@@ -373,15 +380,15 @@ def evaluate_baseline(cq, db: Database, counter: OpCounter | None = None) -> Rel
 # cardinality estimation (stand-in for optimizer estimates)
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class EstimateSet:
     table_rows: list  # exact post-filter row counts, FROM order
     join_rows: list  # per-join estimates for the left-deep join sequence
     total_cost: float
 
 
-def _atom_stats(cq, atom, db: Database, shared):
-    """Post-filter row count and distinct counts of the atom's `shared` classes.
+def _atom_stats(cq, i, db: Database):
+    """Post-filter row count and distinct counts of atom i's shared classes.
 
     An atom without filters and intra-atom equalities whose renaming names
     only columns of its table is that table renamed, so its counts are the
@@ -389,20 +396,26 @@ def _atom_stats(cq, atom, db: Database, shared):
     counts the rows of its scan, `_atom_rows`, over the same prefix sample
     as the table's, a class at its first attribute.  Only classes shared
     between atoms enter the join estimates, so distinct counts are limited
-    to those, in the renaming's order.
+    to those, in the renaming's order.  The atom's distinct classes and the
+    shared ones come from the query IR.
     """
+    atom = cq.atoms[i]
     base = db.table(atom.table)
-    stats = db.stats[atom.table]
     renaming = atom.renaming
-    if (not cq.filters.get(atom.alias)
-            and len(set(renaming.values())) == len(renaming)
-            and renaming.keys() <= stats.index.keys()):
-        ndv = stats.ndv
-        return len(base.rows), {
-            cid: ndv[attr] for attr, cid in renaming.items() if cid in shared
-        }
+    classes = cq.atom_classes[i]
+    shared = cq.shared
+    if not cq.filters.get(atom.alias) and len(classes) == len(renaming):
+        ndv = db.stats[atom.table].ndv  # every column of the table
+        counts = {}
+        for attr, cid in renaming.items():
+            if attr not in ndv:
+                break
+            if cid in shared:
+                counts[cid] = ndv[attr]
+        else:
+            return len(base.rows), counts
     columns, rows = _atom_rows(cq, atom, db)
-    wanted = [cid for cid in dict.fromkeys(renaming.values()) if cid in shared]
+    wanted = [cid for cid in classes if cid in shared]
     counts = _prefix_ndv(rows, [columns[cid][0] for cid in wanted])
     return len(rows), dict(zip(wanted, counts))
 
@@ -419,21 +432,30 @@ def estimate_cardinalities(cq, db: Database) -> EstimateSet:
     its relation from, on each call.  A renamed column the table lacks
     raises `UnknownAttribute`, as it does in execution.
     """
-    shared = {cid for cid, n in cq.occurrences.items() if n > 1}
-    stats = [_atom_stats(cq, atom, db, shared) for atom in cq.atoms]
-    table_rows = [n for n, _ in stats]
+    table_rows = []
     join_rows = []
-    est = float(table_rows[0]) if stats else 0.0
-    ndv = dict(stats[0][1]) if stats else {}
-    for nrows, r_ndv in stats[1:]:
+    ndv = None
+    est = 0.0
+    for i in range(len(cq.atoms)):
+        nrows, r_ndv = _atom_stats(cq, i, db)
+        table_rows.append(nrows)
+        if ndv is None:
+            est = float(nrows)
+            ndv = r_ndv
+            continue
+        # the denominator multiplies in r_ndv's order, each class with its
+        # distinct count before this join, which then becomes the minimum
         denom = 1.0
         for a, v in r_ndv.items():
-            if a in ndv:
-                denom *= max(ndv[a], v, 1)
+            w = ndv.get(a)
+            if w is None:
+                ndv[a] = v
+            else:
+                denom *= max(w, v, 1)
+                if v < w:
+                    ndv[a] = v
         est = est * nrows / denom
         join_rows.append(est)
-        for a, v in r_ndv.items():
-            ndv[a] = min(ndv[a], v) if a in ndv else v
     total = float(sum(join_rows) + sum(table_rows))
     return EstimateSet(table_rows, join_rows, total)
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import EstimateSet
 from .errors import EmptySet
 
 
-@dataclass(frozen=True)
-class SixStats:
+class SixStats(NamedTuple):
     min: float
     q25: float
     median: float
@@ -25,34 +25,36 @@ class SixStats:
     mean: float
 
     def as_list(self):
-        return [self.min, self.q25, self.median, self.q75, self.max, self.mean]
+        return list(self)
 
     @classmethod
     def zeros(cls):
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _quantile(sorted_values, q):
-    pos = q * (len(sorted_values) - 1)
-    lo = math.floor(pos)
-    hi = math.ceil(pos)
+def _at(arr, pos):
+    """Linear interpolation at a fractional position of an ascending list."""
+    lo = int(pos)
     frac = pos - lo
-    return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
+    return arr[lo] * (1 - frac) + arr[lo + 1 if frac else lo] * frac
+
+
+def _summarize(arr):
+    """Six order statistics of floats already in ascending order.
+
+    Quantiles interpolate linearly at q*(n-1); the mean adds the values in
+    ascending order.
+    """
+    last = len(arr) - 1
+    return SixStats(arr[0], _at(arr, 0.25 * last), _at(arr, 0.5 * last),
+                    _at(arr, 0.75 * last), arr[-1], sum(arr) / len(arr))
 
 
 def reduce_set(values) -> SixStats:
     """Six order statistics; quantiles interpolate linearly at q*(n-1)."""
     if len(values) == 0:
         raise EmptySet("cannot summarize an empty collection")
-    arr = sorted(map(float, values))
-    return SixStats(
-        min=arr[0],
-        q25=_quantile(arr, 0.25),
-        median=_quantile(arr, 0.5),
-        q75=_quantile(arr, 0.75),
-        max=arr[-1],
-        mean=sum(arr) / len(arr),
-    )
+    return _summarize(sorted(map(float, values)))
 
 
 _SCALAR_FIELDS = [
@@ -70,7 +72,7 @@ _SET_FIELDS = [
 _STAT_NAMES = ["min", "q25", "median", "q75", "max", "mean"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureVector:
     is_0ma: int
     n_relations: int
@@ -93,12 +95,12 @@ class FeatureVector:
             float(self.n_joins),
             float(self.depth),
         ]
-        out += self.container_counts.as_list()
-        out += self.branching_degrees.as_list()
+        out += self.container_counts
+        out += self.branching_degrees
         out.append(float(self.est_total_cost))
-        out += self.est_single_table_rows.as_list()
-        out += self.est_join_rows.as_list()
-        if not all(math.isfinite(v) for v in out):
+        out += self.est_single_table_rows
+        out += self.est_join_rows
+        if not all(map(math.isfinite, out)):
             raise ValueError("feature vector contains non-finite values")
         return out
 
@@ -120,21 +122,23 @@ FEATURE_COUNT = len(feature_names())
 
 
 def extract_features(cq, tree, est: EstimateSet) -> FeatureVector:
+    """The feature vector of a planned query, read off the query IR, the
+    join tree and the estimates; each collection is sorted once."""
     occurrences = cq.occurrences
-    n_joins = sum(c - 1 for c in occurrences.values())
-    n_filters = sum(len(ps) for ps in cq.filters.values())
-    container = [occurrences[cid] for cid in cq.class_ids()]
-    branching = [len(kids) for kids in tree.children().values() if kids]
+    n_joins = sum(occurrences.values()) - len(occurrences)
+    n_filters = sum(map(len, cq.filters.values()))
+    branching = sorted([float(len(kids)) for kids in tree.children().values() if kids])
+    zeros = SixStats.zeros()
     return FeatureVector(
-        is_0ma=int(tree.oma_flag),
-        n_relations=len(cq.atoms),
-        n_conditions=n_joins + n_filters,
-        n_filters=n_filters,
-        n_joins=n_joins,
-        depth=tree.depth(),
-        container_counts=reduce_set(container),
-        branching_degrees=reduce_set(branching) if branching else SixStats.zeros(),
-        est_total_cost=est.total_cost,
-        est_single_table_rows=reduce_set(est.table_rows),
-        est_join_rows=reduce_set(est.join_rows) if est.join_rows else SixStats.zeros(),
+        int(tree.oma_flag),
+        len(cq.atoms),
+        n_joins + n_filters,
+        n_filters,
+        n_joins,
+        tree.depth(),
+        reduce_set(occurrences.values()),
+        _summarize(branching) if branching else zeros,
+        est.total_cost,
+        reduce_set(est.table_rows),
+        reduce_set(est.join_rows) if est.join_rows else zeros,
     )

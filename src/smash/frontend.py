@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .engine import AGG_FUNCTIONS, Aggregate, Predicate
@@ -32,14 +34,14 @@ class ColumnRef(NamedTuple):
         return f"{self.alias}.{self.attr}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectAggregate:
     fn: str
     column: ColumnRef | None  # None for COUNT(*)
     distinct: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class QuerySpec:
     tables: list  # (table name, alias) in FROM order
     select_columns: list = field(default_factory=list)  # ColumnRef (enumeration)
@@ -56,14 +58,14 @@ class QuerySpec:
         return [a for _, a in self.tables]
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     alias: str
     table: str
     renaming: dict  # original attribute -> class id
 
 
-@dataclass
+@dataclass(slots=True)
 class OutputSpec:
     kind: str  # "enumeration" | "aggregate"
     columns: list = field(default_factory=list)  # class ids (enumeration)
@@ -81,56 +83,98 @@ class OutputSpec:
         return need
 
 
-@dataclass
+@dataclass(slots=True)
 class NormalizedCQ:
+    """A normalized query, and the compact query IR every planning stage reads.
+
+    The IR is built once, from `atoms`: each atom's distinct class ids in
+    renaming order (`atom_classes`), every class id in `class_ids()` order
+    with its position (`class_index`), each atom's classes as an int
+    bitmask over those positions (`masks`), the number of atoms holding
+    each class (`occurrences`) and the classes held by more than one atom
+    (`shared`).  A `NormalizedCQ` must not change after it is made.
+    """
+
     atoms: list  # Atom, FROM order
     filters: dict  # alias -> [engine.Predicate] over class ids
     output: OutputSpec
-    # class id -> number of atoms containing it; both the estimator and the
-    # feature extractor read it, so it is counted once, from `atoms`
+    atom_classes: list = field(init=False, repr=False, compare=False)
+    class_index: dict = field(init=False, repr=False, compare=False)
+    masks: list = field(init=False, repr=False, compare=False)
     occurrences: dict = field(init=False, repr=False, compare=False)
+    shared: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        index = {}
         occ = {}
+        atom_classes = []
+        masks = []
         for atom in self.atoms:
-            for cid in set(atom.renaming.values()):
-                occ[cid] = occ.get(cid, 0) + 1
+            renaming = atom.renaming
+            mask = 0
+            for attr in sorted(renaming):
+                cid = renaming[attr]
+                i = index.get(cid)
+                if i is None:  # a class first seen here
+                    i = index[cid] = len(index)
+                    occ[cid] = 1
+                    mask |= 1 << i
+                elif not mask >> i & 1:  # not yet counted for this atom
+                    occ[cid] += 1
+                    mask |= 1 << i
+            masks.append(mask)
+            classes = tuple(renaming.values())
+            if mask.bit_count() != len(classes):  # an intra-atom equality
+                classes = tuple(dict.fromkeys(classes))
+            atom_classes.append(classes)
+        self.atom_classes = atom_classes
+        self.class_index = index
+        self.masks = masks
         self.occurrences = occ
+        self.shared = frozenset([cid for cid, n in occ.items() if n > 1])
 
     def class_ids(self):
         """All class ids, deterministic order (FROM order, then attribute)."""
-        out = []
-        seen = set()
-        for atom in self.atoms:
-            for attr in sorted(atom.renaming):
-                cid = atom.renaming[attr]
-                if cid not in seen:
-                    seen.add(cid)
-                    out.append(cid)
-        return out
+        return list(self.class_index)
+
+    def mask_of(self, class_ids):
+        """The bitmask of some of the query's class ids."""
+        index = self.class_index
+        mask = 0
+        for cid in class_ids:
+            mask |= 1 << index[cid]
+        return mask
 
 
 # ---------------------------------------------------------------------------
 # tokenizer
 # ---------------------------------------------------------------------------
 
-# one match per token: leading whitespace is skipped inside the match, and
-# any other character no alternative accepts is a `bad` token
+# one match per token: leading whitespace is skipped before the one
+# unnamed group, and any other character no alternative accepts is a token
+# of its own, which the scanner rejects.  `findall` returns the tokens'
+# texts, and a token's first character tells its kind.
 _TOKEN_RE = re.compile(
     r"""
-    \s*
-    (?:
-        (?P<number>[0-9]+\.[0-9]+|[0-9]+)
-      | (?P<string>'(?:[^']|'')*')
-      | (?P<qualified>[A-Za-z_][A-Za-z_0-9]*\.[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op><=|>=|!=|<>|=|<|>)
-      | (?P<punct>[(),;*])
-      | (?P<bad>\S)
+    \s*+
+    (
+        [A-Za-z_][A-Za-z_0-9]*+(?:\.[A-Za-z_][A-Za-z_0-9]*+)?  # ident, qualified
+      | [(),;*]                                              # punct
+      | <=|>=|!=|<>|=|<|>                                    # op
+      | [0-9]++(?:\.[0-9]++)?                                # number
+      | '(?:[^']|'')*'                                       # string
+      | \S                                                   # bad
     )
     """,
     re.VERBOSE,
 )
+_FIRST = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident"),
+    **dict.fromkeys("(),;*", "punct"),
+    **dict.fromkeys("<>=!", "op"),
+    **dict.fromkeys("0123456789", "number"),
+    "'": "string",
+}
 
 _KEYWORDS = {"SELECT", "FROM", "WHERE", "AND", "AS", "GROUP", "BY", "DISTINCT"}
 _REJECTED = {"OR", "JOIN", "LEFT", "RIGHT", "INNER", "OUTER", "EXISTS", "IN",
@@ -149,38 +193,62 @@ def _position(sql, offset):
     return sql.count("\n", 0, offset) + 1, offset - sql.rfind("\n", 0, offset)
 
 
-def _scan(sql):
-    """(kind, value, offset) per token, ending with an "eof" token.
+def _offsets(sql):
+    """Character offset of every token, and of the "eof" token after them."""
+    offsets = [m.start(1) for m in _TOKEN_RE.finditer(sql)]
+    offsets.append(len(sql))
+    return offsets
 
-    Keywords are upper-cased and string literals unquoted; positions are
-    only turned into lines and columns when an error needs them.
+
+def _token_position(sql, index):
+    """(line, column) of the index-th token; errors only, so it scans again."""
+    return _position(sql, _offsets(sql)[index])
+
+
+def _scan(sql):
+    """The tokens as two parallel lists, kinds and values, ending with an
+    "eof" token.
+
+    Keywords are upper-cased and string literals unquoted.  Tokens carry no
+    position: an error finds its token's by scanning again.  A lone "!" or
+    quote is what `\\S` matched, so it is rejected with any other character
+    no token starts with.
     """
-    tokens = []
-    for m in _TOKEN_RE.finditer(sql):
-        kind = m.lastgroup
-        value = m.group(kind)
-        start = m.start(kind)
+    values = _TOKEN_RE.findall(sql)
+    kinds = []
+    append = kinds.append
+    for i, text in enumerate(values):
+        kind = _FIRST.get(text[0])
         if kind == "ident":
-            upper = value.upper()
+            if "." in text:
+                append("qualified")
+                continue
+            upper = text.upper()
             if upper in _KEYWORDS:
-                kind, value = "keyword", upper
+                append("keyword")
+                values[i] = upper
             elif upper in _REJECTED:
                 raise UnsupportedConstruct(f"{upper} is not supported",
-                                           *_position(sql, start))
-        elif kind == "string":
-            value = value[1:-1].replace("''", "'")
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {value!r}",
-                             *_position(sql, start))
-        tokens.append((kind, value, start))
-    tokens.append(("eof", "", len(sql)))
-    return tokens
+                                           *_token_position(sql, i))
+            else:
+                append("ident")
+        elif kind == "punct" or kind == "number" or (kind == "op" and text != "!"):
+            append(kind)
+        elif kind == "string" and len(text) > 1:
+            append("string")
+            values[i] = text[1:-1].replace("''", "'")
+        else:
+            raise ParseError(f"unexpected character {text!r}",
+                             *_token_position(sql, i))
+    append("eof")
+    values.append("")
+    return kinds, values
 
 
 def tokenize(sql):
     tokens = []
     line, line_start, seen = 1, -1, 0
-    for kind, value, offset in _scan(sql):
+    for kind, value, offset in zip(*_scan(sql), _offsets(sql)):
         breaks = sql.count("\n", seen, offset)
         if breaks:
             line += breaks
@@ -190,54 +258,49 @@ def tokenize(sql):
     return tokens
 
 
+def _column(qualified):
+    # the token has exactly one dot; tuple.__new__ skips ColumnRef's
+    # Python-level constructor
+    return tuple.__new__(ColumnRef, qualified.split("."))
+
+
 class _Parser:
-    """Recursive descent over `_scan` tokens, (kind, value, offset) tuples."""
+    """Recursive descent over the `_scan` token lists.
+
+    An error names the index of the token it is about, and only then is
+    the token's line and column looked up.
+    """
 
     def __init__(self, sql):
         self.sql = sql
-        self.tokens = _scan(sql)
+        self.kinds, self.values = _scan(sql)
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, message, at=None, error=ParseError):
+        """Raise at the token with index `at`, by default the next one."""
+        raise error(message, *_token_position(self.sql, self.pos if at is None else at))
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, *_position(self.sql, tok[2]))
-
-    def unsupported(self, message, tok=None):
-        tok = tok or self.peek()
-        raise UnsupportedConstruct(message, *_position(self.sql, tok[2]))
+    def unsupported(self, message, at=None):
+        self.error(message, at, UnsupportedConstruct)
 
     def expect_keyword(self, kw):
-        tok = self.next()
-        if tok[0] != "keyword" or tok[1] != kw:
-            self.error(f"expected {kw}, found {tok[1]!r}", tok)
-        return tok
+        pos = self.pos
+        if self.kinds[pos] != "keyword" or self.values[pos] != kw:
+            self.error(f"expected {kw}, found {self.values[pos]!r}", pos)
+        self.pos = pos + 1
 
-    def accept_keyword(self, kw):
-        kind, value, _ = self.tokens[self.pos]
-        if kind == "keyword" and value == kw:
-            self.pos += 1
-            return True
-        return False
-
-    def accept_punct(self, ch):
-        kind, value, _ = self.tokens[self.pos]
-        if kind == "punct" and value == ch:
-            self.pos += 1
+    def accept(self, kind, value):
+        pos = self.pos
+        if self.kinds[pos] == kind and self.values[pos] == value:
+            self.pos = pos + 1
             return True
         return False
 
     def expect_punct(self, ch):
-        tok = self.next()
-        if tok[0] != "punct" or tok[1] != ch:
-            self.error(f"expected {ch!r}, found {tok[1]!r}", tok)
+        pos = self.pos
+        if self.kinds[pos] != "punct" or self.values[pos] != ch:
+            self.error(f"expected {ch!r}, found {self.values[pos]!r}", pos)
+        self.pos = pos + 1
 
     # -- grammar ------------------------------------------------------------
 
@@ -247,143 +310,149 @@ class _Parser:
         self.expect_keyword("FROM")
         tables = self.table_list()
         join_conds, filters = [], []
-        if self.accept_keyword("WHERE"):
+        if self.accept("keyword", "WHERE"):
             join_conds, filters = self.condition_list()
         group_by = []
-        if self.accept_keyword("GROUP"):
+        if self.accept("keyword", "GROUP"):
             self.expect_keyword("BY")
             group_by = self.column_list()
-        self.accept_punct(";")
-        tok = self.peek()
-        if tok[0] != "eof":
-            self.error(f"trailing input {tok[1]!r}", tok)
+        self.accept("punct", ";")
+        if self.kinds[self.pos] != "eof":
+            self.error(f"trailing input {self.values[self.pos]!r}")
         return tables, columns, aggregates, group_by, join_conds, filters
 
     def select_list(self):
         # bare columns next to aggregates must be grouping columns; that is
         # validated against GROUP BY after parsing
+        kinds, values = self.kinds, self.values
         columns, aggregates = [], []
         while True:
-            kind, value, _ = self.peek()
-            if kind == "punct" and value == "*":
-                self.unsupported("SELECT * is not supported")
-            if kind == "ident" and value.upper() in AGG_FUNCTIONS:
+            kind, value = kinds[self.pos], values[self.pos]
+            if kind == "qualified":
+                self.pos += 1
+                columns.append(_column(value))
+            elif kind == "ident" and value.upper() in AGG_FUNCTIONS:
                 aggregates.append(self.aggregate_expr())
-            elif kind == "qualified":
-                columns.append(self.column_ref())
+            elif kind == "punct" and value == "*":
+                self.unsupported("SELECT * is not supported")
             else:
                 self.error(f"expected column or aggregate, found {value!r}")
-            if not self.accept_punct(","):
+            if not self.accept("punct", ","):
                 break
         return columns, aggregates
 
     def aggregate_expr(self):
-        fn_tok = self.next()
-        fn = fn_tok[1].upper()
+        start = self.pos
+        fn = self.values[start].upper()
+        self.pos += 1
         self.expect_punct("(")
-        distinct = self.accept_keyword("DISTINCT")
-        if self.accept_punct("*"):
+        distinct = self.accept("keyword", "DISTINCT")
+        if self.accept("punct", "*"):
             if fn != "COUNT" or distinct:
                 inner = "DISTINCT *" if distinct else "*"
-                self.error(f"{fn}({inner}) is not valid", fn_tok)
+                self.error(f"{fn}({inner}) is not valid", start)
             col = None
         else:
             col = self.column_ref()
-        kind, value, _ = self.peek()
-        if kind == "op" or (kind == "punct" and value == "("):
+        kind = self.kinds[self.pos]
+        if kind == "op" or (kind == "punct" and self.values[self.pos] == "("):
             self.unsupported("arithmetic inside aggregates is not supported")
         self.expect_punct(")")
         return SelectAggregate(fn, col, distinct)
 
     def column_ref(self):
-        tok = self.next()
-        if tok[0] != "qualified":
-            self.error(f"expected alias.attribute, found {tok[1]!r}", tok)
-        alias, attr = tok[1].split(".")
-        return ColumnRef(alias, attr)
+        pos = self.pos
+        if self.kinds[pos] != "qualified":
+            self.error(f"expected alias.attribute, found {self.values[pos]!r}")
+        self.pos = pos + 1
+        return _column(self.values[pos])
 
     def column_list(self):
         cols = [self.column_ref()]
-        while self.accept_punct(","):
+        while self.accept("punct", ","):
             cols.append(self.column_ref())
         return cols
 
     def table_list(self):
+        kinds, values = self.kinds, self.values
+        pos = self.pos
         tables = []
         while True:
-            tok = self.next()
-            if tok[0] != "ident":
-                self.error(f"expected table name, found {tok[1]!r}", tok)
-            name = tok[1]
-            if self.accept_keyword("AS"):
-                alias_tok = self.next()
-                if alias_tok[0] != "ident":
-                    self.error("expected alias after AS", alias_tok)
-                alias = alias_tok[1]
-            elif self.peek()[0] == "ident":
-                alias = self.next()[1]
+            name = values[pos]
+            if kinds[pos] != "ident":
+                self.error(f"expected table name, found {name!r}", pos)
+            kind = kinds[pos + 1]
+            if kind == "keyword" and values[pos + 1] == "AS":
+                if kinds[pos + 2] != "ident":
+                    self.error("expected alias after AS", pos + 2)
+                alias = values[pos + 2]
+                pos += 3
+            elif kind == "ident":
+                alias = values[pos + 1]  # bare alias
+                pos += 2
             else:
                 alias = name  # bare table auto-aliased to itself
+                pos += 1
             tables.append((name, alias))
-            if not self.accept_punct(","):
+            if kinds[pos] != "punct" or values[pos] != ",":
                 break
+            pos += 1
+        self.pos = pos
         return tables
 
     def condition_list(self):
+        kinds, values = self.kinds, self.values
+        pos = self.pos
         join_conds, filters = [], []
         while True:
-            left = self.column_ref()
-            op_tok = self.next()
-            if op_tok[0] != "op":
-                self.error(f"expected comparison operator, found {op_tok[1]!r}", op_tok)
-            op = "!=" if op_tok[1] == "<>" else op_tok[1]
-            kind, value, _ = tok = self.peek()
+            if kinds[pos] != "qualified":
+                self.error(f"expected alias.attribute, found {values[pos]!r}", pos)
+            left = _column(values[pos])
+            op = values[pos + 1]
+            if kinds[pos + 1] != "op":
+                self.error(f"expected comparison operator, found {op!r}", pos + 1)
+            if op == "<>":
+                op = "!="
+            kind, value = kinds[pos + 2], values[pos + 2]
             if kind == "qualified":
-                right = self.column_ref()
+                right = _column(value)
                 if op != "=":
-                    self.unsupported("non-equality conditions between columns", op_tok)
+                    self.unsupported("non-equality conditions between columns", pos + 1)
                 if left == right:
-                    self.error("join condition must relate two distinct columns", op_tok)
+                    self.error("join condition must relate two distinct columns", pos + 1)
                 join_conds.append((left, right))
             elif kind == "number":
-                self.pos += 1
                 filters.append((left, op, float(value) if "." in value else int(value)))
             elif kind == "string":
-                self.pos += 1
                 filters.append((left, op, value))
             elif kind == "keyword" and value == "SELECT":
-                self.unsupported("subqueries are not supported")
+                self.unsupported("subqueries are not supported", pos + 2)
             else:
-                self.error(f"expected literal or column, found {value!r}", tok)
-            if not self.accept_keyword("AND"):
+                self.error(f"expected literal or column, found {value!r}", pos + 2)
+            pos += 3
+            if kinds[pos] != "keyword" or values[pos] != "AND":
                 break
+            pos += 1
+        self.pos = pos
         return join_conds, filters
 
 
 def parse_query(sql: str) -> QuerySpec:
-    parser = _Parser(sql)
-    tables, columns, aggregates, group_by, join_conds, filters = parser.parse()
+    tables, columns, aggregates, group_by, join_conds, filters = _Parser(sql).parse()
     aliases = [a for _, a in tables]
-    if len(set(aliases)) != len(aliases):
-        raise ParseError(f"duplicate alias in FROM clause: {aliases}")
     known = set(aliases)
-
-    def check(col: ColumnRef):
-        if col.alias not in known:
-            raise ParseError(f"unknown alias {col.alias!r} in {col}")
-
-    for col in columns:
-        check(col)
-    for agg in aggregates:
-        if agg.column is not None:
-            check(agg.column)
-    for col in group_by:
-        check(col)
-    for l, r in join_conds:
-        check(l)
-        check(r)
-    for col, _, _ in filters:
-        check(col)
+    if len(known) != len(aliases):
+        raise ParseError(f"duplicate alias in FROM clause: {aliases}")
+    # every column written, in the order they are checked
+    refs = list(columns)
+    refs += [a.column for a in aggregates if a.column is not None]
+    refs += group_by
+    refs += chain.from_iterable(join_conds)
+    refs += [col for col, _, _ in filters]
+    if not known.issuperset(map(itemgetter(0), refs)):
+        for col in refs:
+            if col.alias not in known:
+                raise ParseError(f"unknown alias {col.alias!r} in {col}")
     if aggregates:
         for col in columns:
             if col not in group_by:
@@ -411,11 +480,12 @@ def normalize(spec: QuerySpec, db=None) -> NormalizedCQ:
     Class ids are the representative "alias.attr" with the lowest FROM
     position (ties broken by attribute name).  When a database is supplied,
     every table column participates (unmentioned ones as singletons);
-    otherwise only columns referenced by the query.
+    otherwise only columns referenced by the query.  The returned query
+    carries the query IR (see `NormalizedCQ`), built here once.
     """
-    # union-find over (alias, attr) tuples; a ColumnRef is one, so spec
-    # columns and plain tuples for table columns find the same entries.
-    # Insertion order is first-mention order.
+    # union-find over the join-condition columns, (alias, attr) tuples; a
+    # ColumnRef is one, so spec columns and plain tuples for table columns
+    # find the same entries.  Insertion order is first-mention order.
     parent = {}
 
     def find(col):
@@ -428,53 +498,61 @@ def normalize(spec: QuerySpec, db=None) -> NormalizedCQ:
             parent[col], col = root, parent[col]
         return root
 
+    # a column whose parent is a root needs no `find`
     for l, r in spec.join_conds:
-        parent.setdefault(l, l)
-        parent.setdefault(r, r)
-        root_l, root_r = find(l), find(r)
+        root_l = parent.setdefault(l, l)
+        if parent[root_l] != root_l:
+            root_l = find(l)
+        root_r = parent.setdefault(r, r)
+        if parent[root_r] != root_r:
+            root_r = find(r)
         if root_l != root_r:
             parent[root_r] = root_l
-    for col in spec.select_columns:
-        parent.setdefault(col, col)
-    for agg in spec.select_aggregates:
-        if agg.column is not None:
-            parent.setdefault(agg.column, agg.column)
-    for col in spec.group_by:
-        parent.setdefault(col, col)
-    for col, _, _ in spec.filters:
-        parent.setdefault(col, col)
+    # renamings list each atom's attributes in class order, then first
+    # mention.  Every join-condition column is mentioned before any other,
+    # so the join classes come first, in the order of their first members;
+    # then each other column is a class alone, in first-mention order.
+    members = {}
+    for col, root in parent.items():
+        if parent[root] != root:
+            root = find(col)
+        members.setdefault(root, []).append(col)
+    alias_pos = {}
+    renamings = {}
+    for pos, (_, alias) in enumerate(spec.tables):
+        alias_pos[alias] = pos
+        renamings[alias] = {}
+    for group in members.values():
+        alias, attr = group[0]
+        if len(group) > 1:  # the member first in FROM order, then by name
+            best = alias_pos[alias]
+            for a, t in group:
+                pos = alias_pos[a]
+                if pos < best or (pos == best and t < attr):
+                    alias, attr, best = a, t, pos
+        cid = f"{alias}.{attr}"
+        for alias, attr in group:
+            renamings[alias][attr] = cid
+    for alias, attr in chain(
+            spec.select_columns,
+            [a.column for a in spec.select_aggregates if a.column is not None],
+            spec.group_by,
+            [col for col, _, _ in spec.filters]):
+        renaming = renamings[alias]
+        if attr not in renaming:
+            renaming[attr] = f"{alias}.{attr}"
     if db is not None:
         for name, alias in spec.tables:
+            renaming = renamings[alias]
             for attr in db.table(name).schema:
-                col = (alias, attr)
-                parent.setdefault(col, col)
-
-    classes = {}
-    for col in parent:
-        classes.setdefault(find(col), []).append(col)
-    alias_pos = {a: i for i, (_, a) in enumerate(spec.tables)}
-    class_id = {}
-    renamings = {alias: {} for alias in alias_pos}
-    for members in classes.values():
-        if len(members) == 1:
-            rep = members[0]
-        else:
-            rep = min(members, key=lambda c: (alias_pos[c[0]], c[1]))
-        cid = f"{rep[0]}.{rep[1]}"
-        for col in members:
-            class_id[col] = cid
-    # renamings list each atom's attributes in class order, then first mention
-    for (alias, attr), cid in class_id.items():
-        renamings[alias][attr] = cid
-    atoms = [
-        Atom(alias=alias, table=name, renaming=renamings[alias])
-        for name, alias in spec.tables
-    ]
+                if attr not in renaming:
+                    renaming[attr] = f"{alias}.{attr}"
+    atoms = [Atom(alias, name, renamings[alias]) for name, alias in spec.tables]
 
     filters = {}
-    for col, op, literal in spec.filters:
-        filters.setdefault(col.alias, []).append(
-            Predicate(class_id[col], op, literal)
+    for (alias, attr), op, literal in spec.filters:
+        filters.setdefault(alias, []).append(
+            Predicate(renamings[alias][attr], op, literal)
         )
 
     if spec.is_aggregate:
@@ -489,21 +567,19 @@ def normalize(spec: QuerySpec, db=None) -> NormalizedCQ:
             aggregates=[
                 Aggregate(
                     a.fn,
-                    class_id[a.column] if a.column is not None else None,
+                    None if a.column is None else renamings[a.column[0]][a.column[1]],
                     a.distinct,
                 )
                 for a in spec.select_aggregates
             ],
-            group_by=[class_id[c] for c in spec.group_by],
+            group_by=[renamings[alias][attr] for alias, attr in spec.group_by],
             source_aliases=source_aliases,
         )
     else:
         output = OutputSpec(
             kind="enumeration",
-            columns=[class_id[c] for c in spec.select_columns],
-            source_aliases=list(
-                dict.fromkeys(c.alias for c in spec.select_columns)
-            ),
+            columns=[renamings[alias][attr] for alias, attr in spec.select_columns],
+            source_aliases=list(dict.fromkeys([c[0] for c in spec.select_columns])),
         )
     return NormalizedCQ(atoms=atoms, filters=filters, output=output)
 

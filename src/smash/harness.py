@@ -7,6 +7,8 @@ The end-to-end report compares Base, Rewriting, the learned SMASH
 selector (charged the chosen strategy's measured mean plus the measured
 decision latency), and the per-query oracle best, and splits the decision
 latency into its normalize, analyze, estimate, features and predict stages.
+Timed repetitions and each query's decision run with the garbage collector
+off, so neither includes a collector pause.
 """
 
 from __future__ import annotations
@@ -280,18 +282,25 @@ def smash_e2e(db: Database, test_queries, model, threshold, log: RunLog) -> E2eR
         if base is None or rewr is None:
             raise MissingStrategy(f"query {qid} missing from the run log")
         # one shared timestamp at each stage boundary, so the stages of a
-        # query add up to its latency exactly
-        marks = [time.perf_counter()]
-        cq = normalize(spec, db)
-        marks.append(time.perf_counter())
-        tree, _ = analyze(cq)
-        marks.append(time.perf_counter())
-        est = estimate_cardinalities(cq, db)
-        marks.append(time.perf_counter())
-        fv = extract_features(cq, tree, est)
-        marks.append(time.perf_counter())
-        choice = decide(model, fv, threshold)
-        marks.append(time.perf_counter())
+        # query add up to its latency exactly; collector pauses are noise at
+        # microsecond scales, so the collector is off in the timed region
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            marks = [time.perf_counter()]
+            cq = normalize(spec, db)
+            marks.append(time.perf_counter())
+            tree, _ = analyze(cq)
+            marks.append(time.perf_counter())
+            est = estimate_cardinalities(cq, db)
+            marks.append(time.perf_counter())
+            fv = extract_features(cq, tree, est)
+            marks.append(time.perf_counter())
+            choice = decide(model, fv, threshold)
+            marks.append(time.perf_counter())
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         latency = marks[-1] - marks[0]
         latencies.append(latency)
         for stage, start, end in zip(DECISION_STAGES, marks, marks[1:]):

@@ -17,8 +17,10 @@ engine's result on a SQL engine such as stdlib sqlite3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import takewhile
 from operator import itemgetter
+from typing import NamedTuple
 
 from .engine import (
     Database,
@@ -45,8 +47,7 @@ _KINDS = {
 }
 
 
-@dataclass
-class Statement:
+class Statement(NamedTuple):
     name: str | None
     form: tuple  # structural form: the op, then its operands
 
@@ -56,7 +57,12 @@ class Statement:
         return _KINDS[self.form[0]]
 
 
-@dataclass
+# Statement((name, form)) without the Python-level constructor, for the
+# emitter's many statements
+_statement = partial(tuple.__new__, Statement)
+
+
+@dataclass(slots=True)
 class StatementSequence:
     statements: list = field(default_factory=list)
     # node -> artifact holding its fully reduced relation (top-down pass);
@@ -87,30 +93,29 @@ class StatementSequence:
 
 
 class _Emitter:
+    """Plans the statements of one join tree from the query IR: each
+    atom's class set is its bitmask, so projections are mask operations."""
+
     def __init__(self, tree, cq):
         self.tree = tree
         self.cq = cq
         self.statements = []
         self.art = {}  # node -> its bottom-up pass artifact
         self.finished = []  # nodes in the order that pass finishes them
-        # views are numbered by 1-based FROM position of the atom
-        self.view_name = {i: f"E{i + 1}" for i in range(len(cq.atoms))}
         self.children_of = tree.children()
 
-    def _children(self, node):
-        # higher FROM positions are semi-joined in first (E3E2 before E1)
-        return sorted(self.children_of[node], reverse=True)
-
     def _add(self, name, *form):
-        self.statements.append(Statement(name, form))
+        self.statements.append(_statement((name, form)))
         return name
 
     def bottom_up_semijoins(self, node, aggregate_at_root=False):
         """A view plus one semi-join table per (node, child); returns the
         node's accumulated artifact name and records it in `art`, and the
-        node in `finished`, children before their parents."""
-        acc = self._add(self.view_name[node], "atom", node)
-        children = self._children(node)
+        node in `finished`, children before their parents.  Views are
+        numbered by the 1-based FROM position of their atom, and higher
+        FROM positions are semi-joined in first (E3E2 before E1)."""
+        acc = self._add(f"E{node + 1}", "atom", node)
+        children = sorted(self.children_of[node], reverse=True)
         at_root = aggregate_at_root and self.tree.parent[node] is None
         if at_root and not children:
             acc = self._add(acc + "A", "aggregate", acc)
@@ -133,39 +138,37 @@ class _Emitter:
             return self.statements, {}
 
         # top-down semi-joins, parents before their children
-        art = self.art
+        art, parent_of = self.art, tree.parent
         topdown = {tree.root: art[tree.root]}
         for node in reversed(self.finished[:-1]):
             topdown[node] = self._add(
-                f"D{self.view_name[node][1:]}",
-                "semijoin", art[node], topdown[tree.parent[node]],
+                f"D{node + 1}", "semijoin", art[node], topdown[parent_of[node]],
             )
 
-        # bottom-up joins with projection
-        output_attrs = set(cq.output.needed_classes())
+        # bottom-up joins, each projected on the classes the output or the
+        # parent needs, in class-id order
+        masks = cq.masks
+        output = cq.mask_of(cq.output.needed_classes())
+        by_name = None  # (class id, bit) in class-id order, once a join needs it
         joined = {}
-        schema = {n: set(cq.atoms[n].renaming.values()) for n in tree.nodes}
-        sub_schema = {}
+        sub_mask = {}
         for node in self.finished:
             children = self.children_of[node]
-            attrs = set(schema[node])
+            attrs = masks[node]
             for c in children:
-                attrs |= sub_schema[c]
-            parent = tree.parent[node]
-            if parent is None:
-                keep = sorted(a for a in attrs if a in output_attrs)
-            else:
-                keep = sorted(
-                    a for a in attrs if a in output_attrs or a in schema[parent]
-                )
-            sub_schema[node] = set(keep)
+                attrs |= sub_mask[c]
+            parent = parent_of[node]
+            keep = attrs & (output if parent is None else output | masks[parent])
+            sub_mask[node] = keep
             if not children:
                 joined[node] = topdown[node]
                 continue
             sources = [joined[c] for c in children]
+            if by_name is None:
+                by_name = sorted([(cid, 1 << i) for cid, i in cq.class_index.items()])
             joined[node] = self._add(
-                f"F{self.view_name[node][1:]}",
-                "join_project", topdown[node], sources, keep,
+                f"F{node + 1}", "join_project", topdown[node], sources,
+                [cid for cid, bit in by_name if keep & bit],
             )
 
         root_art = joined[tree.root]
@@ -178,8 +181,10 @@ class _Emitter:
         return self.statements, topdown
 
     def _drops(self):
-        for s in reversed([x for x in self.statements if x.kind in ("CreateView", "CreateTable")]):
-            self._add(s.name, "drop", s.name)
+        """Every view and table, dropped in the reverse order of creation;
+        they are the statements with a name so far."""
+        created = [s.name for s in self.statements if s.name is not None]
+        self.statements += [_statement((name, ("drop", name))) for name in reversed(created)]
 
 
 def rewrite(tree, cq, db: Database | None = None) -> StatementSequence:

@@ -81,6 +81,125 @@ def test_error_positions(sql, error, line, column):
     assert str(info.value).endswith(f"(line {line}, column {column})")
 
 
+# One statement per raise site of the frontend, with the type, message,
+# line and column it raised before the tokenizer read tokens with
+# `findall`: every error must keep all four.  Errors found after parsing
+# carry no position.
+_ERROR_PARITY = [
+    ('SELECT R.a FROM R WHERE R.a = 1 # 2',
+     ParseError, "unexpected character '#'", 1, 33),
+    ("SELECT R.a FROM R WHERE R.b = 'unterminated",
+     ParseError, 'unexpected character "\'"', 1, 31),
+    ('SELECT R.a FROM R WHERE R.a = 1 OR R.a = 2',
+     UnsupportedConstruct, 'OR is not supported', 1, 33),
+    ('SELECT R.a FROM R JOIN S',
+     UnsupportedConstruct, 'JOIN is not supported', 1, 19),
+    ('SELECT R.a FROM R LEFT S',
+     UnsupportedConstruct, 'LEFT is not supported', 1, 19),
+    ('SELECT R.a FROM R right S',
+     UnsupportedConstruct, 'RIGHT is not supported', 1, 19),
+    ('SELECT R.a FROM R Inner S',
+     UnsupportedConstruct, 'INNER is not supported', 1, 19),
+    ('SELECT R.a FROM R OUTER S',
+     UnsupportedConstruct, 'OUTER is not supported', 1, 19),
+    ('SELECT R.a FROM R WHERE EXISTS (SELECT S.a FROM S)',
+     UnsupportedConstruct, 'EXISTS is not supported', 1, 25),
+    ('SELECT R.a FROM R WHERE R.a IN (1, 2)',
+     UnsupportedConstruct, 'IN is not supported', 1, 29),
+    ('SELECT R.a FROM R WHERE R.a BETWEEN 1 AND 2',
+     UnsupportedConstruct, 'BETWEEN is not supported', 1, 29),
+    ("SELECT R.a FROM R WHERE R.b LIKE 'x%'",
+     UnsupportedConstruct, 'LIKE is not supported', 1, 29),
+    ('SELECT R.a FROM R UNION SELECT S.a FROM S',
+     UnsupportedConstruct, 'UNION is not supported', 1, 19),
+    ('SELECT R.a FROM R WHERE NOT R.a = 1',
+     UnsupportedConstruct, 'NOT is not supported', 1, 25),
+    ('SELECT MIN(R.a) FROM R GROUP BY R.b HAVING MIN(R.a) > 1',
+     UnsupportedConstruct, 'HAVING is not supported', 1, 37),
+    ('SELECT R.a FROM R ORDER BY R.a',
+     UnsupportedConstruct, 'ORDER is not supported', 1, 19),
+    ('SELECT R.a FROM R LIMIT 3',
+     UnsupportedConstruct, 'LIMIT is not supported', 1, 19),
+    ('',
+     ParseError, "expected SELECT, found ''", 1, 1),
+    ('FROM R',
+     ParseError, "expected SELECT, found 'FROM'", 1, 1),
+    ('SELECT R.a WHERE R.a = 1',
+     ParseError, "expected FROM, found 'WHERE'", 1, 12),
+    ('SELECT MIN(R.a) FROM R GROUP R.a',
+     ParseError, "expected BY, found 'R.a'", 1, 30),
+    ('SELECT MIN R.a FROM R',
+     ParseError, "expected '(', found 'R.a'", 1, 12),
+    ('SELECT MIN(R.a FROM R',
+     ParseError, "expected ')', found 'FROM'", 1, 16),
+    ('SELECT R.a FROM R WHERE R.a = 1 junk',
+     ParseError, "trailing input 'junk'", 1, 33),
+    ('SELECT * FROM R',
+     UnsupportedConstruct, 'SELECT * is not supported', 1, 8),
+    ('SELECT 1 FROM R',
+     ParseError, "expected column or aggregate, found '1'", 1, 8),
+    ('SELECT MIN(*) FROM R',
+     ParseError, 'MIN(*) is not valid', 1, 8),
+    ('SELECT COUNT(DISTINCT *) FROM R',
+     ParseError, 'COUNT(DISTINCT *) is not valid', 1, 8),
+    ('SELECT SUM(R.a + 1) FROM R',
+     ParseError, "unexpected character '+'", 1, 16),
+    ('SELECT MAX(R.a (1)) FROM R',
+     UnsupportedConstruct, 'arithmetic inside aggregates is not supported', 1, 16),
+    ('SELECT MIN(a) FROM R',
+     ParseError, "expected alias.attribute, found 'a'", 1, 12),
+    ("SELECT R.a FROM 'R'",
+     ParseError, "expected table name, found 'R'", 1, 17),
+    ('SELECT R.a FROM R AS 3',
+     ParseError, 'expected alias after AS', 1, 22),
+    ('SELECT R.a FROM R WHERE R.a R.b',
+     ParseError, "expected comparison operator, found 'R.b'", 1, 29),
+    ('SELECT R.a FROM R, S WHERE R.a < S.a',
+     UnsupportedConstruct, 'non-equality conditions between columns', 1, 32),
+    ('SELECT R.a FROM R WHERE R.a = R.a',
+     ParseError, 'join condition must relate two distinct columns', 1, 29),
+    ('SELECT R.a FROM R WHERE R.a = SELECT S.a FROM S',
+     UnsupportedConstruct, 'subqueries are not supported', 1, 31),
+    ('SELECT R.a FROM R WHERE R.a = (1)',
+     ParseError, "expected literal or column, found '('", 1, 31),
+    ('SELECT R.a FROM R, S AS R',
+     ParseError, "duplicate alias in FROM clause: ['R', 'R']", None, None),
+    ('SELECT Z.a FROM R',
+     ParseError, "unknown alias 'Z' in Z.a", None, None),
+    ('SELECT MIN(Z.a) FROM R',
+     ParseError, "unknown alias 'Z' in Z.a", None, None),
+    ('SELECT MIN(R.a) FROM R GROUP BY Z.b',
+     ParseError, "unknown alias 'Z' in Z.b", None, None),
+    ('SELECT R.a FROM R, S WHERE R.a = Z.a',
+     ParseError, "unknown alias 'Z' in Z.a", None, None),
+    ('SELECT R.a FROM R WHERE Z.a = 1',
+     ParseError, "unknown alias 'Z' in Z.a", None, None),
+    ('SELECT R.b, MIN(R.a) FROM R',
+     ParseError, 'bare column R.b must appear in GROUP BY', None, None),
+    ('SELECT R.a FROM R GROUP BY R.a',
+     ParseError, 'GROUP BY without aggregates', None, None),
+    ('SELECT R.a\nFROM R\nWHERE R.a = 1 OR R.a = 2',
+     UnsupportedConstruct, 'OR is not supported', 3, 15),
+    ('SELECT R.a,\n  S.b\nFROM R, S WHERE R.a ~ S.b',
+     ParseError, "unexpected character '~'", 3, 21),
+    ("SELECT R.a\r\nFROM R\n WHERE R.a = 'x\ny' junk",
+     ParseError, "trailing input 'junk'", 4, 4),
+    # a string literal ends at its last quote that can close it
+    ("SELECT R.a FROM R WHERE R.b = 'abc'' ",
+     ParseError, 'unexpected character "\'"', 1, 36),
+]
+
+
+@pytest.mark.parametrize("sql,error,message,line,column", _ERROR_PARITY)
+def test_error_parity(sql, error, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_query(sql)
+    assert type(info.value) is error
+    assert (info.value.line, info.value.column) == (line, column)
+    position = "" if line is None else f" (line {line}, column {column})"
+    assert str(info.value) == message + position
+
+
 def test_trailing_whitespace_after_semicolon_accepted():
     assert parse_query("SELECT R.a FROM R WHERE R.a = 1;  \n ").filters
 

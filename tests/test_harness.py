@@ -1,5 +1,6 @@
 """Harness tests: run protocol, dataset assembly, e2e accounting."""
 
+import gc
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from smash.engine import estimate_cardinalities
 from smash.errors import MissingStrategy
 from smash.features import extract_features
 from smash.frontend import normalize, parse_query
+from smash import harness
 from smash.harness import (
     BASE,
     DECISION_STAGES,
@@ -202,3 +204,48 @@ class TestSmashE2e:
             assert summary[stage]["p99_s"] == max(stages[stage])
         text = report.to_text().splitlines()
         assert [line.split()[0] for line in text[-6:]] == [*DECISION_STAGES, "total"]
+
+
+class TestDecisionTimingWithoutCollector:
+    """The timed decision region runs with the collector off and restores
+    the collector's earlier state, also when a stage raises."""
+
+    def test_collector_off_inside_and_restored_after(self, chain_db, chain_run,
+                                                     monkeypatch):
+        queries, log = chain_run
+        seen = []
+
+        def recording_decide(*args):
+            seen.append(gc.isenabled())
+            return harness_decide(*args)
+
+        harness_decide = harness.decide
+        monkeypatch.setattr(harness, "decide", recording_decide)
+        assert gc.isenabled()
+        smash_e2e(chain_db, queries, constant_model(0.5), 0.0, log)
+        assert seen == [False] * len(queries)
+        assert gc.isenabled()
+
+    def test_restored_when_a_stage_raises(self, chain_db, chain_run, monkeypatch):
+        queries, log = chain_run
+        seen = []
+
+        def failing_estimate(*args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("estimator failed")
+
+        monkeypatch.setattr(harness, "estimate_cardinalities", failing_estimate)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="estimator failed"):
+            smash_e2e(chain_db, queries, constant_model(0.5), 0.0, log)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, chain_db, chain_run):
+        queries, log = chain_run
+        gc.disable()
+        try:
+            smash_e2e(chain_db, queries, constant_model(0.5), 0.0, log)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

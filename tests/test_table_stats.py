@@ -240,8 +240,9 @@ def _outcome(fn, *args):
 def test_atom_stats_match_the_scanning_reference():
     sampled = 0
     for args in _atoms_of_corpus():
-        cq, atom = args[:2]
-        assert _outcome(_atom_stats, *args) == \
+        cq, atom, db, _ = args
+        i = next(i for i, a in enumerate(cq.atoms) if a is atom)
+        assert _outcome(_atom_stats, cq, i, db) == \
             _outcome(_reference_atom_stats, *args), atom
         classes = atom.renaming.values()
         sampled += bool(cq.filters.get(atom.alias)
