@@ -9,8 +9,9 @@ plan, and it has two readings.  `interpret_sequence` runs it on the
 in-memory engine, and `full_reduce` runs its filters and both semi-join
 passes, so the plan is the one implementation of the Yannakakis passes.
 `StatementSequence.render` writes it as plain SQL, one statement per form:
-views rename every column to its class id, and semi-joins and joins state
-their equalities on the class columns they share, so the text computes the
+views rename every column to its class id, semi-joins keep the left rows
+whose shared class columns are IN the right side's, and joins state their
+equalities on the class columns they share, so the text computes the
 engine's result on a SQL engine such as stdlib sqlite3.
 """
 
@@ -371,11 +372,18 @@ def _needs_cast(db, table, column, literal):
 
 
 def _semi_joined(left, right, columns):
-    """FROM operand of `semi_join(left, right)`: the left rows with a right
-    row equal on every class column the two share."""
-    on = [f"{left}.{_quote(c)} = {right}.{_quote(c)}"
-          for c in columns[left] if c in columns[right]]
-    return f"{left} WHERE EXISTS (SELECT 1 FROM {right}{_where(on)})"
+    """FROM operand of `semi_join(left, right)`: the left rows whose class
+    columns shared with the right side, as a row value (or a bare column
+    for one key), are IN the right side's.  sqlite3 runs the IN subquery
+    once into a lookup index, where a correlated EXISTS scans the right
+    side once per left row.  Sides that share no column keep EXISTS: the
+    left rows survive iff the right side has a row."""
+    keys = [_quote(c) for c in columns[left] if c in columns[right]]
+    if not keys:
+        return f"{left} WHERE EXISTS (SELECT 1 FROM {right})"
+    cols = ", ".join(keys)
+    row = cols if len(keys) == 1 else f"({cols})"
+    return f"{left} WHERE {row} IN (SELECT {cols} FROM {right})"
 
 
 def _aggregate(output, source):

@@ -66,11 +66,30 @@ class TestEmission:
             'DownVotes AS "u.DownVotes" FROM users WHERE DownVotes = 0'
         )
         assert text[2] == (
-            "CREATE UNLOGGED TABLE E3E2 AS SELECT * FROM E3 WHERE EXISTS "
-            '(SELECT 1 FROM E2 WHERE E3."v.UserId" = E2."v.UserId")'
+            'CREATE UNLOGGED TABLE E3E2 AS SELECT * FROM E3 WHERE "v.UserId" '
+            'IN (SELECT "v.UserId" FROM E2)'
         )
-        assert 'SELECT MIN("v.UserId") AS EXPR$0 FROM E3E2 WHERE EXISTS' in text[4]
+        assert text[4] == (
+            'CREATE UNLOGGED TABLE E3E2E1 AS SELECT MIN("v.UserId") AS EXPR$0 '
+            'FROM E3E2 WHERE "v.UserId" IN (SELECT "v.UserId" FROM E1)'
+        )
         assert text[5] == "SELECT * FROM E3E2E1"
+
+    def test_semijoin_on_two_keys_is_a_row_value_in(self):
+        _, _, seq = rewritten(
+            "SELECT MIN(R.a) FROM R, S WHERE R.a = S.a AND R.b = S.b"
+        )
+        assert seq.render(with_drops=False)[2] == (
+            'CREATE UNLOGGED TABLE E1E2 AS SELECT MIN("R.a") AS EXPR$0 FROM E1 '
+            'WHERE ("R.a", "R.b") IN (SELECT "R.a", "R.b" FROM E2)'
+        )
+
+    def test_semijoin_without_shared_columns_keeps_exists(self):
+        _, _, seq = rewritten("SELECT MIN(R.a) FROM R, S")
+        assert seq.render(with_drops=False)[2] == (
+            'CREATE UNLOGGED TABLE E1E2 AS SELECT MIN("R.a") AS EXPR$0 FROM E1 '
+            "WHERE EXISTS (SELECT 1 FROM E2)"
+        )
 
     def test_join_states_its_predicates(self):
         _, _, seq = rewritten(

@@ -28,8 +28,9 @@ from conftest import oracle_rows, random_specs, result_multiset, selector_wide
 from test_plan_equivalence import _HAND_SQL, _hand_db
 
 # sqlite3 virtual-machine steps one rendered statement may take.  The
-# largest statement of the corpora below takes about 11M: sqlite3 runs a
-# correlated EXISTS by scanning the inner table once per outer row.
+# largest statement of the corpora below takes about 85K since semi-joins
+# render as IN; as a correlated EXISTS, which sqlite3 runs by scanning the
+# inner table once per outer row, one took about 11M.
 STEP_BUDGET = 50_000_000
 _STEPS_PER_CHECK = 10_000
 
