@@ -153,7 +153,10 @@ class NormalizedCQ:
 # one match per token: leading whitespace is skipped before the one
 # unnamed group, and any other character no alternative accepts is a token
 # of its own, which the scanner rejects.  `findall` returns the tokens'
-# texts, and a token's first character tells its kind.
+# texts, and a token's first character tells its kind.  Quantifiers are
+# possessive where giving characters back cannot change the match; a string
+# literal may give back a doubled quote, so that an unterminated literal
+# still ends at its last quote that can close it.
 _TOKEN_RE = re.compile(
     r"""
     \s*+
