@@ -182,6 +182,7 @@ _FIRST = {
 _KEYWORDS = {"SELECT", "FROM", "WHERE", "AND", "AS", "GROUP", "BY", "DISTINCT"}
 _REJECTED = {"OR", "JOIN", "LEFT", "RIGHT", "INNER", "OUTER", "EXISTS", "IN",
              "BETWEEN", "LIKE", "UNION", "NOT", "HAVING", "ORDER", "LIMIT"}
+_LONGEST_WORD = max(map(len, _KEYWORDS | _REJECTED))  # longer is an identifier
 
 
 class Token(NamedTuple):
@@ -225,6 +226,12 @@ def _scan(sql):
         if kind == "ident":
             if "." in text:
                 append("qualified")
+                continue
+            if text in _KEYWORDS:  # already upper case
+                append("keyword")
+                continue
+            if len(text) > _LONGEST_WORD:
+                append("ident")
                 continue
             upper = text.upper()
             if upper in _KEYWORDS:
@@ -544,13 +551,14 @@ def normalize(spec: QuerySpec, db=None) -> NormalizedCQ:
         renaming = renamings[alias]
         if attr not in renaming:
             renaming[attr] = f"{alias}.{attr}"
-    if db is not None:
-        for name, alias in spec.tables:
-            renaming = renamings[alias]
+    atoms = []
+    for name, alias in spec.tables:
+        renaming = renamings[alias]
+        if db is not None:
             for attr in db.table(name).schema:
                 if attr not in renaming:
                     renaming[attr] = f"{alias}.{attr}"
-    atoms = [Atom(alias, name, renamings[alias]) for name, alias in spec.tables]
+        atoms.append(Atom(alias, name, renaming))
 
     filters = {}
     for (alias, attr), op, literal in spec.filters:
