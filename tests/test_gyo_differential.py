@@ -23,6 +23,7 @@ from smash.acyclic import (
     OmaResult,
     analyze,
     build_hypergraph,
+    check_connectedness,
     gyo_reduce,
 )
 from smash.engine import Aggregate
@@ -238,8 +239,6 @@ def test_generated_hypergraphs_include_cyclic_ones():
     {0: 1, 1: 0, 2: None},  # a cycle, not a tree
 ])
 def test_connectedness_matches_the_oracle_on_given_trees(parent):
-    from smash.acyclic import check_connectedness
-
     cq = normalize(parse_query(
         "SELECT MIN(R.a) FROM R, S, T WHERE R.b = S.b AND S.c = T.c"))
     tree = JoinTree(nodes=[0, 1, 2], parent=parent, root=2)

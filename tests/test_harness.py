@@ -5,12 +5,12 @@ import json
 
 import pytest
 
+from smash import harness
 from smash.acyclic import analyze
 from smash.engine import estimate_cardinalities
 from smash.errors import MissingStrategy
 from smash.features import extract_features
 from smash.frontend import normalize, parse_query
-from smash import harness
 from smash.harness import (
     BASE,
     DECISION_STAGES,
