@@ -47,7 +47,7 @@ class JoinTree:
     oma_flag: bool = False
     guard: int | None = None
     _children: dict = field(default=None, init=False, repr=False, compare=False)
-    _levels: list = field(default=None, init=False, repr=False, compare=False)
+    _depth: int = field(default=None, init=False, repr=False, compare=False)
 
     def children(self):
         """node -> its children in node order, for every node (shared: do
@@ -61,28 +61,31 @@ class JoinTree:
             self._children = kids
         return self._children
 
-    def levels(self):
-        """The nodes reachable from the root, level by level; every node
-        when the parent map is a tree."""
-        if self._levels is None:
+    def depth(self):
+        """Edges on the longest root-to-leaf path.
+
+        Walks down from the root level by level.  Every node but the root
+        is reached only through its one parent, so a node is reached twice
+        only on a cycle through the root; the walk stops there, once it
+        has seen more nodes than the tree has.
+        """
+        if self._depth is None:
             kids = self.children()
-            levels = [[self.root]]
+            level = [self.root]
+            seen = depth = 0
             while True:
-                below = [c for u in levels[-1] for c in kids[u]]
+                seen += len(level)
+                if seen > len(self.nodes):
+                    break
+                below = [c for u in level for c in kids[u]]
                 if not below:
                     break
-                levels.append(below)
-            self._levels = levels
-        return self._levels
-
-    def is_tree(self):
-        return sum(map(len, self.levels())) == len(self.nodes)
-
-    def depth(self):
-        """Edges on the longest root-to-leaf path."""
-        if not self.is_tree():
-            raise InvalidJoinTree(f"parent map is not a tree rooted at {self.root}")
-        return len(self.levels()) - 1
+                level = below
+                depth += 1
+            if seen != len(self.nodes):
+                raise InvalidJoinTree(f"parent map is not a tree rooted at {self.root}")
+            self._depth = depth
+        return self._depth
 
     def edge_set(self):
         return {frozenset((u, p)) for u, p in self.parent.items() if p is not None}
@@ -208,35 +211,28 @@ def check_connectedness(tree: JoinTree, cq):
     """Raise InvalidJoinTree unless each class's atoms form a subtree.
 
     The atoms holding a class induce a forest in the tree, which is
-    connected iff it has one edge fewer than it has atoms.  No forest has
-    more, so in a tree one sum over all classes decides: the tree edges
-    inside each class, counted as the bits two adjacent atoms' masks share,
-    against the atoms holding each class less one.  A parent map that is
-    not a tree, or a tree that fails, is counted class by class to name
-    the first disconnected class.
+    connected iff it has one edge fewer than it has atoms.  The tree edges
+    inside a class are counted as the bits two adjacent atoms' masks
+    share; the first class left uneven, in the atoms' renaming order, is
+    named.
     """
     masks = cq.masks
-    inside = 0
+    missing = [n - 1 for n in cq.occurrences.values()]  # bit order
     for node, parent in tree.parent.items():
         if parent is not None:
-            inside += (masks[node] & masks[parent]).bit_count()
-    occurrences = cq.occurrences
-    if inside == sum(occurrences.values()) - len(occurrences) and tree.is_tree():
-        return
-    classes = cq.atom_classes
-    missing = {}  # class id -> atoms holding it - 1 - tree edges inside it
-    for attrs in classes:
-        for cid in attrs:
-            missing[cid] = missing.get(cid, -1) + 1
-    for node, parent in tree.parent.items():
-        if parent is not None:
-            for cid in set(classes[node]) & set(classes[parent]):
-                missing[cid] -= 1
-    for cid, n in missing.items():
-        if n:
-            raise InvalidJoinTree(
-                f"attribute class {cid} not connected in join tree"
-            )
+            inside = masks[node] & masks[parent]
+            while inside:
+                bit = inside & -inside
+                missing[bit.bit_length() - 1] -= 1
+                inside ^= bit
+    if any(missing):
+        index = cq.class_index
+        for attrs in cq.atom_classes:
+            for cid in attrs:
+                if missing[index[cid]]:
+                    raise InvalidJoinTree(
+                        f"attribute class {cid} not connected in join tree"
+                    )
 
 
 def _reroot(parent, new_root):

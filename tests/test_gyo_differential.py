@@ -9,13 +9,12 @@ on the digest corpus of `test_plan_equivalence` and on generated
 hypergraphs, cyclic ones included.
 """
 
+import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from smash.acyclic import (
     SET_SAFE_FUNCTIONS,
@@ -214,15 +213,20 @@ def _hypergraph_cq(edges, needed, fn, distinct):
     return NormalizedCQ(atoms=atoms, filters={}, output=output)
 
 
-@settings(max_examples=400, deadline=None, database=None, derandomize=True)
-@given(
-    edges=st.lists(st.frozensets(st.integers(0, 7), max_size=4), min_size=1, max_size=7),
-    needed=st.frozensets(st.integers(0, 7), max_size=3),
-    fn=st.sampled_from([None, "MIN", "MAX", "COUNT", "SUM"]),
-    distinct=st.booleans(),
-)
-def test_generated_hypergraphs_match_the_set_based_oracle(edges, needed, fn, distinct):
-    _agree(_hypergraph_cq(edges, needed, fn, distinct))
+def _vertex_set(rng, max_size):
+    return frozenset(rng.sample(range(8), rng.randint(0, max_size)))
+
+
+def test_generated_hypergraphs_match_the_set_based_oracle():
+    """400 seeded hypergraphs: 1-7 edges of up to 4 of 8 vertices each."""
+    rng = random.Random(3)
+    verdicts = Counter()
+    for _ in range(400):
+        edges = [_vertex_set(rng, 4) for _ in range(rng.randint(1, 7))]
+        needed = _vertex_set(rng, 3)
+        fn = rng.choice([None, "MIN", "MAX", "COUNT", "SUM"])
+        verdicts[_agree(_hypergraph_cq(edges, needed, fn, rng.random() < 0.5))] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_generated_hypergraphs_include_cyclic_ones():
@@ -233,14 +237,25 @@ def test_generated_hypergraphs_include_cyclic_ones():
                                        "query is cyclic; no join tree exists")
 
 
-@pytest.mark.parametrize("parent", [
-    {0: 1, 1: 2, 2: None},  # a chain: R-S-T is connected
-    {0: 2, 1: 2, 2: None},  # R under T: class R.b breaks
-    {0: 1, 1: 0, 2: None},  # a cycle, not a tree
+CYCLE = {0: 1, 1: 0, 2: None}  # not a tree
+
+
+@pytest.mark.parametrize("parent, root", [
+    ({0: 1, 1: 2, 2: None}, 2),  # a chain: R-S-T is connected
+    ({0: 2, 1: 2, 2: None}, 2),  # R under T: class R.b breaks
+    (CYCLE, 2),
+    (CYCLE, 0),  # the cycle runs through the root
 ])
-def test_connectedness_matches_the_oracle_on_given_trees(parent):
+def test_connectedness_matches_the_oracle_on_given_trees(parent, root):
     cq = normalize(parse_query(
         "SELECT MIN(R.a) FROM R, S, T WHERE R.b = S.b AND S.c = T.c"))
-    tree = JoinTree(nodes=[0, 1, 2], parent=parent, root=2)
+    tree = JoinTree(nodes=[0, 1, 2], parent=parent, root=root)
     assert _outcome(lambda q: check_connectedness(tree, q), cq) == \
         _outcome(lambda q: oracle_check_connectedness(parent, q), cq)
+
+
+@pytest.mark.parametrize("root", [0, 2])
+def test_depth_rejects_a_parent_map_with_a_cycle(root):
+    tree = JoinTree(nodes=[0, 1, 2], parent=CYCLE, root=root)
+    with pytest.raises(InvalidJoinTree, match=f"not a tree rooted at {root}"):
+        tree.depth()
