@@ -284,11 +284,6 @@ def _is_number_type(t):
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
-# value types that need no subclass test: every one is, or none is, a number
-_PLAIN_NUMBER_TYPES = {int, float}
-_STR_TYPE = {str}
-
-
 def _select(rows, index, pred):
     """Rows whose value at `index` satisfies `pred`, tested a column at a time.
 
@@ -299,9 +294,7 @@ def _select(rows, index, pred):
     """
     values = [r[index] for r in rows]
     number = _is_number(pred.literal)
-    types = set(map(type, values))
-    if (types <= _PLAIN_NUMBER_TYPES if number else types == _STR_TYPE) or all(
-            _is_number_type(t) == number for t in types):
+    if all(_is_number_type(t) == number for t in set(map(type, values))):
         try:
             keep = map(_OPS[pred.op], values, repeat(pred.literal))
             return list(compress(rows, keep)), None
@@ -328,17 +321,15 @@ def _atom_rows(cq, atom, db: Database):
     """
     base = db.table(atom.table)
     renaming = atom.renaming
-    index = db.stats[atom.table].index
-    if not renaming.keys() <= index.keys():
-        unknown = renaming.keys() - index.keys()
+    unknown = renaming.keys() - db.stats[atom.table].index.keys()
+    if unknown:
         raise UnknownAttribute(f"{atom.table} has no column {min(unknown)}")
     columns = {}
     for i, col in enumerate(base.schema):
-        cid = renaming.get(col)
-        columns.setdefault(f"{atom.alias}.{col}" if cid is None else cid, []).append(i)
+        columns.setdefault(renaming.get(col, f"{atom.alias}.{col}"), []).append(i)
     rows = base.rows
-    if len(columns) < len(base.schema):  # intra-atom equalities
-        dup = [ix for ix in columns.values() if len(ix) > 1]
+    dup = [ix for ix in columns.values() if len(ix) > 1]
+    if dup:  # intra-atom equalities
         rows = [r for r in rows if all(len({r[i] for i in ix}) == 1 for ix in dup)]
     error = None
     for p in cq.filters.get(atom.alias, ()):
