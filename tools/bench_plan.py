@@ -38,25 +38,21 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 ROUNDS = 15
 SEED = 42
-N_QUERIES = 240
 STAGES = ("parse", "normalize", "analyze", "estimate", "features", "decide",
           "rewrite")
 
 
 def workloads():
-    """name -> (Database, [(query id, SQL text)]), as `bench/run.py` makes them."""
-    from smash import augmentation, frontend
+    """name -> (Database, [(query id, SQL text)]), from the benchmark's own
+    workload definitions."""
+    from smash import frontend
+    from smashbench import WORKLOADS
 
-    made = {
-        "two_regime": augmentation.generate_two_regime_workload(SEED, N_QUERIES),
-        "selector_wide": augmentation.generate_workload(augmentation.WorkloadSpec(
-            seed=SEED, n_base_queries=N_QUERIES, n_relations=(4, 8),
-            rows=(20, 60), fanout=(1, 2), shape="random", filter_prob=0.5,
-            aggregate_prob=0.5, name_prefix="sw",
-        )),
-    }
-    return {name: (db, [(qid, frontend.to_sql(spec)) for qid, spec in queries])
-            for name, (db, queries) in made.items()}
+    loads = {}
+    for name, workload in WORKLOADS.items():
+        db, queries = workload.generate(SEED)
+        loads[name] = db, [(qid, frontend.to_sql(spec)) for qid, spec in queries]
+    return loads
 
 
 def count_model(db, queries):
@@ -140,10 +136,10 @@ def main(argv=None):
     parser.add_argument("--src", type=Path, default=REPO / "src",
                         help="source tree to import smash from")
     parser.add_argument("--out", type=Path, default=REPO / "BENCH_plan.json")
-    parser.add_argument("--rounds", type=int, default=ROUNDS)
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    sys.path[:0] = [str(args.src.resolve()), str(REPO / "bench")]
     from bench_cart import machine  # this script's directory is on sys.path
+    from smashbench import N_QUERIES
 
     loads = workloads()
     models = {name: count_model(db, queries) for name, (db, queries) in loads.items()}
@@ -153,14 +149,14 @@ def main(argv=None):
         plan_pass(db, queries, models[name])
     round_p50 = {name: {} for name in loads}  # workload -> stage -> [us]
     order = list(loads)
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for name in (order if r % 2 == 0 else order[::-1]):
             db, queries = loads[name]
             for stage, values in plan_pass(db, queries, models[name]).items():
                 round_p50[name].setdefault(stage, []).append(
                     statistics.median(values) * 1e6)
     result = {
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "p50_us": {name: {stage: summary(values) for stage, values in stages.items()}
                    for name, stages in round_p50.items()},
         "plan_sha256": digests,
