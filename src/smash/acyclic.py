@@ -1,9 +1,10 @@
-"""Hypergraph construction, GYO reduction, and join-tree building.
+"""GYO reduction, 0MA classification, and join-tree building.
 
-Atoms are identified by their FROM position.  The reduction removes, per
-pass, vertices occurring in a single edge and edges contained in another
-surviving edge, always processing the lowest atom id first so that join
-trees (and every feature derived from them) are reproducible.
+Atoms are identified by their FROM position, and the query hypergraph is
+the atoms' class bitmasks.  The reduction removes, per pass, vertices
+occurring in a single edge and edges contained in another surviving edge,
+always processing the lowest atom id first so that join trees (and every
+feature derived from them) are reproducible.  `analyze` runs all three.
 """
 
 from __future__ import annotations
@@ -14,19 +15,6 @@ from .engine import Aggregate
 from .errors import InvalidJoinTree
 
 SET_SAFE_FUNCTIONS = ("MIN", "MAX")
-
-
-@dataclass
-class Hypergraph:
-    vertices: list  # class ids; vertex i is bit i of an edge's mask
-    edges: list  # (atom id, int bitmask of its vertices)
-
-
-@dataclass
-class AcyclicityResult:
-    acyclic: bool
-    ears: list = field(default_factory=list)  # (atom id, witness atom id | None)
-    residual: list = field(default_factory=list)  # surviving edges if cyclic
 
 
 @dataclass(slots=True)
@@ -87,9 +75,6 @@ class JoinTree:
             self._depth = depth
         return self._depth
 
-    def edge_set(self):
-        return {frozenset((u, p)) for u, p in self.parent.items() if p is not None}
-
     def to_dict(self, cq=None):
         nodes = []
         for u in self.nodes:
@@ -124,10 +109,6 @@ class JoinTree:
 
         rec(self.root, 0)
         return "\n".join(lines)
-
-
-def build_hypergraph(cq) -> Hypergraph:
-    return Hypergraph(vertices=cq.class_ids(), edges=list(enumerate(cq.masks)))
 
 
 def _gyo(masks):
@@ -167,20 +148,6 @@ def _gyo(masks):
         if not changed:
             break
     return ears, alive
-
-
-def gyo_reduce(hg: Hypergraph) -> AcyclicityResult:
-    ears, alive = _gyo([mask for _, mask in hg.edges])
-    if alive:
-        residual = [
-            (hg.edges[i][0], frozenset(v for j, v in enumerate(hg.vertices)
-                                       if mask >> j & 1))
-            for i, mask in alive.items()
-        ]
-        return AcyclicityResult(acyclic=False, residual=residual)
-    return AcyclicityResult(acyclic=True,
-                            ears=[(hg.edges[i][0], None if w is None else hg.edges[w][0])
-                                  for i, w in ears])
 
 
 def classify_0ma(cq) -> OmaResult:

@@ -18,9 +18,9 @@ import sys
 from pathlib import Path
 
 from . import acyclic, augmentation, harness, ml, stats_tests
-from .engine import estimate_cardinalities, load_database, save_database
+from .engine import load_database, save_database
 from .errors import SmashError
-from .features import extract_features, feature_names
+from .features import feature_names
 from .frontend import normalize, parse_query, to_sql
 from .rewriter import rewrite
 
@@ -44,10 +44,10 @@ def _load_db(args):
 
 
 def _analyzed(args, db=None):
-    spec = parse_query(_read_sql(args.query))
-    cq = normalize(spec, db)
-    tree, oma = acyclic.analyze(cq)
-    return spec, cq, tree, oma
+    """(query, join tree), for commands that may have no database."""
+    cq = normalize(parse_query(_read_sql(args.query)), db)
+    tree, _ = acyclic.analyze(cq)
+    return cq, tree
 
 
 def cmd_parse(args):
@@ -63,22 +63,21 @@ def cmd_parse(args):
 
 
 def cmd_jointree(args):
-    _, cq, tree, _ = _analyzed(args)
+    cq, tree = _analyzed(args)
     print(tree.to_text(cq))
     print(json.dumps(tree.to_dict(cq), indent=2))
 
 
 def cmd_rewrite(args):
     db = _load_db(args) if (args.data_dir or os.environ.get(DATA_DIR_ENV)) else None
-    _, cq, tree, _ = _analyzed(args, db)
+    cq, tree = _analyzed(args, db)
     seq = rewrite(tree, cq, db)
     print(seq.to_sql(with_drops=args.with_drops))
 
 
 def cmd_features(args):
     db = _load_db(args)
-    _, cq, tree, _ = _analyzed(args, db)
-    fv = extract_features(cq, tree, estimate_cardinalities(cq, db))
+    fv = harness.plan_query(parse_query(_read_sql(args.query)), db).features
     print(json.dumps(fv.as_dict(), indent=2))
     print(",".join(feature_names()))
     print(",".join(repr(v) for v in fv.as_list()))
@@ -183,9 +182,8 @@ def cmd_evaluate(args):
 def cmd_decide(args):
     db = _load_db(args)
     model = ml.load_model(args.model)
-    _, cq, tree, _ = _analyzed(args, db)
-    fv = extract_features(cq, tree, estimate_cardinalities(cq, db))
-    print(ml.decide(model, fv, args.threshold))
+    spec = parse_query(_read_sql(args.query))
+    print(harness.plan_query(spec, db, model, args.threshold).decision)
 
 
 def cmd_e2e(args):
@@ -196,11 +194,7 @@ def cmd_e2e(args):
         repeats=args.repeats, timeout_s=args.timeout, seed=args.seed
     )
     log = harness.run_workload(db, queries, config)
-    features = {}
-    for qid, spec in queries:
-        cq = normalize(spec, db)
-        tree, _ = acyclic.analyze(cq)
-        features[qid] = extract_features(cq, tree, estimate_cardinalities(cq, db))
+    features = {qid: harness.plan_query(spec, db).features for qid, spec in queries}
     examples = harness.build_dataset(log, features)
     splits = ml.split_dataset(examples, args.seed)
     model = ml.train_cart(splits.pool, task="regress")
@@ -239,7 +233,9 @@ def build_parser():
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--timeout", type=float, default=100.0,
-                        help="per-repetition timeout in seconds")
+                        help="seconds a run may take before it is charged the "
+                        "timeout; checked after the run returns, so it does not "
+                        "stop a runaway query")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--data-dir", default=None,
                         help=f"CSV table directory (or ${DATA_DIR_ENV})")

@@ -54,9 +54,6 @@ class QuerySpec:
     def is_aggregate(self):
         return bool(self.select_aggregates)
 
-    def aliases(self):
-        return [a for _, a in self.tables]
-
 
 @dataclass(slots=True)
 class Atom:
@@ -185,28 +182,14 @@ _REJECTED = {"OR", "JOIN", "LEFT", "RIGHT", "INNER", "OUTER", "EXISTS", "IN",
 _LONGEST_WORD = max(map(len, _KEYWORDS | _REJECTED))  # longer is an identifier
 
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    column: int
-
-
-def _position(sql, offset):
-    """1-based (line, column) of a character offset; only "\n" ends a line."""
-    return sql.count("\n", 0, offset) + 1, offset - sql.rfind("\n", 0, offset)
-
-
-def _offsets(sql):
-    """Character offset of every token, and of the "eof" token after them."""
+def _token_position(sql, index):
+    """1-based (line, column) of the index-th token, or of the "eof" token
+    after the last one; only "\n" ends a line.  Errors only, so it scans
+    again."""
     offsets = [m.start(1) for m in _TOKEN_RE.finditer(sql)]
     offsets.append(len(sql))
-    return offsets
-
-
-def _token_position(sql, index):
-    """(line, column) of the index-th token; errors only, so it scans again."""
-    return _position(sql, _offsets(sql)[index])
+    offset = offsets[index]
+    return sql.count("\n", 0, offset) + 1, offset - sql.rfind("\n", 0, offset)
 
 
 def _scan(sql):
@@ -253,19 +236,6 @@ def _scan(sql):
     append("eof")
     values.append("")
     return kinds, values
-
-
-def tokenize(sql):
-    tokens = []
-    line, line_start, seen = 1, -1, 0
-    for kind, value, offset in zip(*_scan(sql), _offsets(sql)):
-        breaks = sql.count("\n", seen, offset)
-        if breaks:
-            line += breaks
-            line_start = sql.rfind("\n", seen, offset)
-        seen = offset
-        tokens.append(Token(kind, value, line, offset - line_start))
-    return tokens
 
 
 def _column(qualified):

@@ -1,9 +1,12 @@
 """Timing harness and end-to-end strategy comparison.
 
-Every query runs under both strategies with one discarded warm-up run and
-five timed repetitions (arithmetic mean reported).  A repetition exceeding
-the timeout marks the entry timed out and charges exactly the timeout.
-The end-to-end report compares Base, Rewriting, the learned SMASH
+Every query is planned once through `plan_query`, the one decision
+pipeline, and then runs under both strategies with one discarded warm-up
+run and five timed repetitions (arithmetic mean reported).  The timeout is
+checked only after a run returns: a run that took longer marks the entry
+timed out and charges exactly the timeout, but nothing stops a runaway
+query while it runs (enforcing deadlines inside the evaluators is ROADMAP
+item 5).  The end-to-end report compares Base, Rewriting, the learned SMASH
 selector (charged the chosen strategy's measured mean plus the measured
 decision latency), and the per-query oracle best, and splits the decision
 latency into its normalize, analyze, estimate, features and predict stages.
@@ -17,16 +20,18 @@ import gc
 import json
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .acyclic import analyze
+from .acyclic import JoinTree, OmaResult, analyze
 from .engine import (
     Database,
+    EstimateSet,
     estimate_cardinalities,
     evaluate_baseline,
 )
-from .errors import InvalidJoinTree, MissingStrategy, SmashError
-from .features import extract_features
-from .frontend import normalize
+from .errors import MissingStrategy, SmashError
+from .features import FeatureVector, extract_features
+from .frontend import NormalizedCQ, normalize
 from .ml import REWRITTEN, decide, label
 from .rewriter import interpret_sequence, rewrite
 
@@ -135,21 +140,69 @@ def _timed(fn, config: RunConfig) -> RunEntry:
     return entry
 
 
+DECISION_STAGES = ("normalize", "analyze", "estimate", "features", "predict")
+
+
+class _Plan(NamedTuple):
+    cq: NormalizedCQ
+    tree: JoinTree
+    oma: OmaResult
+    est: EstimateSet
+    features: FeatureVector
+    decision: str | None  # None when planned without a model
+    # perf_counter before normalize and after each DECISION_STAGES stage
+    marks: tuple
+
+
+def plan_query(spec, db: Database, model=None, threshold=0.0) -> _Plan:
+    """Normalize -> analyze -> estimate -> features -> decide, once.
+
+    Returns every stage's output and the six stage-boundary timestamps, so
+    a query's stages add up to its decision latency exactly.  The stages
+    run with the garbage collector off, and its earlier state is restored
+    after, also when a stage raises; the record is built after the last
+    timestamp.  A stage's `SmashError`, such as `InvalidJoinTree` for a
+    cyclic query, propagates.
+    """
+    clock = time.perf_counter
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = clock()
+        cq = normalize(spec, db)
+        t1 = clock()
+        tree, oma = analyze(cq)
+        t2 = clock()
+        est = estimate_cardinalities(cq, db)
+        t3 = clock()
+        fv = extract_features(cq, tree, est)
+        t4 = clock()
+        choice = None if model is None else decide(model, fv, threshold)
+        t5 = clock()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return _Plan(cq, tree, oma, est, fv, choice, (t0, t1, t2, t3, t4, t5))
+
+
 def run_workload(db: Database, queries, config: RunConfig) -> RunLog:
-    """queries: (query id, QuerySpec) pairs, run in the given order."""
+    """queries: (query id, QuerySpec) pairs, run in the given order.
+
+    A query that cannot be planned is recorded as skipped under both
+    strategies, with the planning error as the reason."""
     log = RunLog(config=config)
     for qid, spec in queries:
-        cq = normalize(spec, db)
         try:
-            tree, _ = analyze(cq)
-        except InvalidJoinTree as exc:
+            plan = plan_query(spec, db)
+        except SmashError as exc:
             for strategy in STRATEGIES:
                 log.entries.append(
                     RunEntry(query_id=qid, strategy=strategy,
                              skipped=True, reason=str(exc))
                 )
             continue
-        seq = rewrite(tree, cq, db)  # built outside the timed region
+        cq = plan.cq
+        seq = rewrite(plan.tree, cq, db)  # built outside the timed region
         runners = {
             BASE: lambda: evaluate_baseline(cq, db),
             REWRITING: lambda: interpret_sequence(seq, cq, db),
@@ -175,6 +228,16 @@ def excluded_query_ids(log: RunLog):
     return out
 
 
+def _measured(log: RunLog, qid):
+    """A query's measured (Base, Rewriting) mean seconds; raises
+    MissingStrategy when either strategy is absent or was skipped."""
+    base = log.entry(qid, BASE)
+    rewr = log.entry(qid, REWRITING)
+    if base is None or rewr is None or base.skipped or rewr.skipped:
+        raise MissingStrategy(f"query {qid} lacks a strategy measurement")
+    return base.mean_s, rewr.mean_s
+
+
 def build_dataset(log: RunLog, features_per_query):
     """One LabeledExample per usable query; both-timeout queries dropped."""
     excluded = set(excluded_query_ids(log))
@@ -182,15 +245,10 @@ def build_dataset(log: RunLog, features_per_query):
     for qid in log.query_ids():
         if qid in excluded:
             continue
-        base = log.entry(qid, BASE)
-        rewr = log.entry(qid, REWRITING)
-        if base is None or rewr is None or base.skipped or rewr.skipped:
-            raise MissingStrategy(f"query {qid} lacks a strategy measurement")
+        base_s, rewr_s = _measured(log, qid)
         if qid not in features_per_query:
             raise MissingStrategy(f"query {qid} lacks a feature vector")
-        examples.append(
-            label(qid, features_per_query[qid], base.mean_s, rewr.mean_s)
-        )
+        examples.append(label(qid, features_per_query[qid], base_s, rewr_s))
     return examples
 
 
@@ -201,9 +259,6 @@ class StrategyTotals:
     enum_seconds: float = 0.0
     slowdown_cases: int = 0
     slowdown_fraction: float = 0.0
-
-
-DECISION_STAGES = ("normalize", "analyze", "estimate", "features", "predict")
 
 
 def _nearest_rank(values, q):
@@ -277,53 +332,31 @@ def smash_e2e(db: Database, test_queries, model, threshold, log: RunLog) -> E2eR
     for qid, spec in test_queries:
         if qid in excluded:
             continue
-        base = log.entry(qid, BASE)
-        rewr = log.entry(qid, REWRITING)
-        if base is None or rewr is None:
-            raise MissingStrategy(f"query {qid} missing from the run log")
-        # one shared timestamp at each stage boundary, so the stages of a
-        # query add up to its latency exactly; collector pauses are noise at
-        # microsecond scales, so the collector is off in the timed region
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            marks = [time.perf_counter()]
-            cq = normalize(spec, db)
-            marks.append(time.perf_counter())
-            tree, _ = analyze(cq)
-            marks.append(time.perf_counter())
-            est = estimate_cardinalities(cq, db)
-            marks.append(time.perf_counter())
-            fv = extract_features(cq, tree, est)
-            marks.append(time.perf_counter())
-            choice = decide(model, fv, threshold)
-            marks.append(time.perf_counter())
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        base_s, rewr_s = _measured(log, qid)
+        plan = plan_query(spec, db, model, threshold)
+        marks = plan.marks
         latency = marks[-1] - marks[0]
         latencies.append(latency)
         for stage, start, end in zip(DECISION_STAGES, marks, marks[1:]):
             stages[stage].append(end - start)
         n += 1
-        chosen = rewr.mean_s if choice == REWRITTEN else base.mean_s
+        chosen = rewr_s if plan.decision == REWRITTEN else base_s
         # (charged seconds, strategy time used for the slowdown test);
         # a slowdown case is a query where the strategy exceeds Base
         per_strategy = {
-            "Base": (base.mean_s, base.mean_s),
-            "Rewriting": (rewr.mean_s, rewr.mean_s),
+            "Base": (base_s, base_s),
+            "Rewriting": (rewr_s, rewr_s),
             "SMASH": (chosen + latency, chosen),
-            "OracleBest": (min(base.mean_s, rewr.mean_s),
-                           min(base.mean_s, rewr.mean_s)),
+            "OracleBest": (min(base_s, rewr_s), min(base_s, rewr_s)),
         }
         for name, (seconds, strategy_time) in per_strategy.items():
             t = totals[name]
             t.total_seconds += seconds
-            if tree.oma_flag:
+            if plan.tree.oma_flag:
                 t.oma_seconds += seconds
             else:
                 t.enum_seconds += seconds
-            if strategy_time > base.mean_s:
+            if strategy_time > base_s:
                 t.slowdown_cases += 1
     for t in totals.values():
         t.slowdown_fraction = t.slowdown_cases / n if n else 0.0

@@ -76,9 +76,6 @@ class StatementSequence:
     def created_names(self):
         return [s.name for s in self.statements if s.kind in ("CreateView", "CreateTable")]
 
-    def dropped_names(self):
-        return [s.name for s in self.statements if s.kind == "Drop"]
-
     def render(self, with_drops=True, unlogged=True):
         """SQL text of each statement, in order.
 

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from smash.acyclic import analyze
 from smash.cli import main
-from smash.engine import save_database
-from smash.ml import label, save_dataset
+from smash.engine import estimate_cardinalities, save_database
+from smash.features import extract_features, feature_names
+from smash.frontend import normalize, parse_query
+from smash.ml import decide, label, load_model, save_dataset
 
 from conftest import CHAIN_SQL
 
@@ -22,6 +25,13 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def chain_features(db):
+    """CHAIN_SQL's feature vector, wired stage by stage."""
+    cq = normalize(parse_query(CHAIN_SQL), db)
+    tree, _ = analyze(cq)
+    return extract_features(cq, tree, estimate_cardinalities(cq, db))
 
 
 class TestSingleQueryCommands:
@@ -43,10 +53,15 @@ class TestSingleQueryCommands:
         _, out = run(capsys, ["rewrite", CHAIN_SQL, "--no-with-drops"])
         assert "DROP" not in out
 
-    def test_features(self, capsys, data_dir):
+    def test_features(self, capsys, data_dir, chain_db):
         code, out = run(capsys, ["--data-dir", data_dir, "features", CHAIN_SQL])
         assert code == 0
-        assert "est_total_cost" in out
+        fv = chain_features(chain_db)
+        *json_lines, names, values = out.splitlines()
+        assert json.loads("\n".join(json_lines)) == fv.as_dict()
+        assert names == ",".join(feature_names())
+        assert values == ",".join(repr(v) for v in fv.as_list())
+        assert "est_total_cost" in names
 
     def test_features_env_var(self, capsys, data_dir, monkeypatch):
         monkeypatch.setenv("SMASH_DATA_DIR", data_dir)
@@ -108,7 +123,8 @@ class TestModelCommands:
         save_dataset(examples, path)
         return str(path)
 
-    def test_train_evaluate_decide(self, capsys, tmp_path, dataset_csv, data_dir):
+    def test_train_evaluate_decide(self, capsys, tmp_path, dataset_csv, data_dir,
+                                   chain_db):
         model = tmp_path / "model.json"
         code, out = run(capsys, [
             "train", "--dataset", dataset_csv, "--out", str(model),
@@ -127,6 +143,7 @@ class TestModelCommands:
             "--model", str(model),
         ])
         assert code == 0 and out.strip() in ("Original", "Rewritten")
+        assert out.strip() == decide(load_model(model), chain_features(chain_db), 0.0)
 
     def test_e2e_report(self, capsys, tmp_path):
         report = tmp_path / "report.json"

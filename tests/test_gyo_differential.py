@@ -20,10 +20,9 @@ from smash.acyclic import (
     SET_SAFE_FUNCTIONS,
     JoinTree,
     OmaResult,
+    _gyo,
     analyze,
-    build_hypergraph,
     check_connectedness,
-    gyo_reduce,
 )
 from smash.engine import Aggregate
 from smash.errors import InvalidJoinTree
@@ -179,10 +178,20 @@ def _analyzed(cq):
             tree.children(), tree.depth()), oma
 
 
+def _bitmask_gyo(cq):
+    """`_gyo` over the atoms' masks, its residual as the oracle's
+    (atom id, frozenset of class ids) edges."""
+    ears, alive = _gyo(cq.masks)
+    classes = cq.class_ids()
+    residual = [(atom, frozenset(c for i, c in enumerate(classes) if mask >> i & 1))
+                for atom, mask in alive.items()]
+    return _Result(not alive, [] if alive else ears, residual)
+
+
 def _agree(cq):
     """Assert agreement; returns whether the query is acyclic."""
     expected = oracle_gyo(oracle_hypergraph(cq))
-    got = gyo_reduce(build_hypergraph(cq))
+    got = _bitmask_gyo(cq)
     assert (got.acyclic, got.ears, got.residual) == (
         expected.acyclic, expected.ears, expected.residual)
     assert _outcome(_analyzed, cq) == _outcome(oracle_analyze, cq)

@@ -6,11 +6,8 @@ import json
 import pytest
 
 from smash import harness
-from smash.acyclic import analyze
-from smash.engine import estimate_cardinalities
 from smash.errors import MissingStrategy
-from smash.features import extract_features
-from smash.frontend import normalize, parse_query
+from smash.frontend import parse_query
 from smash.harness import (
     BASE,
     DECISION_STAGES,
@@ -21,21 +18,13 @@ from smash.harness import (
     RunLog,
     build_dataset,
     excluded_query_ids,
+    plan_query,
     run_workload,
     smash_e2e,
 )
 from smash.ml import CartModel
 
 from conftest import CHAIN_SQL
-
-
-def features_for(queries, db):
-    out = {}
-    for qid, spec in queries:
-        cq = normalize(spec, db)
-        tree, _ = analyze(cq)
-        out[qid] = extract_features(cq, tree, estimate_cardinalities(cq, db))
-    return out
 
 
 def constant_model(value):
@@ -80,6 +69,16 @@ class TestRunWorkload:
         log = run_workload(chain_db, queries, RunConfig(repeats=1))
         assert all(e.skipped and "cyclic" in e.reason for e in log.entries)
         assert excluded_query_ids(log) == ["cyc"]
+
+    def test_unknown_column_recorded_as_skipped(self, chain_db):
+        queries = [("bad", parse_query(
+            "SELECT MIN(R.a) FROM R, S WHERE R.b = S.b AND R.zz = 1"))]
+        log = run_workload(chain_db, queries, RunConfig(repeats=1))
+        assert [(e.strategy, e.skipped, e.reason) for e in log.entries] == [
+            (BASE, True, "R has no column zz"),
+            (REWRITING, True, "R has no column zz"),
+        ]
+        assert excluded_query_ids(log) == ["bad"]
 
     def test_json_round_trip(self, chain_run, tmp_path):
         _, log = chain_run
@@ -150,6 +149,40 @@ class TestBuildDataset:
         log = synthetic_log({"a": (1.0, 2.0)})
         with pytest.raises(MissingStrategy):
             build_dataset(log, {})
+
+
+def skipped_base_log(qid):
+    """Base skipped, Rewriting measured at a mean of 0.5 s."""
+    log = RunLog(config=RunConfig())
+    log.entries += [RunEntry(query_id=qid, strategy=BASE, skipped=True, reason="x"),
+                    RunEntry(query_id=qid, strategy=REWRITING,
+                             rep_times_s=[0.5] * 5, mean_s=0.5)]
+    return log
+
+
+def test_one_skipped_strategy_raises_in_dataset_and_e2e(chain_db):
+    """Neither charges a skipped strategy 0 s; both raise alike."""
+    log = skipped_base_log("q0")
+    with pytest.raises(MissingStrategy, match="q0 lacks a strategy measurement"):
+        build_dataset(log, {"q0": [0.0]})
+    with pytest.raises(MissingStrategy, match="q0 lacks a strategy measurement"):
+        smash_e2e(chain_db, [("q0", parse_query(CHAIN_SQL))],
+                  constant_model(0.5), 0.0, log)
+
+
+class TestPlanQuery:
+    def test_without_a_model_decides_nothing(self, chain_db):
+        plan = plan_query(parse_query(CHAIN_SQL), chain_db)
+        assert plan.decision is None
+        assert plan.tree.oma_flag and plan.oma.is_0ma
+        assert len(plan.marks) == len(DECISION_STAGES) + 1
+        assert list(plan.marks) == sorted(plan.marks)
+
+    def test_with_a_model_decides_at_the_threshold(self, chain_db):
+        spec = parse_query(CHAIN_SQL)
+        model = constant_model(0.5)
+        assert plan_query(spec, chain_db, model).decision == "Original"
+        assert plan_query(spec, chain_db, model, 1.0).decision == "Rewritten"
 
 
 class TestSmashE2e:

@@ -7,7 +7,9 @@ and compared with `plan_digests.json`, so a change to any planning stage
 that alters a spec, a normalized query, a join tree, an estimate, a feature
 vector, an emitted statement or its SQL text fails here and names the
 query.  The `statements` stage pins the plan the engine runs; the `sql`
-stage pins the text rendered from it.
+stage pins the text rendered from it.  `harness.plan_query`, the pipeline
+every caller plans through, must return the same stage outputs and the
+decision `ml.decide` makes on them.
 
 The corpus is the 200 `random_specs` of the correctness tests plus seeded
 samples of both benchmark workload generators.  Regenerate the fixture
@@ -18,14 +20,18 @@ only when a planning output is meant to change:
 
 import hashlib
 import json
+import statistics
 import sys
+from collections import Counter
 from pathlib import Path
 
 from smash.acyclic import analyze
 from smash.augmentation import generate_two_regime_workload
 from smash.engine import Database, Relation, estimate_cardinalities
-from smash.features import extract_features
+from smash.features import extract_features, feature_names
 from smash.frontend import normalize, parse_query, to_sql
+from smash.harness import plan_query
+from smash.ml import CartModel, decide
 from smash.rewriter import rewrite
 
 from conftest import random_specs, selector_wide
@@ -77,13 +83,18 @@ def _sha(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def plan_digests(db, spec):
+def wired_stages(db, spec):
+    """(spec, cq, tree, est, fv, seq), wired stage by stage from SQL text."""
     spec = parse_query(to_sql(spec))
     cq = normalize(spec, db)
     tree, _ = analyze(cq)
     est = estimate_cardinalities(cq, db)
     fv = extract_features(cq, tree, est)
-    seq = rewrite(tree, cq, db)
+    return spec, cq, tree, est, fv, rewrite(tree, cq, db)
+
+
+def plan_digests(db, spec):
+    spec, cq, tree, est, fv, seq = wired_stages(db, spec)
     outputs = (
         spec, cq, tree, est, fv.as_list(),
         [(s.kind, s.name, s.form) for s in seq.statements],
@@ -108,6 +119,31 @@ def test_plans_match_pinned_digests():
     assert not differing, (
         f"{len(differing)} queries plan differently:\n" + "\n".join(differing[:20])
     )
+
+
+def _median_split_model(vectors, feature):
+    """A regress CART of one split at the feature's median over `vectors`,
+    so that the corpus gets both decisions."""
+    threshold = statistics.median(v[feature] for v in vectors)
+    tree = {"leaf": False, "feature": feature, "threshold": threshold,
+            "left": {"leaf": True, "n": 1, "prediction": -1.0},
+            "right": {"leaf": True, "n": 1, "prediction": 1.0}}
+    return CartModel(task="regress", tree=tree, importances=[],
+                     feature_names=[], n_features=len(vectors[0]))
+
+
+def test_plan_query_matches_the_stage_by_stage_wiring():
+    wired = [(name, db, wired_stages(db, spec)) for name, db, spec in corpus()]
+    model = _median_split_model([stages[4].as_list() for _, _, stages in wired],
+                                feature_names().index("est_total_cost"))
+    decisions = Counter()
+    for name, db, (spec, cq, tree, est, fv, _) in wired:
+        plan = plan_query(spec, db, model)
+        got = (plan.cq, plan.tree, plan.est, plan.features.as_list())
+        assert list(map(_sha, got)) == list(map(_sha, (cq, tree, est, fv.as_list()))), name
+        assert plan.decision == decide(model, fv, 0.0), name
+        decisions[plan.decision] += 1
+    assert sum(decisions.values()) == 435 and len(decisions) == 2
 
 
 if __name__ == "__main__":

@@ -149,7 +149,8 @@ class TestEmission:
 
     def test_drops_mirror_creates_in_reverse(self):
         _, _, seq = rewritten(APPENDIX_SQL)
-        assert seq.dropped_names() == list(reversed(seq.created_names()))
+        dropped = [s.name for s in seq.statements if s.kind == "Drop"]
+        assert dropped == list(reversed(seq.created_names()))
 
     def test_without_drops(self):
         _, _, seq = rewritten(CHAIN_SQL)

@@ -1,8 +1,11 @@
 """Time CART training on the benchmark's seed-42 selector_wide dataset.
 
 The dataset is the one `bench/run.py --workload selector_wide --seed 42`
-trains on: 240 random 4-8 table queries, each labelled by the exact
-intermediate-tuple counts of Base and Rewriting, so it repeats exactly.
+trains on: its 240 queries, taken from the benchmark's own workload
+definition, each planned from its SQL text through `harness.plan_query`
+and labelled by the exact intermediate-tuple counts of Base and Rewriting,
+so it repeats exactly.  `tools/bench_plan.py` takes its workloads and
+labels from the same `workload` and `count_examples`.
 The script times `train_cart` (regress and classify) on the training pool
 and `cross_validate(folds, "regress")`, REPEATS rounds of the three calls,
 with the garbage collector off during each call.  It records per call the
@@ -15,7 +18,9 @@ before/after pair measured on the same machine.
     python tools/bench_cart.py --side parent --src ../parent/src
 
 `--src` imports `smash` from another source tree, such as a checkout of
-the parent commit.  Equal SHA-256s across sides mean equal models.
+the parent commit; the tree must have `harness.plan_query` (an older tree is
+measured with its own copy of this script).  Equal SHA-256s across sides
+mean equal models.
 """
 
 from __future__ import annotations
@@ -34,31 +39,45 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 REPEATS = 15
 SEED = 42
-N_QUERIES = 240
+
+
+def use_source(src):
+    """Import `smash` from the source tree `src`, and the benchmark's
+    workload definitions from `bench/`."""
+    sys.path[:0] = [str(Path(src).resolve()), str(REPO / "bench")]
+
+
+def count_examples(db, queries):
+    """One example per (query id, SQL text): planned through
+    `harness.plan_query` and labelled by the exact intermediate-tuple
+    counts of Base and Rewriting."""
+    from smash import engine, frontend, harness, ml, rewriter
+
+    examples = []
+    for qid, sql in queries:
+        plan = harness.plan_query(frontend.parse_query(sql), db)
+        cq = plan.cq
+        base, rewritten = engine.OpCounter(), engine.OpCounter()
+        engine.evaluate_baseline(cq, db, base)
+        rewriter.interpret_sequence(rewriter.rewrite(plan.tree, cq, db), cq, db, rewritten)
+        examples.append(ml.label(qid, plan.features, base.intermediate_tuples,
+                                 rewritten.intermediate_tuples))
+    return examples
+
+
+def workload(name):
+    """The benchmark's own workload `name` at SEED: (Database, [(query id,
+    SQL text)])."""
+    from smash import frontend
+    from smashbench import WORKLOADS
+
+    db, queries = WORKLOADS[name].generate(SEED)
+    return db, [(qid, frontend.to_sql(spec)) for qid, spec in queries]
 
 
 def build_examples():
-    """Plan each query from its SQL text and label it by its counts, as the
-    benchmark's selector_wide workload does."""
-    from smash import acyclic, augmentation, engine, features, frontend, ml, rewriter
-
-    db, queries = augmentation.generate_workload(augmentation.WorkloadSpec(
-        seed=SEED, n_base_queries=N_QUERIES, n_relations=(4, 8),
-        rows=(20, 60), fanout=(1, 2), shape="random", filter_prob=0.5,
-        aggregate_prob=0.5, name_prefix="sw",
-    ))
-    examples = []
-    for qid, spec in queries:
-        cq = frontend.normalize(frontend.parse_query(frontend.to_sql(spec)), db)
-        tree, _ = acyclic.analyze(cq)
-        fv = features.extract_features(
-            cq, tree, engine.estimate_cardinalities(cq, db))
-        base, rewritten = engine.OpCounter(), engine.OpCounter()
-        engine.evaluate_baseline(cq, db, base)
-        rewriter.interpret_sequence(rewriter.rewrite(tree, cq, db), cq, db, rewritten)
-        examples.append(ml.label(qid, fv, base.intermediate_tuples,
-                                 rewritten.intermediate_tuples))
-    return examples
+    """The selector_wide queries, count-labelled."""
+    return count_examples(*workload("selector_wide"))
 
 
 def timed(fn, *args, **kwargs):
@@ -135,7 +154,9 @@ def main(argv=None):
                         help="source tree to import smash from")
     parser.add_argument("--out", type=Path, default=REPO / "BENCH_cart.json")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    use_source(args.src)
+    from smashbench import N_QUERIES
+
     result = measure(REPEATS)
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("dataset", f"selector_wide seed {SEED}, {N_QUERIES} queries, "

@@ -9,7 +9,10 @@ Rewriting, so the model repeats exactly.  After one untimed warm-up pass
 the script runs ROUNDS rounds; each round plans every query of both
 workloads once, the workloads in alternating order from round to round,
 with the garbage collector off during each workload's pass.  Each stage of
-each query is timed with raw `time.perf_counter` (no clock rescaling).
+each query is timed with raw `time.perf_counter` (no clock rescaling);
+normalize through decide are the stage-boundary timestamps that
+`harness.plan_query` takes, so `parse` also holds the call into it and
+`rewrite` the return from it.
 Per round and stage it takes the median over the queries; BENCH_plan.json
 records, per workload and stage, the median and quartiles of those round
 medians in microseconds, under a side name.  Sides already in the file are
@@ -19,9 +22,10 @@ kept, so one file holds a before/after pair measured on the same machine.
     python tools/bench_plan.py --side parent --src ../parent/src
 
 `--src` imports `smash` from another source tree, such as a checkout of
-the parent commit.  Every side also records a SHA-256 over every query's
-feature vector, decision and statement forms, so equal digests mean equal
-plans.
+the parent commit; the tree must have `harness.plan_query` (an older tree is
+measured with its own copy of this script).  Every side also records a
+SHA-256 over every query's feature vector, decision and statement forms,
+so equal digests mean equal plans.
 """
 
 from __future__ import annotations
@@ -31,51 +35,18 @@ import gc
 import hashlib
 import json
 import statistics
-import sys
 import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 ROUNDS = 15
-SEED = 42
 STAGES = ("parse", "normalize", "analyze", "estimate", "features", "decide",
           "rewrite")
 
 
-def workloads():
-    """name -> (Database, [(query id, SQL text)]), from the benchmark's own
-    workload definitions."""
-    from smash import frontend
-    from smashbench import WORKLOADS
-
-    loads = {}
-    for name, workload in WORKLOADS.items():
-        db, queries = workload.generate(SEED)
-        loads[name] = db, [(qid, frontend.to_sql(spec)) for qid, spec in queries]
-    return loads
-
-
-def count_model(db, queries):
-    """A regress CART over the queries, labelled by exact tuple counts."""
-    from smash import acyclic, engine, features, frontend, ml, rewriter
-
-    examples = []
-    for qid, sql in queries:
-        cq = frontend.normalize(frontend.parse_query(sql), db)
-        tree, _ = acyclic.analyze(cq)
-        fv = features.extract_features(
-            cq, tree, engine.estimate_cardinalities(cq, db))
-        base, rewritten = engine.OpCounter(), engine.OpCounter()
-        engine.evaluate_baseline(cq, db, base)
-        rewriter.interpret_sequence(rewriter.rewrite(tree, cq, db), cq, db, rewritten)
-        examples.append(ml.label(qid, fv, base.intermediate_tuples,
-                                 rewritten.intermediate_tuples))
-    return ml.train_cart(examples, task="regress")
-
-
 def plan_pass(db, queries, model):
     """Per stage, the seconds of each query."""
-    from smash import acyclic, engine, features, frontend, ml, rewriter
+    from smash import frontend, harness, rewriter
 
     clock = time.perf_counter
     seconds = {stage: [] for stage in STAGES + ("total",)}
@@ -84,23 +55,12 @@ def plan_pass(db, queries, model):
     try:
         for _, sql in queries:
             t0 = clock()
-            spec = frontend.parse_query(sql)
-            t1 = clock()
-            cq = frontend.normalize(spec, db)
-            t2 = clock()
-            tree, _ = acyclic.analyze(cq)
-            t3 = clock()
-            est = engine.estimate_cardinalities(cq, db)
-            t4 = clock()
-            fv = features.extract_features(cq, tree, est)
-            t5 = clock()
-            decision = ml.decide(model, fv, 0.0)  # noqa: F841
-            t6 = clock()
+            plan = harness.plan_query(frontend.parse_query(sql), db, model)
             # bound as the benchmark binds it, so the previous query's plan
             # is freed inside this stage, as it is there
-            seq = rewriter.rewrite(tree, cq, db)  # noqa: F841
+            seq = rewriter.rewrite(plan.tree, plan.cq, db)  # noqa: F841
             t7 = clock()
-            marks = (t0, t1, t2, t3, t4, t5, t6, t7)
+            marks = (t0, *plan.marks, t7)
             for stage, start, end in zip(STAGES, marks, marks[1:]):
                 seconds[stage].append(end - start)
             seconds["total"].append(t7 - t0)
@@ -111,15 +71,13 @@ def plan_pass(db, queries, model):
 
 def plan_digest(db, queries, model):
     """SHA-256 over every query's feature vector, decision and statement forms."""
-    from smash import acyclic, engine, features, frontend, ml, rewriter
+    from smash import frontend, harness, rewriter
 
     digest = hashlib.sha256()
     for _, sql in queries:
-        cq = frontend.normalize(frontend.parse_query(sql), db)
-        tree, _ = acyclic.analyze(cq)
-        fv = features.extract_features(cq, tree, engine.estimate_cardinalities(cq, db))
-        seq = rewriter.rewrite(tree, cq, db)
-        digest.update(repr((fv.as_list(), ml.decide(model, fv, 0.0),
+        plan = harness.plan_query(frontend.parse_query(sql), db, model)
+        seq = rewriter.rewrite(plan.tree, plan.cq, db)
+        digest.update(repr((plan.features.as_list(), plan.decision,
                             [(s.name, s.form) for s in seq.statements])).encode())
     return digest.hexdigest()
 
@@ -137,12 +95,16 @@ def main(argv=None):
                         help="source tree to import smash from")
     parser.add_argument("--out", type=Path, default=REPO / "BENCH_plan.json")
     args = parser.parse_args(argv)
-    sys.path[:0] = [str(args.src.resolve()), str(REPO / "bench")]
-    from bench_cart import machine  # this script's directory is on sys.path
-    from smashbench import N_QUERIES
+    # this script's directory is on sys.path
+    from bench_cart import SEED, count_examples, machine, use_source, workload
 
-    loads = workloads()
-    models = {name: count_model(db, queries) for name, (db, queries) in loads.items()}
+    use_source(args.src)
+    from smash import ml
+    from smashbench import N_QUERIES, WORKLOADS
+
+    loads = {name: workload(name) for name in WORKLOADS}
+    models = {name: ml.train_cart(count_examples(db, queries), task="regress")
+              for name, (db, queries) in loads.items()}
     digests = {name: plan_digest(db, queries, models[name])
                for name, (db, queries) in loads.items()}
     for name, (db, queries) in loads.items():  # warm-up, untimed
