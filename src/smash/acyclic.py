@@ -41,9 +41,12 @@ class JoinTree:
         """node -> its children in node order, for every node (shared: do
         not change it)."""
         if self._children is None:
-            kids = {u: [] for u in self.nodes}
-            for v in self.nodes:
-                p = self.parent[v]
+            nodes, parent = self.nodes, self.parent
+            kids = {}
+            for u in nodes:
+                kids[u] = []
+            for v in nodes:
+                p = parent[v]
                 if p is not None:
                     kids[p].append(v)
             self._children = kids
@@ -65,7 +68,9 @@ class JoinTree:
                 seen += len(level)
                 if seen > len(self.nodes):
                     break
-                below = [c for u in level for c in kids[u]]
+                below = []
+                for u in level:
+                    below += kids[u]
                 if not below:
                     break
                 level = below
@@ -133,11 +138,11 @@ def _gyo(masks):
             for atom in alive:
                 alive[atom] &= keep
             changed = True
-        ascending = list(alive)
-        for atom in ascending:
+        for atom in list(alive):
             mask = alive[atom]
-            for w in reversed(ascending):
-                if w != atom and w in alive and alive[w] & mask == mask:
+            # the atom is its own superset, so it is skipped only when met
+            for w, m in reversed(alive.items()):
+                if m & mask == mask and w != atom:
                     ears.append((atom, w))
                     del alive[atom]
                     changed = True
@@ -155,7 +160,10 @@ def classify_0ma(cq) -> OmaResult:
     if out.kind != "aggregate":
         return OmaResult(False, failure_reason="NotAggregate")
     needed = cq.mask_of(out.needed_classes())
-    qualifying = [i for i, mask in enumerate(cq.masks) if not needed & ~mask]
+    qualifying = []
+    for i, mask in enumerate(cq.masks):
+        if not needed & ~mask:
+            qualifying.append(i)
     if not qualifying:
         return OmaResult(False, failure_reason="NotGuarded")
     # prefer the atom whose alias is written in the output, so e.g.
@@ -194,8 +202,8 @@ def check_connectedness(tree: JoinTree, cq):
                 inside ^= bit
     if any(missing):
         index = cq.class_index
-        for attrs in cq.atom_classes:
-            for cid in attrs:
+        for atom in cq.atoms:
+            for cid in atom.renaming.values():
                 if missing[index[cid]]:
                     raise InvalidJoinTree(
                         f"attribute class {cid} not connected in join tree"
@@ -214,9 +222,22 @@ def _reroot(parent, new_root):
 
 
 def build_join_tree(ears, cq, oma: OmaResult) -> JoinTree:
+    """The join tree of an ear ordering, rerooted at a 0MA guard.
+
+    When every ear's witness becomes an ear only after it, as in GYO, the
+    parent map is a tree.  In a tree the atoms holding a class induce a
+    forest, so the tree edges inside a class never number more than its
+    atoms less one; every class is then connected iff the edges, each
+    counted once per class its two atoms share, number the query's
+    occurrences less one per class, and only otherwise does
+    `check_connectedness` count them class by class.
+    """
     parent = {}
     root = None
+    ordered = True
     for atom, witness in ears:
+        if witness in parent:
+            ordered = False
         parent[atom] = witness
         if witness is None:
             root = atom
@@ -228,8 +249,16 @@ def build_join_tree(ears, cq, oma: OmaResult) -> JoinTree:
     if oma_flag and guard != root:
         parent = _reroot(parent, guard)
         root = guard
-    tree = JoinTree(nodes=nodes, parent=parent, root=root,
-                    oma_flag=oma_flag, guard=guard)
+    tree = JoinTree(nodes, parent, root, oma_flag, guard)
+    if ordered and len(ears) == len(nodes):
+        masks = cq.masks
+        inside = 0
+        for node, above in parent.items():
+            if above is not None:
+                inside += (masks[node] & masks[above]).bit_count()
+        occurrences = cq.occurrences
+        if inside == sum(occurrences.values()) - len(occurrences):
+            return tree
     check_connectedness(tree, cq)
     return tree
 

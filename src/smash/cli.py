@@ -194,8 +194,7 @@ def cmd_e2e(args):
         repeats=args.repeats, timeout_s=args.timeout, seed=args.seed
     )
     log = harness.run_workload(db, queries, config)
-    features = {qid: harness.plan_query(spec, db).features for qid, spec in queries}
-    examples = harness.build_dataset(log, features)
+    examples = harness.build_dataset(log, log.features)
     splits = ml.split_dataset(examples, args.seed)
     model = ml.train_cart(splits.pool, task="regress")
     test_ids = {e.query_id for e in splits.test}

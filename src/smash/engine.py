@@ -98,8 +98,11 @@ def _prefix_ndv(rows, indexes):
 
     A deterministic prefix keeps the count cheap on large tables.
     """
-    sample = rows[:_NDV_SAMPLE_ROWS]
-    return [len({r[i] for r in sample}) for i in indexes]
+    sample = rows if len(rows) <= _NDV_SAMPLE_ROWS else rows[:_NDV_SAMPLE_ROWS]
+    counts = []
+    for i in indexes:
+        counts.append(len(set(map(operator.itemgetter(i), sample))))
+    return counts
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,7 @@ class TableStats:
 
     index: dict  # column -> position in the schema
     ndv: dict  # column -> distinct values among the first _NDV_SAMPLE_ROWS rows
+    rows: int  # row count
 
 
 @dataclass
@@ -129,6 +133,7 @@ class Database:
         self.stats[rel.name] = TableStats(
             index={col: i for i, col in enumerate(schema)},
             ndv=dict(zip(schema, _prefix_ndv(rel.rows, range(len(schema))))),
+            rows=len(rel.rows),
         )
 
     def table(self, name):
@@ -284,6 +289,11 @@ def _is_number_type(t):
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
+# value types that need no `_is_number_type` test: whether the literal is a
+# number -> types that are numbers exactly when it is
+_PLAIN_TYPES = {True: frozenset((int, float)), False: frozenset((str,))}
+
+
 def _select(rows, index, pred):
     """Rows whose value at `index` satisfies `pred`, tested a column at a time.
 
@@ -292,9 +302,10 @@ def _select(rows, index, pred):
     the rows a row-at-a-time filter compares with later predicates before it
     raises.
     """
-    values = [r[index] for r in rows]
+    values = list(map(operator.itemgetter(index), rows))
     number = _is_number(pred.literal)
-    if all(_is_number_type(t) == number for t in set(map(type, values))):
+    types = set(map(type, values))
+    if types <= _PLAIN_TYPES[number] or all(_is_number_type(t) == number for t in types):
         try:
             keep = map(_OPS[pred.op], values, repeat(pred.literal))
             return list(compress(rows, keep)), None
@@ -321,14 +332,19 @@ def _atom_rows(cq, atom, db: Database):
     """
     base = db.table(atom.table)
     renaming = atom.renaming
-    unknown = renaming.keys() - db.stats[atom.table].index.keys()
-    if unknown:
-        raise UnknownAttribute(f"{atom.table} has no column {min(unknown)}")
+    index = db.stats[atom.table].index
+    if not renaming.keys() <= index.keys():
+        raise UnknownAttribute(
+            f"{atom.table} has no column {min(renaming.keys() - index.keys())}")
     columns = {}
     for i, col in enumerate(base.schema):
-        columns.setdefault(renaming.get(col, f"{atom.alias}.{col}"), []).append(i)
+        cid = renaming.get(col)
+        columns.setdefault(f"{atom.alias}.{col}" if cid is None else cid, []).append(i)
     rows = base.rows
-    dup = [ix for ix in columns.values() if len(ix) > 1]
+    dup = []
+    for ix in columns.values():
+        if len(ix) > 1:
+            dup.append(ix)
     if dup:  # intra-atom equalities
         rows = [r for r in rows if all(len({r[i] for i in ix}) == 1 for ix in dup)]
     error = None
@@ -387,16 +403,17 @@ def _atom_stats(cq, i, db: Database):
     counts the rows of its scan, `_atom_rows`, over the same prefix sample
     as the table's, a class at its first attribute.  Only classes shared
     between atoms enter the join estimates, so distinct counts are limited
-    to those, in the renaming's order.  The atom's distinct classes and the
-    shared ones come from the query IR.
+    to those, in the renaming's order.  Whether the atom has an intra-atom
+    equality (fewer class bits than attributes) and which classes are
+    shared come from the query IR.
     """
     atom = cq.atoms[i]
-    base = db.table(atom.table)
     renaming = atom.renaming
-    classes = cq.atom_classes[i]
     shared = cq.shared
-    if not cq.filters.get(atom.alias) and len(classes) == len(renaming):
-        ndv = db.stats[atom.table].ndv  # every column of the table
+    stats = db.stats.get(atom.table)
+    if (stats is not None and atom.alias not in cq.filters
+            and cq.masks[i].bit_count() == len(renaming)):
+        ndv = stats.ndv  # every column of the table
         counts = {}
         for attr, cid in renaming.items():
             if attr not in ndv:
@@ -404,11 +421,15 @@ def _atom_stats(cq, i, db: Database):
             if cid in shared:
                 counts[cid] = ndv[attr]
         else:
-            return len(base.rows), counts
+            return stats.rows, counts
     columns, rows = _atom_rows(cq, atom, db)
-    wanted = [cid for cid in classes if cid in shared]
-    counts = _prefix_ndv(rows, [columns[cid][0] for cid in wanted])
-    return len(rows), dict(zip(wanted, counts))
+    wanted = []
+    firsts = []
+    for cid in dict.fromkeys(renaming.values()):
+        if cid in shared:
+            wanted.append(cid)
+            firsts.append(columns[cid][0])
+    return len(rows), dict(zip(wanted, _prefix_ndv(rows, firsts)))
 
 
 def estimate_cardinalities(cq, db: Database) -> EstimateSet:

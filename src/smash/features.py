@@ -9,7 +9,6 @@ are summarized by six order statistics each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import EstimateSet
@@ -32,22 +31,28 @@ class SixStats(NamedTuple):
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _at(arr, pos):
-    """Linear interpolation at a fractional position of an ascending list."""
-    lo = int(pos)
-    frac = pos - lo
-    return arr[lo] * (1 - frac) + arr[lo + 1 if frac else lo] * frac
+# _new(cls, values) makes a NamedTuple `cls` without its Python-level
+# constructor
+_new = tuple.__new__
 
 
 def _summarize(arr):
     """Six order statistics of floats already in ascending order.
 
     Quantiles interpolate linearly at q*(n-1); the mean adds the values in
-    ascending order.
+    ascending order.  For q = k/4 that position is exactly (n-1)*k/4, so
+    its whole and fractional parts come from integer arithmetic.
     """
     last = len(arr) - 1
-    return SixStats(arr[0], _at(arr, 0.25 * last), _at(arr, 0.5 * last),
-                    _at(arr, 0.75 * last), arr[-1], sum(arr) / len(arr))
+    stats = [arr[0]]
+    for k in (1, 2, 3):
+        pos = last * k
+        lo = pos >> 2
+        frac = (pos & 3) * 0.25
+        stats.append(arr[lo] * (1 - frac) + arr[lo + 1 if frac else lo] * frac)
+    stats.append(arr[-1])
+    stats.append(sum(arr) / len(arr))
+    return _new(SixStats, stats)
 
 
 def reduce_set(values) -> SixStats:
@@ -72,8 +77,7 @@ _SET_FIELDS = [
 _STAT_NAMES = ["min", "q25", "median", "q75", "max", "mean"]
 
 
-@dataclass(frozen=True, slots=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     is_0ma: int
     n_relations: int
     n_conditions: int
@@ -119,6 +123,7 @@ def feature_names():
 
 
 FEATURE_COUNT = len(feature_names())
+_ZEROS = SixStats.zeros()
 
 
 def extract_features(cq, tree, est: EstimateSet) -> FeatureVector:
@@ -127,9 +132,12 @@ def extract_features(cq, tree, est: EstimateSet) -> FeatureVector:
     occurrences = cq.occurrences
     n_joins = sum(occurrences.values()) - len(occurrences)
     n_filters = sum(map(len, cq.filters.values()))
-    branching = sorted([float(len(kids)) for kids in tree.children().values() if kids])
-    zeros = SixStats.zeros()
-    return FeatureVector(
+    branching = []
+    for kids in tree.children().values():
+        if kids:
+            branching.append(float(len(kids)))
+    branching.sort()
+    return _new(FeatureVector, (
         int(tree.oma_flag),
         len(cq.atoms),
         n_joins + n_filters,
@@ -137,8 +145,8 @@ def extract_features(cq, tree, est: EstimateSet) -> FeatureVector:
         n_joins,
         tree.depth(),
         reduce_set(occurrences.values()),
-        _summarize(branching) if branching else zeros,
+        _summarize(branching) if branching else _ZEROS,
         est.total_cost,
         reduce_set(est.table_rows),
-        reduce_set(est.join_rows) if est.join_rows else zeros,
-    )
+        reduce_set(est.join_rows) if est.join_rows else _ZEROS,
+    ))

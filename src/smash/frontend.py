@@ -55,11 +55,12 @@ class QuerySpec:
         return bool(self.select_aggregates)
 
 
-@dataclass(slots=True)
-class Atom:
+class Atom(NamedTuple):
     alias: str
     table: str
     renaming: dict  # original attribute -> class id
+
+
 
 
 @dataclass(slots=True)
@@ -84,55 +85,27 @@ class OutputSpec:
 class NormalizedCQ:
     """A normalized query, and the compact query IR every planning stage reads.
 
-    The IR is built once, from `atoms`: each atom's distinct class ids in
-    renaming order (`atom_classes`), every class id in `class_ids()` order
-    with its position (`class_index`), each atom's classes as an int
-    bitmask over those positions (`masks`), the number of atoms holding
-    each class (`occurrences`) and the classes held by more than one atom
-    (`shared`).  A `NormalizedCQ` must not change after it is made.
+    `normalize` builds the IR while it renames the columns: every class id
+    with its bit position (`class_index`, in the order normalization makes
+    the classes), each atom's classes as an int bitmask over those
+    positions (`masks`; an atom with an intra-atom equality has fewer bits
+    than attributes), the number of atoms holding each class
+    (`occurrences`, in bit order) and the classes held by more than one
+    atom (`shared`).  A `NormalizedCQ` must not change after it is made.
     """
 
     atoms: list  # Atom, FROM order
     filters: dict  # alias -> [engine.Predicate] over class ids
     output: OutputSpec
-    atom_classes: list = field(init=False, repr=False, compare=False)
-    class_index: dict = field(init=False, repr=False, compare=False)
-    masks: list = field(init=False, repr=False, compare=False)
-    occurrences: dict = field(init=False, repr=False, compare=False)
-    shared: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        index = {}
-        occ = {}
-        atom_classes = []
-        masks = []
-        for atom in self.atoms:
-            renaming = atom.renaming
-            mask = 0
-            for attr in sorted(renaming):
-                cid = renaming[attr]
-                i = index.get(cid)
-                if i is None:  # a class first seen here
-                    i = index[cid] = len(index)
-                    occ[cid] = 1
-                    mask |= 1 << i
-                elif not mask >> i & 1:  # not yet counted for this atom
-                    occ[cid] += 1
-                    mask |= 1 << i
-            masks.append(mask)
-            classes = tuple(renaming.values())
-            if mask.bit_count() != len(classes):  # an intra-atom equality
-                classes = tuple(dict.fromkeys(classes))
-            atom_classes.append(classes)
-        self.atom_classes = atom_classes
-        self.class_index = index
-        self.masks = masks
-        self.occurrences = occ
-        self.shared = frozenset([cid for cid, n in occ.items() if n > 1])
+    class_index: dict = field(repr=False, compare=False)
+    masks: list = field(repr=False, compare=False)
+    occurrences: dict = field(repr=False, compare=False)
+    shared: frozenset = field(repr=False, compare=False)
 
     def class_ids(self):
         """All class ids, deterministic order (FROM order, then attribute)."""
-        return list(self.class_index)
+        return list(dict.fromkeys(
+            [atom.renaming[attr] for atom in self.atoms for attr in sorted(atom.renaming)]))
 
     def mask_of(self, class_ids):
         """The bitmask of some of the query's class ids."""
@@ -147,24 +120,21 @@ class NormalizedCQ:
 # tokenizer
 # ---------------------------------------------------------------------------
 
-# one match per token: leading whitespace is skipped before the one
-# unnamed group, and any other character no alternative accepts is a token
-# of its own, which the scanner rejects.  `findall` returns the tokens'
-# texts, and a token's first character tells its kind.  Quantifiers are
-# possessive where giving characters back cannot change the match; a string
-# literal may give back a doubled quote, so that an unterminated literal
-# still ends at its last quote that can close it.
+# one match per token.  No alternative starts with whitespace, so the
+# search steps over it; any other character the first alternatives do not
+# take is a token of its own: punctuation, a one-character operator, or a
+# character the scanner rejects.  `findall` returns the tokens' texts, and
+# a token's first character tells its kind.
+# Quantifiers are possessive where giving characters back cannot change the
+# match; a string literal may give back a doubled quote, so that an
+# unterminated literal still ends at its last quote that can close it.
 _TOKEN_RE = re.compile(
     r"""
-    \s*+
-    (
         [A-Za-z_][A-Za-z_0-9]*+(?:\.[A-Za-z_][A-Za-z_0-9]*+)?  # ident, qualified
-      | [(),;*]                                              # punct
-      | <=|>=|!=|<>|=|<|>                                    # op
       | [0-9]++(?:\.[0-9]++)?                                # number
+      | [<>!]=|<>                                            # two-character op
       | '(?:[^']|'')*'                                       # string
-      | \S                                                   # bad
-    )
+      | \S                                                   # punct, op, bad
     """,
     re.VERBOSE,
 )
@@ -180,255 +150,231 @@ _KEYWORDS = {"SELECT", "FROM", "WHERE", "AND", "AS", "GROUP", "BY", "DISTINCT"}
 _REJECTED = {"OR", "JOIN", "LEFT", "RIGHT", "INNER", "OUTER", "EXISTS", "IN",
              "BETWEEN", "LIKE", "UNION", "NOT", "HAVING", "ORDER", "LIMIT"}
 _LONGEST_WORD = max(map(len, _KEYWORDS | _REJECTED))  # longer is an identifier
+_WORDS = frozenset(_KEYWORDS | _REJECTED)  # no table name or alias
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGITS = frozenset("0123456789")
+_OP_TEXTS = frozenset(("<=", ">=", "!=", "<>", "=", "<", ">"))
 
 
 def _token_position(sql, index):
     """1-based (line, column) of the index-th token, or of the "eof" token
     after the last one; only "\n" ends a line.  Errors only, so it scans
     again."""
-    offsets = [m.start(1) for m in _TOKEN_RE.finditer(sql)]
+    offsets = [m.start() for m in _TOKEN_RE.finditer(sql)]
     offsets.append(len(sql))
     offset = offsets[index]
     return sql.count("\n", 0, offset) + 1, offset - sql.rfind("\n", 0, offset)
 
 
 def _scan(sql):
-    """The tokens as two parallel lists, kinds and values, ending with an
-    "eof" token.
+    """Every token's value, ending with "" for eof, or the first scan error.
 
-    Keywords are upper-cased and string literals unquoted.  Tokens carry no
-    position: an error finds its token's by scanning again.  A lone "!" or
-    quote is what `\\S` matched, so it is rejected with any other character
-    no token starts with.
+    Keywords are upper-cased and string literals unquoted.  A word in
+    `_REJECTED` raises `UnsupportedConstruct`; a character no token starts
+    with, a lone "!" or a lone quote (what `\\S` matched) raises
+    `ParseError`.  The parser runs it only on its error path: a scan error
+    anywhere in the text comes before any grammar error, and the values
+    are what error messages show.
     """
     values = _TOKEN_RE.findall(sql)
-    kinds = []
-    append = kinds.append
     for i, text in enumerate(values):
         kind = _FIRST.get(text[0])
         if kind == "ident":
-            if "." in text:
-                append("qualified")
-                continue
-            if text in _KEYWORDS:  # already upper case
-                append("keyword")
-                continue
-            if len(text) > _LONGEST_WORD:
-                append("ident")
+            if "." in text or len(text) > _LONGEST_WORD:
                 continue
             upper = text.upper()
             if upper in _KEYWORDS:
-                append("keyword")
                 values[i] = upper
             elif upper in _REJECTED:
                 raise UnsupportedConstruct(f"{upper} is not supported",
                                            *_token_position(sql, i))
-            else:
-                append("ident")
-        elif kind == "punct" or kind == "number" or (kind == "op" and text != "!"):
-            append(kind)
         elif kind == "string" and len(text) > 1:
-            append("string")
             values[i] = text[1:-1].replace("''", "'")
-        else:
+        elif kind is None or text in ("!", "'"):
             raise ParseError(f"unexpected character {text!r}",
                              *_token_position(sql, i))
-    append("eof")
     values.append("")
-    return kinds, values
+    return values
 
 
-def _column(qualified):
-    # the token has exactly one dot; tuple.__new__ skips ColumnRef's
-    # Python-level constructor
-    return tuple.__new__(ColumnRef, qualified.split("."))
+def _is_name(text):
+    """Whether a token is a table name or alias: an identifier token (the
+    only ASCII identifiers `_TOKEN_RE` makes) that is no keyword or
+    rejected word."""
+    return text.isidentifier() and text.isascii() and text.upper() not in _WORDS
 
 
-class _Parser:
-    """Recursive descent over the `_scan` token lists.
+# _new(cls, values) makes a NamedTuple `cls` without its Python-level
+# constructor; a qualified token's split on its one dot makes a ColumnRef
+_new = tuple.__new__
 
-    An error names the index of the token it is about, and only then is
-    the token's line and column looked up.
-    """
 
-    def __init__(self, sql):
-        self.sql = sql
-        self.kinds, self.values = _scan(sql)
-        self.pos = 0
+def _fail(sql, message, at, error=ParseError):
+    """Raise `error` at the token with index `at`, unless the text has a
+    scan error, which is raised instead: the scan's errors come first."""
+    _scan(sql)
+    raise error(message, *_token_position(sql, at))
 
-    def error(self, message, at=None, error=ParseError):
-        """Raise at the token with index `at`, by default the next one."""
-        raise error(message, *_token_position(self.sql, self.pos if at is None else at))
 
-    def unsupported(self, message, at=None):
-        self.error(message, at, UnsupportedConstruct)
+def _found(sql, at):
+    """Token `at`'s scanned value, for an error message; raises the first
+    scan error instead, if there is one."""
+    return _scan(sql)[at]
 
-    def expect_keyword(self, kw):
-        pos = self.pos
-        if self.kinds[pos] != "keyword" or self.values[pos] != kw:
-            self.error(f"expected {kw}, found {self.values[pos]!r}", pos)
-        self.pos = pos + 1
 
-    def accept(self, kind, value):
-        pos = self.pos
-        if self.kinds[pos] == kind and self.values[pos] == value:
-            self.pos = pos + 1
-            return True
-        return False
-
-    def expect_punct(self, ch):
-        pos = self.pos
-        if self.kinds[pos] != "punct" or self.values[pos] != ch:
-            self.error(f"expected {ch!r}, found {self.values[pos]!r}", pos)
-        self.pos = pos + 1
-
-    # -- grammar ------------------------------------------------------------
-
-    def parse(self):
-        self.expect_keyword("SELECT")
-        columns, aggregates = self.select_list()
-        self.expect_keyword("FROM")
-        tables = self.table_list()
-        join_conds, filters = [], []
-        if self.accept("keyword", "WHERE"):
-            join_conds, filters = self.condition_list()
-        group_by = []
-        if self.accept("keyword", "GROUP"):
-            self.expect_keyword("BY")
-            group_by = self.column_list()
-        self.accept("punct", ";")
-        if self.kinds[self.pos] != "eof":
-            self.error(f"trailing input {self.values[self.pos]!r}")
-        return tables, columns, aggregates, group_by, join_conds, filters
-
-    def select_list(self):
-        # bare columns next to aggregates must be grouping columns; that is
-        # validated against GROUP BY after parsing
-        kinds, values = self.kinds, self.values
-        columns, aggregates = [], []
-        while True:
-            kind, value = kinds[self.pos], values[self.pos]
-            if kind == "qualified":
-                self.pos += 1
-                columns.append(_column(value))
-            elif kind == "ident" and value.upper() in AGG_FUNCTIONS:
-                aggregates.append(self.aggregate_expr())
-            elif kind == "punct" and value == "*":
-                self.unsupported("SELECT * is not supported")
-            else:
-                self.error(f"expected column or aggregate, found {value!r}")
-            if not self.accept("punct", ","):
-                break
-        return columns, aggregates
-
-    def aggregate_expr(self):
-        start = self.pos
-        fn = self.values[start].upper()
-        self.pos += 1
-        self.expect_punct("(")
-        distinct = self.accept("keyword", "DISTINCT")
-        if self.accept("punct", "*"):
-            if fn != "COUNT" or distinct:
-                inner = "DISTINCT *" if distinct else "*"
-                self.error(f"{fn}({inner}) is not valid", start)
-            col = None
-        else:
-            col = self.column_ref()
-        kind = self.kinds[self.pos]
-        if kind == "op" or (kind == "punct" and self.values[self.pos] == "("):
-            self.unsupported("arithmetic inside aggregates is not supported")
-        self.expect_punct(")")
-        return SelectAggregate(fn, col, distinct)
-
-    def column_ref(self):
-        pos = self.pos
-        if self.kinds[pos] != "qualified":
-            self.error(f"expected alias.attribute, found {self.values[pos]!r}")
-        self.pos = pos + 1
-        return _column(self.values[pos])
-
-    def column_list(self):
-        cols = [self.column_ref()]
-        while self.accept("punct", ","):
-            cols.append(self.column_ref())
-        return cols
-
-    def table_list(self):
-        kinds, values = self.kinds, self.values
-        pos = self.pos
-        tables = []
-        while True:
-            name = values[pos]
-            if kinds[pos] != "ident":
-                self.error(f"expected table name, found {name!r}", pos)
-            kind = kinds[pos + 1]
-            if kind == "keyword" and values[pos + 1] == "AS":
-                if kinds[pos + 2] != "ident":
-                    self.error("expected alias after AS", pos + 2)
-                alias = values[pos + 2]
-                pos += 3
-            elif kind == "ident":
-                alias = values[pos + 1]  # bare alias
-                pos += 2
-            else:
-                alias = name  # bare table auto-aliased to itself
-                pos += 1
-            tables.append((name, alias))
-            if kinds[pos] != "punct" or values[pos] != ",":
-                break
-            pos += 1
-        self.pos = pos
-        return tables
-
-    def condition_list(self):
-        kinds, values = self.kinds, self.values
-        pos = self.pos
-        join_conds, filters = [], []
-        while True:
-            if kinds[pos] != "qualified":
-                self.error(f"expected alias.attribute, found {values[pos]!r}", pos)
-            left = _column(values[pos])
-            op = values[pos + 1]
-            if kinds[pos + 1] != "op":
-                self.error(f"expected comparison operator, found {op!r}", pos + 1)
-            if op == "<>":
-                op = "!="
-            kind, value = kinds[pos + 2], values[pos + 2]
-            if kind == "qualified":
-                right = _column(value)
-                if op != "=":
-                    self.unsupported("non-equality conditions between columns", pos + 1)
-                if left == right:
-                    self.error("join condition must relate two distinct columns", pos + 1)
-                join_conds.append((left, right))
-            elif kind == "number":
-                filters.append((left, op, float(value) if "." in value else int(value)))
-            elif kind == "string":
-                filters.append((left, op, value))
-            elif kind == "keyword" and value == "SELECT":
-                self.unsupported("subqueries are not supported", pos + 2)
-            else:
-                self.error(f"expected literal or column, found {value!r}", pos + 2)
-            pos += 3
-            if kinds[pos] != "keyword" or values[pos] != "AND":
-                break
-            pos += 1
-        self.pos = pos
-        return join_conds, filters
+def _column_at(sql, texts, pos):
+    text = texts[pos]
+    if "." not in text or text[0] not in _IDENT_START:
+        _fail(sql, f"expected alias.attribute, found {_found(sql, pos)!r}", pos)
+    return _new(ColumnRef, text.split("."))
 
 
 def parse_query(sql: str) -> QuerySpec:
-    tables, columns, aggregates, group_by, join_conds, filters = _Parser(sql).parse()
-    aliases = [a for _, a in tables]
-    known = set(aliases)
-    if len(known) != len(aliases):
-        raise ParseError(f"duplicate alias in FROM clause: {aliases}")
+    """Recursive descent over the token texts `_TOKEN_RE.findall` returns.
+
+    The texts are not classified beforehand: the grammar tests a token
+    where it reads it, for what it expects there.  A keyword is a token
+    whose upper case is that keyword (no single character, as an
+    unexpected one is, upper-cases to a keyword or aggregate); a column is
+    a qualified identifier (a token holding a dot that starts as an
+    identifier does); a table name or alias is an identifier that is no
+    keyword or rejected word.  Every token up to the end is read by one of
+    these tests, and none of them accepts a token `_scan` rejects, so a
+    rejected word or an unexpected character always reaches `_fail`, which
+    raises the scan's error first.  Error messages show the token's
+    scanned value (`_found`).
+    """
+    texts = _TOKEN_RE.findall(sql)
+    texts.append("")  # eof; no token is empty
+    if texts[0].upper() != "SELECT":
+        _fail(sql, f"expected SELECT, found {_found(sql, 0)!r}", 0)
+    # select list: bare columns next to aggregates must be grouping
+    # columns; that is validated against GROUP BY after parsing
+    pos = 1
+    columns, aggregates = [], []
+    while True:
+        text = texts[pos]
+        if "." in text and text[0] in _IDENT_START:
+            columns.append(_new(ColumnRef, text.split(".")))
+            pos += 1
+        elif text.upper() in AGG_FUNCTIONS:
+            start = pos
+            fn = text.upper()
+            pos += 1
+            if texts[pos] != "(":
+                _fail(sql, f"expected '(', found {_found(sql, pos)!r}", pos)
+            pos += 1
+            distinct = texts[pos].upper() == "DISTINCT"
+            if distinct:
+                pos += 1
+            if texts[pos] == "*":
+                if fn != "COUNT" or distinct:
+                    inner = "DISTINCT *" if distinct else "*"
+                    _fail(sql, f"{fn}({inner}) is not valid", start)
+                col = None
+            else:
+                col = _column_at(sql, texts, pos)
+            pos += 1
+            text = texts[pos]
+            if text in _OP_TEXTS or text == "(":
+                _fail(sql, "arithmetic inside aggregates is not supported", pos,
+                      UnsupportedConstruct)
+            if text != ")":
+                _fail(sql, f"expected ')', found {_found(sql, pos)!r}", pos)
+            pos += 1
+            aggregates.append(SelectAggregate(fn, col, distinct))
+        elif text == "*":
+            _fail(sql, "SELECT * is not supported", pos, UnsupportedConstruct)
+        else:
+            _fail(sql, f"expected column or aggregate, found {_found(sql, pos)!r}", pos)
+        if texts[pos] != ",":
+            break
+        pos += 1
+    if texts[pos].upper() != "FROM":
+        _fail(sql, f"expected FROM, found {_found(sql, pos)!r}", pos)
+    pos += 1
+    tables = []
+    known = set()
+    while True:
+        name = texts[pos]
+        if not _is_name(name):
+            _fail(sql, f"expected table name, found {_found(sql, pos)!r}", pos)
+        word = texts[pos + 1]
+        if word.upper() == "AS":
+            alias = texts[pos + 2]
+            if not _is_name(alias):
+                _fail(sql, "expected alias after AS", pos + 2)
+            pos += 3
+        elif _is_name(word):
+            alias = word  # bare alias
+            pos += 2
+        else:
+            alias = name  # bare table auto-aliased to itself
+            pos += 1
+        tables.append((name, alias))
+        known.add(alias)
+        if texts[pos] != ",":
+            break
+        pos += 1
+    join_conds, filters = [], []
+    if texts[pos].upper() == "WHERE":
+        pos += 1
+        while True:
+            left = _column_at(sql, texts, pos)
+            op = texts[pos + 1]
+            if op not in _OP_TEXTS:
+                _fail(sql, f"expected comparison operator, found {_found(sql, pos + 1)!r}",
+                      pos + 1)
+            if op == "<>":
+                op = "!="
+            value = texts[pos + 2]
+            first = value[:1]
+            if "." in value and first in _IDENT_START:
+                right = _new(ColumnRef, value.split("."))
+                if op != "=":
+                    _fail(sql, "non-equality conditions between columns", pos + 1,
+                          UnsupportedConstruct)
+                if left == right:
+                    _fail(sql, "join condition must relate two distinct columns", pos + 1)
+                join_conds.append((left, right))
+            elif first in _DIGITS:
+                filters.append((left, op, float(value) if "." in value else int(value)))
+            elif first == "'" and len(value) > 1:
+                filters.append((left, op, value[1:-1].replace("''", "'")))
+            elif value.upper() == "SELECT":
+                _fail(sql, "subqueries are not supported", pos + 2, UnsupportedConstruct)
+            else:
+                _fail(sql, f"expected literal or column, found {_found(sql, pos + 2)!r}",
+                      pos + 2)
+            pos += 3
+            if texts[pos].upper() != "AND":
+                break
+            pos += 1
+    group_by = []
+    if texts[pos].upper() == "GROUP":
+        pos += 1
+        if texts[pos].upper() != "BY":
+            _fail(sql, f"expected BY, found {_found(sql, pos)!r}", pos)
+        group_by.append(_column_at(sql, texts, pos + 1))
+        pos += 2
+        while texts[pos] == ",":
+            group_by.append(_column_at(sql, texts, pos + 1))
+            pos += 2
+    if texts[pos] == ";":
+        pos += 1
+    if texts[pos]:
+        _fail(sql, f"trailing input {_found(sql, pos)!r}", pos)
+
+    if len(known) != len(tables):
+        raise ParseError(f"duplicate alias in FROM clause: {[a for _, a in tables]}")
     # every column written, in the order they are checked
     refs = list(columns)
-    refs += [a.column for a in aggregates if a.column is not None]
+    for a in aggregates:
+        if a.column is not None:
+            refs.append(a.column)
     refs += group_by
     refs += chain.from_iterable(join_conds)
-    refs += [col for col, _, _ in filters]
+    refs += map(itemgetter(0), filters)
     if not known.issuperset(map(itemgetter(0), refs)):
         for col in refs:
             if col.alias not in known:
@@ -439,14 +385,7 @@ def parse_query(sql: str) -> QuerySpec:
                 raise ParseError(f"bare column {col} must appear in GROUP BY")
     elif group_by:
         raise ParseError("GROUP BY without aggregates")
-    return QuerySpec(
-        tables=tables,
-        select_columns=columns,
-        select_aggregates=aggregates,
-        group_by=group_by,
-        join_conds=join_conds,
-        filters=filters,
-    )
+    return QuerySpec(tables, columns, aggregates, group_by, join_conds, filters)
 
 
 # ---------------------------------------------------------------------------
@@ -463,46 +402,55 @@ def normalize(spec: QuerySpec, db=None) -> NormalizedCQ:
     otherwise only columns referenced by the query.  The returned query
     carries the query IR (see `NormalizedCQ`), built here once.
     """
-    # union-find over the join-condition columns, (alias, attr) tuples; a
-    # ColumnRef is one, so spec columns and plain tuples for table columns
-    # find the same entries.  Insertion order is first-mention order.
-    parent = {}
-
-    def find(col):
-        root = parent[col]
-        if root == col:
-            return col
-        while parent[root] != root:
-            root = parent[root]
-        while parent[col] != root:
-            parent[col], col = root, parent[col]
-        return root
-
-    # a column whose parent is a root needs no `find`
+    # the join-condition columns, (alias, attr) tuples, grouped into
+    # classes: each class is the list of its members in first-mention
+    # order, and the classes are in the order of their first members.  A
+    # ColumnRef is such a tuple, so spec columns and plain tuples for table
+    # columns find the same entries.
+    group_of = {}
+    groups = []
     for l, r in spec.join_conds:
-        root_l = parent.setdefault(l, l)
-        if parent[root_l] != root_l:
-            root_l = find(l)
-        root_r = parent.setdefault(r, r)
-        if parent[root_r] != root_r:
-            root_r = find(r)
-        if root_l != root_r:
-            parent[root_r] = root_l
+        group_l = group_of.get(l)
+        group_r = group_of.get(r)
+        if group_l is None:
+            if group_r is None:
+                group_of[l] = group_of[r] = group = [l, r]
+                groups.append(group)
+            else:
+                group_r.append(l)
+                group_of[l] = group_r
+        elif group_r is None:
+            group_l.append(r)
+            group_of[r] = group_l
+        elif group_l is not group_r:  # two classes meet: merge them
+            rank = {}
+            for col in chain.from_iterable(spec.join_conds):
+                rank.setdefault(col, len(rank))
+            merged = sorted(group_l + group_r, key=rank.__getitem__)
+            first, second = [i for i, g in enumerate(groups)
+                             if g is group_l or g is group_r]
+            groups[first] = merged
+            del groups[second]
+            for col in merged:
+                group_of[col] = merged
     # renamings list each atom's attributes in class order, then first
     # mention.  Every join-condition column is mentioned before any other,
     # so the join classes come first, in the order of their first members;
     # then each other column is a class alone, in first-mention order.
-    members = {}
-    for col, root in parent.items():
-        if parent[root] != root:
-            root = find(col)
-        members.setdefault(root, []).append(col)
+    # Each class gets the next bit as it is made, and each atom's mask its
+    # bits; a join class occurs in as many atoms as it adds a bit to.
     alias_pos = {}
     renamings = {}
+    masks = {}
     for pos, (_, alias) in enumerate(spec.tables):
         alias_pos[alias] = pos
         renamings[alias] = {}
-    for group in members.values():
+        masks[alias] = 0
+    index = {}  # class id -> bit position
+    n_classes = 0
+    occ = {}
+    shared = []
+    for group in groups:
         alias, attr = group[0]
         if len(group) > 1:  # the member first in FROM order, then by name
             best = alias_pos[alias]
@@ -511,24 +459,51 @@ def normalize(spec: QuerySpec, db=None) -> NormalizedCQ:
                 if pos < best or (pos == best and t < attr):
                     alias, attr, best = a, t, pos
         cid = f"{alias}.{attr}"
+        index[cid] = n_classes
+        bit = 1 << n_classes
+        n_classes += 1
+        n = 0
         for alias, attr in group:
             renamings[alias][attr] = cid
-    for alias, attr in chain(
-            spec.select_columns,
-            [a.column for a in spec.select_aggregates if a.column is not None],
-            spec.group_by,
-            [col for col, _, _ in spec.filters]):
+            mask = masks[alias]
+            if not mask & bit:
+                masks[alias] = mask | bit
+                n += 1
+        occ[cid] = n
+        if n > 1:
+            shared.append(cid)
+    mentioned = list(spec.select_columns)
+    for a in spec.select_aggregates:
+        if a.column is not None:
+            mentioned.append(a.column)
+    mentioned += spec.group_by
+    mentioned += map(itemgetter(0), spec.filters)
+    for alias, attr in mentioned:
         renaming = renamings[alias]
         if attr not in renaming:
-            renaming[attr] = f"{alias}.{attr}"
+            cid = renaming[attr] = f"{alias}.{attr}"
+            masks[alias] |= 1 << n_classes
+            index[cid] = n_classes
+            n_classes += 1
+            occ[cid] = 1
     atoms = []
+    atom_masks = []
     for name, alias in spec.tables:
         renaming = renamings[alias]
+        mask = masks[alias]
         if db is not None:
-            for attr in db.table(name).schema:
+            # the table's columns, in schema order, from the statistics the
+            # estimator reads next
+            stats = db.stats.get(name)
+            for attr in (db.table(name).schema if stats is None else stats.ndv):
                 if attr not in renaming:
-                    renaming[attr] = f"{alias}.{attr}"
-        atoms.append(Atom(alias, name, renaming))
+                    cid = renaming[attr] = f"{alias}.{attr}"
+                    mask |= 1 << n_classes
+                    index[cid] = n_classes
+                    n_classes += 1
+                    occ[cid] = 1
+        atoms.append(_new(Atom, (alias, name, renaming)))
+        atom_masks.append(mask)
 
     filters = {}
     for (alias, attr), op, literal in spec.filters:
@@ -537,32 +512,29 @@ def normalize(spec: QuerySpec, db=None) -> NormalizedCQ:
         )
 
     if spec.is_aggregate:
-        source_aliases = []
-        for ref in spec.group_by + [
-            a.column for a in spec.select_aggregates if a.column is not None
-        ]:
-            if ref.alias not in source_aliases:
-                source_aliases.append(ref.alias)
-        output = OutputSpec(
-            kind="aggregate",
-            aggregates=[
-                Aggregate(
-                    a.fn,
-                    None if a.column is None else renamings[a.column[0]][a.column[1]],
-                    a.distinct,
-                )
-                for a in spec.select_aggregates
-            ],
-            group_by=[renamings[alias][attr] for alias, attr in spec.group_by],
-            source_aliases=source_aliases,
-        )
+        group_by = []
+        source_aliases = []  # aliases written in GROUP BY, then in aggregates
+        for alias, attr in spec.group_by:
+            group_by.append(renamings[alias][attr])
+            if alias not in source_aliases:
+                source_aliases.append(alias)
+        aggregates = []
+        for a in spec.select_aggregates:
+            if a.column is None:
+                aggregates.append(Aggregate(a.fn, None, a.distinct))
+                continue
+            alias, attr = a.column
+            aggregates.append(Aggregate(a.fn, renamings[alias][attr], a.distinct))
+            if alias not in source_aliases:
+                source_aliases.append(alias)
+        output = OutputSpec("aggregate", [], aggregates, group_by, source_aliases)
     else:
-        output = OutputSpec(
-            kind="enumeration",
-            columns=[renamings[alias][attr] for alias, attr in spec.select_columns],
-            source_aliases=list(dict.fromkeys([c[0] for c in spec.select_columns])),
-        )
-    return NormalizedCQ(atoms=atoms, filters=filters, output=output)
+        columns = []
+        for alias, attr in spec.select_columns:
+            columns.append(renamings[alias][attr])
+        output = OutputSpec("enumeration", columns, source_aliases=list(
+            dict.fromkeys(map(itemgetter(0), spec.select_columns))))
+    return NormalizedCQ(atoms, filters, output, index, atom_masks, occ, frozenset(shared))
 
 
 # ---------------------------------------------------------------------------

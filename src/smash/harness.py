@@ -62,10 +62,13 @@ class RunEntry:
 @dataclass
 class RunLog:
     """Entries in run order.  Callers may append to `entries` or replace
-    the list; entries already looked up must not be edited or removed."""
+    the list; entries already looked up must not be edited or removed.
+    `features` holds the feature vector `run_workload` planned for each
+    query it could plan, by query id; it is not saved."""
 
     config: RunConfig
     entries: list = field(default_factory=list)
+    features: dict = field(default_factory=dict, repr=False, compare=False)
     # (query id, strategy) -> first such entry, over entries[:_n_indexed]
     _index: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -189,7 +192,9 @@ def run_workload(db: Database, queries, config: RunConfig) -> RunLog:
     """queries: (query id, QuerySpec) pairs, run in the given order.
 
     A query that cannot be planned is recorded as skipped under both
-    strategies, with the planning error as the reason."""
+    strategies, with the planning error as the reason.  The log keeps the
+    feature vector of every query planned (`RunLog.features`), for
+    `build_dataset`."""
     log = RunLog(config=config)
     for qid, spec in queries:
         try:
@@ -201,6 +206,7 @@ def run_workload(db: Database, queries, config: RunConfig) -> RunLog:
                              skipped=True, reason=str(exc))
                 )
             continue
+        log.features[qid] = plan.features
         cq = plan.cq
         seq = rewrite(plan.tree, cq, db)  # built outside the timed region
         runners = {

@@ -18,7 +18,6 @@ engine's result on a SQL engine such as stdlib sqlite3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import takewhile
 from operator import itemgetter
 from typing import NamedTuple
@@ -58,9 +57,9 @@ class Statement(NamedTuple):
         return _KINDS[self.form[0]]
 
 
-# Statement((name, form)) without the Python-level constructor, for the
-# emitter's many statements
-_statement = partial(tuple.__new__, Statement)
+# _new(Statement, (name, form)) makes a Statement without the Python-level
+# constructor, for the emitter's many statements
+_new = tuple.__new__
 
 
 @dataclass(slots=True)
@@ -90,99 +89,109 @@ class StatementSequence:
         return ";\n".join(self.render(with_drops, unlogged)) + ";"
 
 
-class _Emitter:
-    """Plans the statements of one join tree from the query IR: each
-    atom's class set is its bitmask, so projections are mask operations."""
+def _emit(tree, cq):
+    """The statements of one join tree and the top-down pass's artifact per
+    node, planned from the query IR: each atom's class set is its bitmask,
+    so projections are mask operations."""
+    kids = tree.children()
+    parent_of = tree.parent
+    root = tree.root
+    statements = []
+    add = statements.append
+    created = []  # every view and table name, in creation order
 
-    def __init__(self, tree, cq):
-        self.tree = tree
-        self.cq = cq
-        self.statements = []
-        self.art = {}  # node -> its bottom-up pass artifact
-        self.finished = []  # nodes in the order that pass finishes them
-        self.children_of = tree.children()
-
-    def _add(self, name, *form):
-        self.statements.append(_statement((name, form)))
-        return name
-
-    def bottom_up_semijoins(self, node, aggregate_at_root=False):
-        """A view plus one semi-join table per (node, child); returns the
-        node's accumulated artifact name and records it in `art`, and the
-        node in `finished`, children before their parents.  Views are
-        numbered by the 1-based FROM position of their atom, and higher
-        FROM positions are semi-joined in first (E3E2 before E1)."""
-        acc = self._add(f"E{node + 1}", "atom", node)
-        children = sorted(self.children_of[node], reverse=True)
-        at_root = aggregate_at_root and self.tree.parent[node] is None
-        if at_root and not children:
-            acc = self._add(acc + "A", "aggregate", acc)
-        for pos, child in enumerate(children):
-            child_art = self.bottom_up_semijoins(child)
-            last = pos == len(children) - 1
-            op = "semijoin_agg" if at_root and last else "semijoin"
-            acc = self._add(acc + child_art, op, acc, child_art)
-        self.art[node] = acc
-        self.finished.append(node)
-        return acc
-
-    def emit(self):
-        """The statements and the top-down pass's artifact per node."""
-        tree, cq = self.tree, self.cq
-        root_art = self.bottom_up_semijoins(tree.root, aggregate_at_root=tree.oma_flag)
-        if tree.oma_flag:
-            self._add(None, "final_all", root_art)
-            self._drops()
-            return self.statements, {}
-
+    # bottom-up semi-joins, depth first from the root: a view per node
+    # (numbered by the 1-based FROM position of its atom), then per child,
+    # higher FROM positions first (E3E2 before E1), the child's subtree and
+    # a table semi-joining the node's accumulated artifact with the child's.
+    # For a 0MA tree the root's last semi-join aggregates, or, without
+    # children, a table of its own.  `art` ends as each node's artifact and
+    # `finished` lists the nodes children first.
+    art = {root: f"E{root + 1}"}
+    add(_new(Statement, (art[root], ("atom", root))))
+    created.append(art[root])
+    last_at_root = min(kids[root]) if tree.oma_flag and kids[root] else None
+    finished = []
+    stack = [(root, iter(sorted(kids[root], reverse=True)))]
+    while stack:
+        node, children = stack[-1]
+        child = next(children, None)
+        if child is not None:
+            name = art[child] = f"E{child + 1}"
+            add(_new(Statement, (name, ("atom", child))))
+            created.append(name)
+            stack.append((child, iter(sorted(kids[child], reverse=True))))
+            continue
+        stack.pop()
+        finished.append(node)
+        if stack:
+            above = stack[-1][0]
+            op = "semijoin_agg" if above == root and node == last_at_root else "semijoin"
+            acc = art[above]
+            name = art[above] = acc + art[node]
+            add(_new(Statement, (name, (op, acc, art[node]))))
+            created.append(name)
+    if tree.oma_flag and not kids[root]:
+        acc = art[root]
+        name = art[root] = acc + "A"
+        add(_new(Statement, (name, ("aggregate", acc))))
+        created.append(name)
+    root_art = art[root]
+    if tree.oma_flag:
+        add(_new(Statement, (None, ("final_all", root_art))))
+        topdown = {}
+    else:
         # top-down semi-joins, parents before their children
-        art, parent_of = self.art, tree.parent
-        topdown = {tree.root: art[tree.root]}
-        for node in reversed(self.finished[:-1]):
-            topdown[node] = self._add(
-                f"D{node + 1}", "semijoin", art[node], topdown[parent_of[node]],
-            )
+        topdown = {root: root_art}
+        for node in reversed(finished[:-1]):
+            name = f"D{node + 1}"
+            add(_new(Statement, (name, ("semijoin", art[node], topdown[parent_of[node]]))))
+            created.append(name)
+            topdown[node] = name
 
         # bottom-up joins, each projected on the classes the output or the
         # parent needs, in class-id order
         masks = cq.masks
         output = cq.mask_of(cq.output.needed_classes())
-        by_name = None  # (class id, bit) in class-id order, once a join needs it
+        class_ids = None  # by bit, once a join needs them
         joined = {}
         sub_mask = {}
-        for node in self.finished:
-            children = self.children_of[node]
-            attrs = masks[node]
+        for node in finished:
+            children = kids[node]
+            keep = masks[node]
             for c in children:
-                attrs |= sub_mask[c]
+                keep |= sub_mask[c]
             parent = parent_of[node]
-            keep = attrs & (output if parent is None else output | masks[parent])
+            keep &= output if parent is None else output | masks[parent]
             sub_mask[node] = keep
             if not children:
                 joined[node] = topdown[node]
                 continue
-            sources = [joined[c] for c in children]
-            if by_name is None:
-                by_name = sorted([(cid, 1 << i) for cid, i in cq.class_index.items()])
-            joined[node] = self._add(
-                f"F{node + 1}", "join_project", topdown[node], sources,
-                [cid for cid, bit in by_name if keep & bit],
-            )
+            if class_ids is None:
+                class_ids = list(cq.class_index)
+            kept = []
+            while keep:
+                bit = keep & -keep
+                kept.append(class_ids[bit.bit_length() - 1])
+                keep ^= bit
+            kept.sort()
+            name = f"F{node + 1}"
+            sources = []
+            for c in children:
+                sources.append(joined[c])
+            add(_new(Statement, (name, ("join_project", topdown[node], sources, kept))))
+            created.append(name)
+            joined[node] = name
 
-        root_art = joined[tree.root]
         out = cq.output
         if out.kind == "enumeration":
-            self._add(None, "final_project", root_art, list(out.columns))
+            add(_new(Statement, (None, ("final_project", joined[root], list(out.columns)))))
         else:
-            self._add(None, "final_agg", root_art)
-        self._drops()
-        return self.statements, topdown
-
-    def _drops(self):
-        """Every view and table, dropped in the reverse order of creation;
-        they are the statements with a name so far."""
-        created = [s.name for s in self.statements if s.name is not None]
-        self.statements += [_statement((name, ("drop", name))) for name in reversed(created)]
+            add(_new(Statement, (None, ("final_agg", joined[root]))))
+    # every view and table, dropped in the reverse order of creation
+    for name in reversed(created):
+        add(_new(Statement, (name, ("drop", name))))
+    return statements, topdown
 
 
 def rewrite(tree, cq, db: Database | None = None) -> StatementSequence:
@@ -193,7 +202,7 @@ def rewrite(tree, cq, db: Database | None = None) -> StatementSequence:
     numeric comparison on a string-typed column; without it no casts are
     rendered.
     """
-    statements, reduced = _Emitter(tree, cq).emit()
+    statements, reduced = _emit(tree, cq)
     return StatementSequence(statements, reduced, cq, db)
 
 

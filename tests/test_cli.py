@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from smash import harness
 from smash.acyclic import analyze
 from smash.cli import main
 from smash.engine import estimate_cardinalities, save_database
 from smash.features import extract_features, feature_names
 from smash.frontend import normalize, parse_query
+from smash.harness import plan_query
 from smash.ml import decide, label, load_model, save_dataset
 
 from conftest import CHAIN_SQL
@@ -145,7 +147,14 @@ class TestModelCommands:
         assert code == 0 and out.strip() in ("Original", "Rewritten")
         assert out.strip() == decide(load_model(model), chain_features(chain_db), 0.0)
 
-    def test_e2e_report(self, capsys, tmp_path):
+    def test_e2e_report(self, capsys, tmp_path, monkeypatch):
+        planned = []
+
+        def counting_plan_query(spec, *args, **kwargs):
+            planned.append(spec)
+            return plan_query(spec, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "plan_query", counting_plan_query)
         report = tmp_path / "report.json"
         code, out = run(capsys, [
             "--repeats", "1", "e2e", "--queries", "24",
@@ -154,6 +163,9 @@ class TestModelCommands:
         assert code == 0
         assert "SMASH" in out and report.exists()
         payload = json.loads(report.read_text())
+        # once per query in run_workload, once per test query in smash_e2e
+        assert len(planned) == 24 + payload["n_queries"]
+        assert len({id(spec) for spec in planned[:24]}) == 24
         assert set(payload["strategies"]) == {
             "Base", "Rewriting", "SMASH", "OracleBest",
         }

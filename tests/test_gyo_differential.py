@@ -24,9 +24,16 @@ from smash.acyclic import (
     analyze,
     check_connectedness,
 )
-from smash.engine import Aggregate
+from smash.engine import Database, Relation
 from smash.errors import InvalidJoinTree
-from smash.frontend import Atom, NormalizedCQ, OutputSpec, normalize, parse_query, to_sql
+from smash.frontend import (
+    ColumnRef,
+    QuerySpec,
+    SelectAggregate,
+    normalize,
+    parse_query,
+    to_sql,
+)
 
 from test_plan_equivalence import corpus
 
@@ -182,7 +189,7 @@ def _bitmask_gyo(cq):
     """`_gyo` over the atoms' masks, its residual as the oracle's
     (atom id, frozenset of class ids) edges."""
     ears, alive = _gyo(cq.masks)
-    classes = cq.class_ids()
+    classes = list(cq.class_index)  # bit order
     residual = [(atom, frozenset(c for i, c in enumerate(classes) if mask >> i & 1))
                 for atom, mask in alive.items()]
     return _Result(not alive, [] if alive else ears, residual)
@@ -207,19 +214,29 @@ def test_digest_corpus_matches_the_set_based_oracle():
 
 
 def _hypergraph_cq(edges, needed, fn, distinct):
-    """A query whose atom i holds the classes `v<j>` for j in edges[i], and
-    whose output aggregates over the `needed` classes."""
-    atoms = [Atom(f"a{i}", "t", {f"c{j}": f"v{j}" for j in sorted(edge)})
-             for i, edge in enumerate(edges)]
-    present = sorted(set().union(*edges))
-    classes = [f"v{j}" for j in present if j in needed]
+    """A query whose atom i holds the classes of the vertices in edges[i],
+    and whose output aggregates over the `needed` classes: atom i reads
+    table t<i> with one column c<j> per vertex j, joined on c<j> with the
+    next atom holding j."""
+    db = Database()
+    holders = {}
+    for i, edge in enumerate(edges):
+        db.add(Relation(f"t{i}", [f"c{j}" for j in sorted(edge)]))
+        for j in sorted(edge):
+            holders.setdefault(j, []).append(i)
+    joins = [(ColumnRef(f"a{x}", f"c{j}"), ColumnRef(f"a{y}", f"c{j}"))
+             for j, atoms in sorted(holders.items()) for x, y in zip(atoms, atoms[1:])]
+    columns = [ColumnRef(f"a{holders[j][0]}", f"c{j}") for j in sorted(holders)
+               if j in needed]
+    spec = QuerySpec(tables=[(f"t{i}", f"a{i}") for i in range(len(edges))],
+                     join_conds=joins)
     if fn is None:
-        output = OutputSpec(kind="enumeration", columns=classes)
+        spec.select_columns = columns
     else:
-        output = OutputSpec(kind="aggregate", group_by=classes[1:],
-                            aggregates=[Aggregate(fn, classes[0] if classes else None,
-                                                  distinct)])
-    return NormalizedCQ(atoms=atoms, filters={}, output=output)
+        spec.select_aggregates = [SelectAggregate(fn, columns[0] if columns else None,
+                                                  distinct)]
+        spec.group_by = columns[1:]
+    return normalize(spec, db)
 
 
 def _vertex_set(rng, max_size):

@@ -80,6 +80,15 @@ class TestRunWorkload:
         ]
         assert excluded_query_ids(log) == ["bad"]
 
+    def test_features_of_planned_queries_feed_the_dataset(self, chain_db):
+        queries = [("good", parse_query(CHAIN_SQL)), ("bad", parse_query(
+            "SELECT MIN(R.a) FROM R, S WHERE R.b = S.b AND R.zz = 1"))]
+        log = run_workload(chain_db, queries, RunConfig(repeats=1))
+        assert list(log.features) == ["good"]
+        assert log.features["good"] == plan_query(queries[0][1], chain_db).features
+        (example,) = build_dataset(log, log.features)
+        assert example.query_id == "good"
+
     def test_json_round_trip(self, chain_run, tmp_path):
         _, log = chain_run
         path = tmp_path / "runlog.json"

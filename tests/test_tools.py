@@ -1,9 +1,10 @@
-"""The benchmark tools' shared set-up against the models they recorded.
+"""The benchmark tools' shared set-up against what they recorded.
 
 `tools/bench_cart.py` and `tools/bench_plan.py` label the benchmark's
 selector_wide queries by exact intermediate-tuple counts, through
 `harness.plan_query`.  The pool models trained on that dataset must stay
-the ones `BENCH_cart.json` records, byte for byte.
+the ones `BENCH_cart.json` records, byte for byte, and the plans of those
+queries the ones every side of `BENCH_plan.json` recorded.
 """
 
 import hashlib
@@ -31,3 +32,18 @@ def test_selector_wide_pool_models_match_bench_cart(monkeypatch):
     assert sides
     for name, side in sides.items():
         assert side["model_sha256"] == digests, name
+
+
+def test_selector_wide_plans_match_bench_plan(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    monkeypatch.syspath_prepend(str(REPO / "tools"))
+    import bench_cart
+    import bench_plan
+
+    db, queries = bench_cart.workload("selector_wide")
+    model = ml.train_cart(bench_cart.count_examples(db, queries), task="regress")
+    digest = bench_plan.plan_digest(db, queries, model)
+    sides = json.loads((REPO / "BENCH_plan.json").read_text())["sides"]
+    assert sides
+    for name, side in sides.items():
+        assert side["plan_sha256"]["selector_wide"] == digest, name
