@@ -11,9 +11,11 @@ by semi-joins, which steers which evaluation strategy wins.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, repeat, starmap
 
 import numpy as np
 
@@ -214,7 +216,41 @@ def _tree_parents(rng, k, shape):
     return [None] + [rng.randrange(i) for i in range(1, k)]
 
 
+def _randrange_draws(rng, n, count):
+    """`count` values of `rng.randrange(n)`, drawn as it draws them.
+
+    CPython's `randrange(n)` (`_randbelow_with_getrandbits`) calls
+    `getrandbits(n.bit_length())` until a value falls below n.  Asking, one
+    batch at a time, for as many values as are still missing makes the
+    same calls in the same order: a batch never holds more calls than the
+    values it must still yield, so it never draws past the last call the
+    per-value loop would make.
+    """
+    if not count:
+        return []
+    try:
+        n = operator.index(n)
+    except TypeError:  # randrange's deprecated non-integer argument
+        return [rng.randrange(n) for _ in range(count)]
+    if n < 1:  # getrandbits(0) is 0, so the batches would never fill
+        raise ValueError("empty range for randrange()")
+    getrandbits, bits = rng.getrandbits, n.bit_length()
+    values = []
+    while len(values) < count:
+        values += filter(n.__gt__, map(getrandbits, repeat(bits, count - len(values))))
+    return values
+
+
 def _generate_one(rng, spec: WorkloadSpec, qid):
+    """One tree-shaped query over `k` tables of its own, drawn from `rng`.
+
+    The order of the draws is part of the workload: the table count, the
+    tree, the root's row count and payloads; then, per table in
+    breadth-first order, its fanout and one `random()` per non-core row of
+    its parent; then the other tables' payloads in table order; then the
+    filter and the output.  Change that order, or the number of draws, and
+    the tables and queries of every seed change.
+    """
     k = rng.randint(*spec.n_relations)
     parents = _tree_parents(rng, k, spec.shape)
     children = [[] for _ in range(k)]
@@ -231,17 +267,12 @@ def _generate_one(rng, spec: WorkloadSpec, qid):
 
     n_root = rng.randint(*spec.rows)
     row_counts = [n_root] + [0] * (k - 1)
-    rows_of = {}
+    # a child row's key into its parent; its own key is its position
+    parent_keys = {}
     # a few "core" rows always join through every table, so query results
     # are never empty regardless of the dangling fraction
     core_rows = {0: set(range(min(2, n_root)))}
-
-    # root: one key column per child edge plus a payload column
-    schema0 = [edge_attr[c] for c in children[0]] + ["v"]
-    rows_of[0] = [
-        tuple([r] * len(children[0]) + [rng.randrange(spec.payload_range)])
-        for r in range(n_root)
-    ]
+    root_payloads = _randrange_draws(rng, spec.payload_range, n_root)
     queue = list(children[0])
     while queue:
         node = queue.pop(0)
@@ -254,40 +285,34 @@ def _generate_one(rng, spec: WorkloadSpec, qid):
             spec.dangling_fraction if node == k - 1
             else spec.dangling_fraction * 0.25
         )
-        rows = []
-        core = set()
-        idx = 0
-        for parent_key in range(row_counts[parent]):
-            is_core = parent_key in core_rows[parent]
-            if not is_core and rng.random() < dangling:
-                continue
-            if is_core:
-                core.add(idx)
-            for _ in range(fanout):
-                rows.append((parent_key, idx))
-                idx += 1
-        row_counts[node] = len(rows)
-        rows_of[node] = rows
-        core_rows[node] = core
+        # each non-core parent row, in order, is dropped when its draw
+        # falls below `dangling`; a core row draws nothing and stays
+        n_parent = row_counts[parent]
+        core = sorted(core_rows[parent])
+        keep = list(map(operator.ge,
+                        starmap(rng.random, repeat((), n_parent - len(core))),
+                        repeat(dangling)))
+        for key in core:
+            keep.insert(key, True)
+        kept = list(compress(range(n_parent), keep))
+        parent_keys[node] = list(chain.from_iterable(map(repeat, kept, repeat(fanout))))
+        row_counts[node] = len(parent_keys[node])
+        core_rows[node] = {kept.index(key) * fanout for key in core}
         queue.extend(children[node])
 
     relations = []
     for node in range(k):
+        # one key column per child edge, equal to the row's own key, and a
+        # payload column; a child table leads with its parent key
+        own_keys = [range(row_counts[node])] * len(children[node])
+        schema = [edge_attr[c] for c in children[node]] + ["v"]
         if node == 0:
-            schema = schema0
-            rows = rows_of[0]
+            columns = [*own_keys, root_payloads]
         else:
-            schema = [edge_attr[node]]
-            schema += [edge_attr[c] for c in children[node]]
-            schema += ["v"]
-            rows = [
-                tuple(
-                    [pk] + [own] * len(children[node])
-                    + [rng.randrange(spec.payload_range)]
-                )
-                for pk, own in rows_of[node]
-            ]
-        relations.append(Relation(table_names[node], schema, rows))
+            schema.insert(0, edge_attr[node])
+            payloads = _randrange_draws(rng, spec.payload_range, row_counts[node])
+            columns = [parent_keys[node], *own_keys, payloads]
+        relations.append(Relation(table_names[node], schema, list(zip(*columns))))
 
     tables = [(table_names[i], aliases[i]) for i in range(k)]
     join_conds = []
