@@ -476,42 +476,48 @@ def estimate_cardinalities(cq, db: Database) -> EstimateSet:
 # table ingestion
 # ---------------------------------------------------------------------------
 
-def _infer_column(values):
-    def all_parse(cast):
+def _cast_column(values, cast=None):
+    """A column's values cast once: by `cast` if given, else by the first
+    of int, float and str that parses every value."""
+    if cast is not None:
+        return list(map(cast, values))
+    for cast in (int, float):
         try:
-            for v in values:
-                cast(v)
-            return True
+            return list(map(cast, values))
         except ValueError:
-            return False
-
-    if all_parse(int):
-        return int
-    if all_parse(float):
-        return float
-    return str
+            pass
+    return list(values)
 
 
 _TYPE_CASTS = {"int64": int, "float64": float, "string": str}
 
 
 def load_table(path, name=None, schema_file=None) -> Relation:
-    """Load a headered CSV; types inferred unless a sidecar schema is given."""
+    """Load a headered CSV; types inferred unless a sidecar schema is given.
+
+    A row with more or fewer fields than the header raises ValueError,
+    naming the file and the row's line.
+    """
     path = Path(path)
     name = name or path.stem
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        raw = [row for row in reader]
-    casts = None
+        raw = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, "
+                    f"but the header has {len(header)}"
+                )
+            raw.append(row)
+    casts = [None] * len(header)
     if schema_file is not None:
         with open(schema_file) as fh:
             spec = json.load(fh)
         casts = [_TYPE_CASTS[spec[col]] for col in header]
-    else:
-        casts = [_infer_column([row[i] for row in raw]) for i in range(len(header))]
-    rows = [tuple(c(v) for c, v in zip(casts, row)) for row in raw]
-    return Relation(name, header, rows)
+    columns = zip(*raw) if raw else [()] * len(header)
+    return Relation(name, header, list(zip(*map(_cast_column, columns, casts))))
 
 
 def save_database(db: Database, directory):

@@ -15,6 +15,7 @@ from smash.engine import (
     evaluate_baseline,
     group_aggregate,
     load_database,
+    load_table,
     natural_join,
     project,
     save_database,
@@ -269,3 +270,31 @@ class TestPersistence:
         save_database(toy_db, tmp_path)
         back = load_database(tmp_path)
         assert back.table("badges").column("Name")[:2] == ["gold", "silver"]
+
+    def test_round_trip_keeps_rows_and_types(self, tmp_path):
+        db = Database()
+        db.add(Relation("mixed", ["i", "f", "s", "n"], [
+            (1, 0.5, "a", -3), (20, 1e-07, "3x", 0), (-4, 2.0, "", 7)]))
+        db.add(Relation("empty", ["x", "y"], []))
+        save_database(db, tmp_path)
+        back = load_database(tmp_path)
+        for name, rel in db.tables.items():
+            assert back.table(name).schema == rel.schema
+            assert repr(back.table(name).rows) == repr(rel.rows), name
+
+    @pytest.mark.parametrize("body, fields", [("3,4,5\n", 3), ("3\n", 1)])
+    def test_ragged_row_rejected(self, tmp_path, body, fields):
+        path = tmp_path / "R.csv"
+        path.write_text("a,b\n1,2\n" + body)
+        with pytest.raises(ValueError) as info:
+            load_table(path)
+        assert str(info.value) == (
+            f"{path}, line 3: {fields} fields, but the header has 2")
+
+    def test_ragged_row_rejected_with_a_sidecar_schema(self, tmp_path):
+        path = tmp_path / "R.csv"
+        path.write_text("a,b\n1,2,3\n")
+        sidecar = tmp_path / "R.schema.json"
+        sidecar.write_text('{"a": "int64", "b": "string"}')
+        with pytest.raises(ValueError, match="line 2: 3 fields"):
+            load_table(path, schema_file=sidecar)
