@@ -162,7 +162,7 @@ def _leaf(task, y):
             "counts": [zeros, ones],
             "prediction": 1 if ones > zeros else 0,
         }
-    # np.mean's steps, bit for bit; an empty leaf gets NaN, as np.mean gives
+    # np.mean's steps, bit for bit
     return {"leaf": True, "n": len(y), "prediction": float(y.sum() / len(y))}
 
 
@@ -206,7 +206,10 @@ def _screen_level(X, ranks, nodes, task):
     of magnitude below the tolerance, so a candidate left out gains nearly
     1e-9 less than the best.  The 1e-12 rule never picks it, and leaving it
     out could change the pick only through a chain of about a thousand
-    candidates, each within 1e-12 of the one before.
+    candidates, each within 1e-12 of the one before.  A candidate whose
+    threshold rounded onto hi or overflowed may leave a side empty: it
+    gains nothing, and no split with two sides gains less, so it screens
+    none of them out; `_best_candidate` skips it.
     """
     sizes = np.array([len(rows) for rows, _, _ in nodes])
     starts = np.cumsum(sizes) - sizes
@@ -268,9 +271,10 @@ def _screen_level(X, ranks, nodes, task):
 
 def _best_candidate(X, rows, ys, imp, candidates, impurity):
     """The candidate the exhaustive search picks, or None: each is scored
-    on its `x <= threshold` partition in row order, and the first one, in
-    feature then threshold order, that no later one beats by more than
-    1e-12 wins.  Returns (gain, feature, threshold, goes-left mask)."""
+    on its `x <= threshold` partition in row order, a partition with an
+    empty side is skipped, and the first one, in feature then threshold
+    order, that no later one beats by more than 1e-12 wins.  Returns
+    (gain, feature, threshold, goes-left mask)."""
     n = len(rows)
     best = None
     gains = {}  # partition -> exact gain; tied features repeat partitions
@@ -282,8 +286,10 @@ def _best_candidate(X, rows, ys, imp, candidates, impurity):
             gains[key] = imp - (
                 len(left) / n * impurity(left)
                 + len(right) / n * impurity(right)
-            )
+            ) if len(left) and len(right) else None
         gain = gains[key]
+        if gain is None:
+            continue
         if best is None or gain > best[0] + 1e-12:
             best = (gain, f, threshold, goes_left)
     return best
@@ -303,11 +309,9 @@ def train_cart(train, task="classify", max_depth=None, min_leaf=2) -> CartModel:
     therefore byte-identical to the exhaustive depth-first search's;
     tests/test_cart_differential.py checks this.
 
-    A chosen split can leave one side empty (the threshold overflowed or
-    rounded onto the upper value).  The node's rows then reach the next
-    level unchanged and would split the same way forever, so without
-    `max_depth` that raises RecursionError; with it, the tree grows to the
-    limit.
+    A threshold (lo + hi) / 2 can round onto hi or overflow, so that its
+    partition leaves one side empty; such a candidate is skipped, and a
+    node with no other candidate becomes a leaf.
     """
     if not train:
         raise EmptyTraining("cannot train CART on an empty set")
@@ -351,11 +355,6 @@ def train_cart(train, task="classify", max_depth=None, min_leaf=2) -> CartModel:
                 continue
             gain, f, threshold, goes_left = best
             left, right = rows[goes_left], rows[~goes_left]
-            if max_depth is None and not (len(left) and len(right)):
-                raise RecursionError(
-                    f"the best split of a {len(rows)}-row node leaves one side "
-                    "empty, so it would repeat without end; set max_depth"
-                )
             splits.append((path, f, gain * (len(rows) / n_total)))
             node.update(leaf=False, feature=int(f), threshold=float(threshold),
                         left={}, right={})
