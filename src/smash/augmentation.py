@@ -226,8 +226,6 @@ def _randrange_draws(rng, n, count):
     values it must still yield, so it never draws past the last call the
     per-value loop would make.
     """
-    if not count:
-        return []
     try:
         n = operator.index(n)
     except TypeError:  # randrange's deprecated non-integer argument
