@@ -3,8 +3,10 @@
 `tools/bench_cart.py` and `tools/bench_plan.py` label the benchmark's
 selector_wide queries by exact intermediate-tuple counts, through
 `harness.plan_query`.  The pool models trained on that dataset must stay
-the ones `BENCH_cart.json` records, byte for byte, and the plans of those
-queries the ones every side of `BENCH_plan.json` recorded.
+the ones `BENCH_cart.json` records, byte for byte, the plans of those
+queries the ones every side of `BENCH_plan.json` recorded, and the
+benchmark's generated workloads the ones every side of
+`BENCH_setup.json` recorded.
 """
 
 import hashlib
@@ -47,3 +49,17 @@ def test_selector_wide_plans_match_bench_plan(monkeypatch):
     assert sides
     for name, side in sides.items():
         assert side["plan_sha256"]["selector_wide"] == digest, name
+
+
+def test_generated_workloads_match_bench_setup(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    monkeypatch.syspath_prepend(str(REPO / "tools"))
+    import bench_setup
+    from smashbench import WORKLOADS
+
+    digests = {name: bench_setup.workload_digest(*WORKLOADS[name].generate(bench_setup.SEED))
+               for name in WORKLOADS}
+    sides = json.loads((REPO / "BENCH_setup.json").read_text())["sides"]
+    assert sides
+    for name, side in sides.items():
+        assert side["sha256"] == digests, name

@@ -7,20 +7,22 @@ and labelled by the exact intermediate-tuple counts of Base and Rewriting,
 so it repeats exactly.  `tools/bench_plan.py` takes its workloads and
 labels from the same `workload` and `count_examples`.
 The script times `train_cart` (regress and classify) on the training pool
-and `cross_validate(folds, "regress")`, REPEATS rounds of the three calls,
-with the garbage collector off during each call.  It records per call the
-median and quartiles in seconds, the repeat count, the machine and the
-SHA-256 of both pool models' `model_to_json`, under a side name in
-BENCH_cart.json; sides already in the file are kept, so one file holds a
-before/after pair measured on the same machine.
+and `cross_validate(folds, "regress")`.
 
-    python tools/bench_cart.py --side change
-    python tools/bench_cart.py --side parent --src ../parent/src
+    python tools/bench_cart.py --parent ../parent/src
 
-`--src` imports `smash` from another source tree, such as a checkout of
-the parent commit; the tree must have `harness.plan_query` (an older tree is
-measured with its own copy of this script).  Equal SHA-256s across sides
-mean equal models.
+runs the rounds of `bench_plan.alternate`: per round one fresh subprocess
+per side, the parent tree (`--parent`, such as a checkout of the parent
+commit, which must have `harness.plan_query`) and this repository's
+`src/`, in alternating order.  A subprocess runs the three calls once,
+untimed, then REPEATS times, with the garbage collector off during each
+call, timed with `bench/clock.py` so that they read in seconds at the
+clock's reference speed; it reports per call, and for the sum of the
+three, the median over its repeats.  BENCH_cart.json records per side the
+median and quartiles of those round values, the round and repeat counts,
+the machine and the SHA-256 of both pool models' `model_to_json` (equal
+digests mean equal models), and the ratios change / parent of the total
+per round.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ import os
 import platform
 import statistics
 import sys
-import time
 from pathlib import Path
 
+from bench_plan import ROUNDS, alternate, ratio_summary, summary
+
 REPO = Path(__file__).resolve().parent.parent
-REPEATS = 15
+REPEATS = 5
 SEED = 42
 
 
@@ -80,21 +83,14 @@ def build_examples():
     return count_examples(*workload("selector_wide"))
 
 
-def timed(fn, *args, **kwargs):
+def timed(clock, fn):
+    """Reference-speed seconds of `fn()`, with the collector off."""
     gc.collect()
     gc.disable()
     try:
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        return result, time.perf_counter() - start
+        return clock.call(fn)[1]
     finally:
         gc.enable()
-
-
-def summary(seconds):
-    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "min": min(seconds),
-            "max": max(seconds)}
 
 
 def machine():
@@ -112,6 +108,7 @@ def machine():
 
 
 def measure(repeats):
+    from clock import Clock
     from smash import ml
 
     examples = build_examples()
@@ -125,49 +122,73 @@ def measure(repeats):
         call()
     seconds = {name: [] for name in calls}
     totals = []
-    for _ in range(repeats):
-        total = 0.0
-        for name, call in calls.items():
-            _, s = timed(call)
-            seconds[name].append(s)
-            total += s
-        totals.append(total)
+    with Clock() as clock:
+        for _ in range(repeats):
+            total = 0.0
+            for name, call in calls.items():
+                s = timed(clock, call)
+                seconds[name].append(s)
+                total += s
+            totals.append(total)
     models = {task: ml.train_cart(splits.pool, task=task)
               for task in ("regress", "classify")}
     return {
-        "repeats": repeats,
-        "seconds": {**{k: summary(v) for k, v in seconds.items()},
-                    "total_s": summary(totals)},
+        "seconds": {**{k: statistics.median(v) for k, v in seconds.items()},
+                    "total_s": statistics.median(totals)},
         "model_sha256": {task: hashlib.sha256(ml.model_to_json(m).encode()).hexdigest()
                          for task, m in models.items()},
         "n_examples": len(examples),
         "n_pool": len(splits.pool),
-        "machine": machine(),
     }
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--side", required=True,
-                        help="name to record the run under, e.g. parent or change")
-    parser.add_argument("--src", type=Path, default=REPO / "src",
-                        help="source tree to import smash from")
+    parser.add_argument("--parent", type=Path,
+                        help="source tree of the parent side, e.g. ../parent/src")
     parser.add_argument("--out", type=Path, default=REPO / "BENCH_cart.json")
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    use_source(args.src)
-    from smashbench import N_QUERIES
-
-    result = measure(REPEATS)
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.setdefault("dataset", f"selector_wide seed {SEED}, {N_QUERIES} queries, "
-                      "count labels; pool models and 10-fold regress CV")
-    record.setdefault("sides", {})[args.side] = result
-    digests = {json.dumps(side["model_sha256"], sort_keys=True)
-               for side in record["sides"].values()}
-    record["same_models_on_all_sides"] = len(digests) == 1
+    if args.worker is not None:
+        use_source(args.worker)
+        print(json.dumps(measure(REPEATS)))
+        return
+    if args.parent is None:
+        parser.error("--parent is required")
+    sources, results = alternate(
+        __file__, args.parent, lambda result: f"total {result['seconds']['total_s']:.3f} s")
+    sides = {}
+    for side in sources:
+        (models,) = {json.dumps(r["model_sha256"], sort_keys=True) for r in results[side]}
+        first = results[side][0]
+        sides[side] = {
+            "rounds": ROUNDS,
+            "repeats": REPEATS,
+            "seconds": {name: summary([r["seconds"][name] for r in results[side]])
+                        for name in first["seconds"]},
+            "model_sha256": json.loads(models),
+            "n_examples": first["n_examples"],
+            "n_pool": first["n_pool"],
+            "machine": machine(),
+        }
+    record = {
+        "dataset": f"selector_wide seed {SEED}, {first['n_examples']} queries, "
+                   "count labels; pool models and 10-fold regress CV",
+        "unit": (f"seconds at reference speed (bench/clock.py): per round, one "
+                 f"subprocess per side; per call the median of {REPEATS} repeats "
+                 "after an untimed one; median and quartiles over rounds"),
+        "sides": sides,
+        "ratio_change_over_parent": ratio_summary(
+            *([r["seconds"]["total_s"] for r in results[side]]
+              for side in ("parent", "change"))),
+        "same_models_on_all_sides": len({json.dumps(s["model_sha256"], sort_keys=True)
+                                         for s in sides.values()}) == 1,
+    }
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({args.side: result["seconds"]["total_s"],
-                      "model_sha256": result["model_sha256"],
+    print(json.dumps({**{side: sides[side]["seconds"]["total_s"]["median"]
+                         for side in sides},
+                      "ratio": record["ratio_change_over_parent"]["median"],
+                      "model_sha256": sides["change"]["model_sha256"],
                       "same_models_on_all_sides": record["same_models_on_all_sides"]},
                      indent=2))
 

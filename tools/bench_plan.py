@@ -12,7 +12,8 @@ counts of Base and Rewriting, so the model repeats exactly.
 runs ROUNDS rounds.  Each round measures both trees, the parent (`--parent`,
 a source tree such as a checkout of the parent commit) and the change (this
 repository's `src/`), each in a fresh subprocess, in alternating order from
-round to round.  A subprocess plans every query of both workloads once,
+round to round; `alternate`, which runs the rounds, and `summary` also
+drive `bench_cart.py` and `bench_setup.py`.  A subprocess plans every query of both workloads once,
 untimed, then PASSES times, the workloads in alternating order, with the
 garbage collector off during each pass.  Every stage of every query is
 timed with `time.perf_counter` and rescaled to reference speed with the
@@ -203,17 +204,38 @@ def worker(src, opcodes):
                       "plan_sha256": digests}))
 
 
-def run_side(src, opcodes=False):
-    cmd = [sys.executable, __file__, "--worker", str(src)]
-    if opcodes:
-        cmd.append("--opcodes")
+def run_side(script, src, *args):
+    """One worker subprocess, `script --worker src args`: the JSON object
+    on the last line it prints."""
+    cmd = [sys.executable, str(script), "--worker", str(src), *args]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def alternate(script, parent, describe, rounds=ROUNDS):
+    """`rounds` rounds of one `script` worker per side, the parent tree
+    `parent` and this repository's `src/`, in alternating order from round
+    to round; `describe(result)` is printed after each.  Returns the
+    source tree and the results in round order, per side."""
+    sources = {"parent": Path(parent).resolve(), "change": REPO / "src"}
+    results = {side: [] for side in sources}
+    for r in range(rounds):
+        for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
+            result = run_side(script, sources[side])
+            results[side].append(result)
+            print(f"round {r} {side}: {describe(result)}", file=sys.stderr)
+    return sources, results
 
 
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def ratio_summary(parent, change):
+    """Per-round ratios change / parent, with their median and quartiles."""
+    values = [c / p for p, c in zip(parent, change)]
+    return {"per_round": values, **summary(values)}
 
 
 def main(argv=None):
@@ -231,23 +253,15 @@ def main(argv=None):
         parser.error("--parent is required")
     from bench_cart import SEED, machine
 
-    sources = {"parent": args.parent.resolve(), "change": REPO / "src"}
-    rounds = {side: [] for side in sources}
-    digests = {side: set() for side in sources}
-    for r in range(ROUNDS):
-        for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-            result = run_side(sources[side])
-            rounds[side].append(result["p50_us"])
-            digests[side].add(json.dumps(result["plan_sha256"], sort_keys=True))
-            print(f"round {r} {side}: " + ", ".join(
-                f"{name} {stages['total']:.1f} us"
-                for name, stages in result["p50_us"].items()), file=sys.stderr)
-    opcodes = {side: run_side(src, opcodes=True) for side, src in sources.items()}
+    sources, results = alternate(__file__, args.parent, lambda result: ", ".join(
+        f"{name} {stages['total']:.1f} us" for name, stages in result["p50_us"].items()))
+    rounds = {side: [r["p50_us"] for r in results[side]] for side in sources}
+    opcodes = {side: run_side(__file__, src, "--opcodes") for side, src in sources.items()}
     workloads = list(rounds["parent"][0])
     sides = {}
     for side in sources:
-        (plans,) = digests[side] | {json.dumps(opcodes[side]["plan_sha256"],
-                                               sort_keys=True)}
+        (plans,) = {json.dumps(r["plan_sha256"], sort_keys=True)
+                    for r in results[side] + [opcodes[side]]}
         sides[side] = {
             "rounds": ROUNDS,
             "p50_us": {name: {stage: summary([r[name][stage] for r in rounds[side]])
@@ -257,9 +271,6 @@ def main(argv=None):
             "plan_sha256": json.loads(plans),
             "machine": machine(),
         }
-    ratios = {name: [c[name]["total"] / p[name]["total"]
-                     for p, c in zip(rounds["parent"], rounds["change"])]
-              for name in workloads}
     record = {
         "queries": f"two_regime and selector_wide seed {SEED}, 240 queries each, "
                    "planned from SQL text",
@@ -269,8 +280,9 @@ def main(argv=None):
                  "rounds.  opcodes: Python opcodes per query, median over queries"),
         "sides": sides,
         "ratio_change_over_parent": {
-            name: {"per_round": values, **summary(values)}
-            for name, values in ratios.items()},
+            name: ratio_summary(*([r[name]["total"] for r in rounds[side]]
+                                  for side in ("parent", "change")))
+            for name in workloads},
         "same_plans_on_all_sides": len({json.dumps(s["plan_sha256"], sort_keys=True)
                                         for s in sides.values()}) == 1,
     }
