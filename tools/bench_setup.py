@@ -23,14 +23,12 @@ equal workloads; and per workload the ratios change / parent per round.
 from __future__ import annotations
 
 import argparse
-import gc
 import hashlib
 import json
 import statistics
-import sys
 from pathlib import Path
 
-from bench_cart import SEED, machine, use_source
+from bench_cart import SEED, machine, timed, use_source
 from bench_plan import ROUNDS, alternate, ratio_summary, summary
 
 REPO = Path(__file__).resolve().parent.parent
@@ -63,14 +61,7 @@ def worker(src):
     with Clock() as clock:
         for p in range(PASSES):
             for name in (order if p % 2 == 0 else order[::-1]):
-                gc.collect()
-                gc.disable()
-                try:
-                    generated, s, _ = clock.call(WORKLOADS[name].generate, SEED)
-                finally:
-                    gc.enable()
-                del generated
-                seconds[name].append(s)
+                seconds[name].append(timed(clock, lambda: WORKLOADS[name].generate(SEED)))
     print(json.dumps({"generate_s": {name: statistics.median(v)
                                      for name, v in seconds.items()},
                       "sha256": digests}))
