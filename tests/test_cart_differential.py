@@ -10,7 +10,9 @@ lists), so a change to the trainer's arithmetic cannot change both sides.
 """
 
 import random
+import signal
 from collections import defaultdict
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -306,15 +308,33 @@ def overflowing_midpoint_examples():
     ]
 
 
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging: a node that took an
+    empty-side split would reach the next level unchanged, forever."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow
 @pytest.mark.parametrize("task", TASKS)
 def test_split_with_an_empty_side_is_skipped(task):
     """The only candidate sends both rows left, so the root is a leaf."""
     for max_depth in (None, 3):
-        model = train_cart(overflowing_midpoint_examples(), task=task,
-                           max_depth=max_depth)
+        with time_limit(10):
+            model = train_cart(overflowing_midpoint_examples(), task=task,
+                               max_depth=max_depth)
         assert model.tree["leaf"] and model.importances == [0.0], max_depth
-    assert_same_models(overflowing_midpoint_examples())
+        assert model_to_json(model) == model_to_json(reference_train_cart(
+            overflowing_midpoint_examples(), task=task, max_depth=max_depth))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow
@@ -331,7 +351,8 @@ def test_empty_side_candidates_among_others(seed):
     rows = [[rng.choice(ladder), rng.choice(huge), rng.choice(ladder) * rng.choice((1, -1))]
             for _ in range(40)]
     examples = timed_examples(rows, seed)
-    assert_same_models(examples)
-    assert_same_models(examples, max_depth=2)
+    with time_limit(10):
+        assert_same_models(examples)
+        assert_same_models(examples, max_depth=2)
     for task in TASKS:
         assert "NaN" not in model_to_json(train_cart(examples, task=task))
