@@ -495,14 +495,16 @@ _TYPE_CASTS = {"int64": int, "float64": float, "string": str}
 def load_table(path, name=None, schema_file=None) -> Relation:
     """Load a headered CSV; types inferred unless a sidecar schema is given.
 
-    A row with more or fewer fields than the header raises ValueError,
-    naming the file and the row's line.
+    A file without a header, or a row with more or fewer fields than the
+    header, raises ValueError naming the file (and the row's line).
     """
     path = Path(path)
     name = name or path.stem
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no header")
         raw = []
         for row in reader:
             if len(row) != len(header):

@@ -291,6 +291,22 @@ class TestPersistence:
         assert str(info.value) == (
             f"{path}, line 3: {fields} fields, but the header has 2")
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "R.csv"
+        path.write_text("")
+        with pytest.raises(ValueError) as info:
+            load_table(path)
+        assert str(info.value) == f"{path}: empty file, no header"
+        (tmp_path / "S.csv").write_text("a\n1\n")
+        with pytest.raises(ValueError, match="R.csv: empty file"):
+            load_database(tmp_path)
+
+    def test_header_only_file_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "R.csv"
+        path.write_text("a,b\n")
+        rel = load_table(path)
+        assert rel.schema == ["a", "b"] and rel.rows == []
+
     def test_ragged_row_rejected_with_a_sidecar_schema(self, tmp_path):
         path = tmp_path / "R.csv"
         path.write_text("a,b\n1,2,3\n")
