@@ -152,6 +152,10 @@ def cmd_run(args):
     log = harness.run_workload(db, queries, config)
     log.save(args.out)
     print(f"ran {len(queries)} queries; run log written to {args.out}")
+    if args.dataset:
+        examples = harness.build_dataset(log, log.features)
+        ml.save_dataset(examples, args.dataset)
+        print(f"dataset of {len(examples)} queries written to {args.dataset}")
 
 
 def cmd_train(args):
@@ -275,6 +279,8 @@ def build_parser():
     p = sub.add_parser("run", help="time a workload under both strategies")
     p.add_argument("--queries", required=True, help="directory of .sql files")
     p.add_argument("--out", required=True)
+    p.add_argument("--dataset", default=None,
+                   help="also write the labelled dataset CSV that train reads")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("train", help="train a CART model from a dataset CSV")

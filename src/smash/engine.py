@@ -1,6 +1,8 @@
 """In-memory bag-semantics relational engine.
 
-Relations are named schemas over multisets of tuples.  The module provides
+Relations are named schemas over multisets of tuples.  `Database.add`
+checks a table's rows once, as they enter a database; the operators build
+their outputs without a second check.  The module provides
 the basic operators (semi-join, natural join, projection, grouping), the
 left-deep baseline evaluator for normalized conjunctive queries, and a
 simple cardinality estimator based on distinct-value counts, which a
@@ -57,23 +59,17 @@ class Predicate:
         return _OPS[self.op](value, self.literal)
 
 
-@dataclass
+@dataclass(slots=True)
 class Relation:
+    """A name, a schema and a list of row tuples as long as the schema.
+
+    A plain record: `Database.add` checks the rows of a table as they enter
+    a database, and the operators build rows that hold by construction.
+    """
+
     name: str
     schema: list
     rows: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.schema = list(self.schema)
-        if len(set(self.schema)) != len(self.schema):
-            raise ValueError(f"duplicate attribute in schema of {self.name}")
-        self.rows = [tuple(r) for r in self.rows]
-        for r in self.rows:
-            if len(r) != len(self.schema):
-                raise ValueError(
-                    f"row arity {len(r)} != schema arity {len(self.schema)} "
-                    f"in relation {self.name}"
-                )
 
     def column(self, attr):
         idx = self._index(attr)
@@ -118,22 +114,38 @@ class TableStats:
 class Database:
     """Named base tables and their statistics.
 
-    `add` is the only way in: it records each table's `TableStats` once, so
-    a table must not change after it is added.
+    `add` is the only way in: it checks each table's rows and records its
+    `TableStats` once, so a table must not change after it is added.
     """
 
     tables: dict = field(default_factory=dict, init=False)
     stats: dict = field(default_factory=dict, init=False, repr=False)
 
     def add(self, rel: Relation):
+        """Check `rel` and store it as the table `rel.name`.
+
+        The relation's schema becomes a list and its rows a new list of
+        tuples.  A duplicate attribute, or a row whose length is not the
+        schema's, raises ValueError naming the table.
+        """
         if rel.name in self.tables:
             raise ValueError(f"duplicate table {rel.name}")
+        schema = list(rel.schema)
+        if len(set(schema)) != len(schema):
+            raise ValueError(f"duplicate attribute in schema of {rel.name}")
+        rows = list(map(tuple, rel.rows))
+        if set(map(len, rows)) - {len(schema)}:
+            arity = next(n for n in map(len, rows) if n != len(schema))
+            raise ValueError(
+                f"row arity {arity} != schema arity {len(schema)} "
+                f"in relation {rel.name}"
+            )
+        rel.schema, rel.rows = schema, rows
         self.tables[rel.name] = rel
-        schema = rel.schema
         self.stats[rel.name] = TableStats(
             index={col: i for i, col in enumerate(schema)},
-            ndv=dict(zip(schema, _prefix_ndv(rel.rows, range(len(schema))))),
-            rows=len(rel.rows),
+            ndv=dict(zip(schema, _prefix_ndv(rows, range(len(schema))))),
+            rows=len(rows),
         )
 
     def table(self, name):
@@ -359,13 +371,21 @@ def _atom_rows(cq, atom, db: Database):
 
 def atom_relation(cq, atom, db: Database, counter: OpCounter | None = None) -> Relation:
     """Renamed, filtered relation for one query atom: the atom's scan with
-    one column per join class, read at the class's first attribute."""
+    one column per join class, read at the class's first attribute.  When
+    every column is a class of its own, the scan's rows are kept as they
+    are, in a new list, so no result shares a table's list."""
     columns, rows = _atom_rows(cq, atom, db)
     if counter is not None and cq.filters.get(atom.alias):
         counter.filters += 1
-    firsts = [ix[0] for ix in columns.values()]
-    return Relation(atom.alias, list(columns),
-                    [tuple(r[i] for i in firsts) for r in rows])
+    if len(columns) < len(db.stats[atom.table].index):
+        # a class of several columns: keep its first
+        firsts = [ix[0] for ix in columns.values()]
+        rows = [tuple(r[i] for i in firsts) for r in rows]
+    elif rows is db.tables[atom.table].rows:
+        # one class per column, in schema order: the base rows as they are,
+        # in a list of the result's own
+        rows = list(rows)
+    return Relation(atom.alias, list(columns), rows)
 
 
 def _apply_output(rel: Relation, output, counter: OpCounter | None = None) -> Relation:

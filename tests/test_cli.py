@@ -11,7 +11,7 @@ from smash.engine import estimate_cardinalities, save_database
 from smash.features import extract_features, feature_names
 from smash.frontend import normalize, parse_query
 from smash.harness import plan_query
-from smash.ml import decide, label, load_model, save_dataset
+from smash.ml import decide, label, load_dataset, load_model, save_dataset
 
 from conftest import CHAIN_SQL
 
@@ -92,6 +92,30 @@ class TestWorkloadCommands:
             "significance", "--runlog", str(runlog), "Base", "Rewriting",
         ])
         assert code == 0 and "median test p" in out
+
+    def test_generate_then_run_dataset_then_train(self, capsys, tmp_path):
+        out_dir = tmp_path / "wl"
+        code, _ = run(capsys, ["generate", "--out", str(out_dir), "--queries", "24"])
+        assert code == 0
+        dataset = tmp_path / "dataset.csv"
+        code, out = run(capsys, [
+            "--data-dir", str(out_dir / "data"), "--repeats", "1",
+            "run", "--queries", str(out_dir / "queries"),
+            "--out", str(tmp_path / "runlog.json"), "--dataset", str(dataset),
+        ])
+        assert code == 0 and "dataset of 24 queries" in out
+        examples = load_dataset(dataset)
+        assert sorted(e.query_id for e in examples) == sorted(
+            p.stem for p in (out_dir / "queries").glob("*.sql"))
+        assert all(len(e.features) == len(feature_names()) for e in examples)
+
+        model = tmp_path / "model.json"
+        code, out = run(capsys, [
+            "train", "--dataset", str(dataset), "--task", "regress",
+            "--out", str(model),
+        ])
+        assert code == 0 and model.exists()
+        assert json.loads(out)["train_size"] == 20
 
     def test_augment(self, capsys, tmp_path, data_dir):
         sql_file = tmp_path / "q.sql"

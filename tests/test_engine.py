@@ -25,7 +25,7 @@ from smash.errors import EmptyAggregate, TypeMismatch, UnknownAttribute
 from smash.acyclic import analyze
 from smash.frontend import parse_query, normalize
 from smash.harness import BASE, REWRITING, RunConfig, run_workload
-from smash.rewriter import interpret_sequence, rewrite
+from smash.rewriter import Statement, StatementSequence, interpret_sequence, rewrite
 
 from conftest import CHAIN_SQL, oracle_rows, result_multiset
 
@@ -34,15 +34,34 @@ def rel(name, schema, rows):
     return Relation(name, schema, rows)
 
 
-class TestRelation:
+class TestDatabaseAdd:
+    """Rows are checked once, as a table enters a database."""
+
     def test_duplicate_schema_rejected(self):
         with pytest.raises(ValueError):
-            rel("x", ["a", "a"], [])
+            Database().add(rel("x", ["a", "a"], []))
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            rel("x", ["a", "b"], [(1,)])
+            Database().add(rel("x", ["a", "b"], [(1,)]))
 
+    def test_list_rows_are_stored_as_tuples(self):
+        rows = [[1, "u"], [2, "v"]]
+        db = Database()
+        db.add(rel("x", ("a", "b"), rows))
+        table = db.table("x")
+        assert table.schema == ["a", "b"]
+        assert table.rows == [(1, "u"), (2, "v")]  # a list never equals a tuple
+        assert table.rows is not rows
+
+    def test_ragged_row_names_the_table(self):
+        db = Database()
+        with pytest.raises(ValueError, match="arity 3 != schema arity 2 in relation ragged"):
+            db.add(rel("ragged", ["a", "b"], [(1, 2), (3, 4, 5), (6, 7)]))
+        assert "ragged" not in db.tables
+
+
+class TestRelation:
     def test_unknown_attribute(self):
         with pytest.raises(UnknownAttribute):
             rel("x", ["a"], [(1,)]).column("b")
@@ -138,6 +157,28 @@ class TestEvaluation:
         cq = normalize(spec, chain_db)
         got = result_multiset(evaluate_baseline(cq, chain_db))
         assert got == Counter([(1, 1, 10, 100)])
+
+    def test_no_result_shares_a_table_list(self):
+        # an atom scan keeps the base rows of a table whose columns are all
+        # classes of their own; each result must still own its list
+        db = Database()
+        db.add(rel("x", ["a", "b"], [(1, 2), (1, 2), (3, 4)]))
+        table = db.table("x")
+        before = list(table.rows)
+        cq = normalize(parse_query("SELECT x.a, x.b FROM x"), db)
+        tree, _ = analyze(cq)
+        bare_atom = StatementSequence([Statement("E1", ("atom", 0)),
+                                       Statement(None, ("final_all", "E1"))])
+        results = {
+            "base": evaluate_baseline(cq, db),
+            "rewriting": interpret_sequence(rewrite(tree, cq, db), cq, db),
+            "bare atom": interpret_sequence(bare_atom, cq, db),
+        }
+        for name, result in results.items():
+            assert result.rows is not table.rows, name
+            assert result.rows == before, name
+            result.rows.clear()
+        assert table.rows == before
 
 
 class TestEstimates:

@@ -4,8 +4,10 @@ The cart and plan measurements label the benchmark's selector_wide queries
 by exact intermediate-tuple counts, through `harness.plan_query`.  The pool
 models trained on that dataset must stay the ones every side of
 `BENCH_cart.json` records, byte for byte, the plans of those queries the
-ones every side of `BENCH_plan.json` recorded, and the benchmark's
-generated workloads the ones every side of `BENCH_setup.json` recorded.
+ones every side of `BENCH_plan.json` recorded, the benchmark's generated
+workloads the ones every side of `BENCH_setup.json` recorded, and the
+selector_wide queries' operation counts and results the ones every side of
+`BENCH_exec.json` recorded.
 """
 
 import hashlib
@@ -62,6 +64,14 @@ def test_generated_workloads_match_bench_setup(ab):
     digests = {name: ab.workload_digest(*w.generate(ab.SEED)) for name, w in WORKLOADS.items()}
     for name, side in recorded_exact("BENCH_setup.json"):
         assert side["exact"]["workload_sha256"] == digests, name
+
+
+def test_selector_wide_execution_matches_bench_exec(ab):
+    db, queries = ab.workload("selector_wide")
+    exact, _ = ab.counted_pass(db, ab.prepared_plans(db, queries))
+    for name, side in recorded_exact("BENCH_exec.json"):
+        for key, value in exact.items():
+            assert side["exact"][key]["selector_wide"] == value, (name, key)
 
 
 def rounds(times, digest="d", count=3):

@@ -1,6 +1,6 @@
 """A/B timings of two source trees of smash, in alternating subprocess rounds.
 
-    python tools/ab.py {plan,cart,setup} --parent ../parent/src [--out FILE]
+    python tools/ab.py {plan,cart,setup,exec} --parent ../parent/src [--out FILE]
 
 compares the parent tree (`--parent`, the `src/` of a checkout such as the
 parent commit's) with the change, this repository's `src/`.  Each of ROUNDS
@@ -15,7 +15,9 @@ SEED) from this repository.  It runs one measurement:
   each stage runs per query;
 - cart: `train_cart` (regress and classify) on the selector_wide pool and
   10-fold regress `cross_validate`;
-- setup: the generation of both workloads, as `bench/run.py`'s `setup_s`.
+- setup: the generation of both workloads, as `bench/run.py`'s `setup_s`;
+- exec: one Base pass and one Rewriting pass over each regime's queries of
+  both workloads, planned untimed, as `bench/run.py`'s `exec_*_ms`.
 
 Every duration is rescaled to reference speed with `bench/clock.py`, with
 the garbage collector off.  A measurement returns `values`, each timed
@@ -78,19 +80,39 @@ def workload(name):
     return db, [(qid, frontend.to_sql(spec)) for qid, spec in queries]
 
 
-def count_examples(db, queries):
-    """One example per (query id, SQL text): planned through
-    `harness.plan_query` and labelled by the exact intermediate-tuple
-    counts of Base and Rewriting, so the models trained on it repeat."""
-    from smash import engine, frontend, harness, ml, rewriter
+def prepared_plans(db, queries):
+    """Per (query id, SQL text), untimed: the id, `harness.plan_query`'s
+    plan and the Rewriting statement sequence."""
+    from smash import frontend, harness, rewriter
 
-    examples = []
+    plans = []
     for qid, sql in queries:
         plan = harness.plan_query(frontend.parse_query(sql), db)
-        cq = plan.cq
+        plans.append((qid, plan, rewriter.rewrite(plan.tree, plan.cq, db)))
+    return plans
+
+
+def execute(strategy, db, plan, seq, counter=None):
+    """The result of one planned query under `strategy` ("base" or
+    "rewriting")."""
+    from smash import engine, rewriter
+
+    if strategy == "base":
+        return engine.evaluate_baseline(plan.cq, db, counter)
+    return rewriter.interpret_sequence(seq, plan.cq, db, counter)
+
+
+def count_examples(db, queries):
+    """One example per (query id, SQL text), labelled by the exact
+    intermediate-tuple counts of Base and Rewriting, so the models trained
+    on it repeat."""
+    from smash import engine, ml
+
+    examples = []
+    for qid, plan, seq in prepared_plans(db, queries):
         base, rewritten = engine.OpCounter(), engine.OpCounter()
-        engine.evaluate_baseline(cq, db, base)
-        rewriter.interpret_sequence(rewriter.rewrite(plan.tree, cq, db), cq, db, rewritten)
+        execute("base", db, plan, seq, base)
+        execute("rewriting", db, plan, seq, rewritten)
         examples.append(ml.label(qid, plan.features, base.intermediate_tuples,
                                  rewritten.intermediate_tuples))
     return examples
@@ -319,7 +341,72 @@ def measure_setup():
                                           for name, w in WORKLOADS.items()}}}
 
 
-MEASUREMENTS = {"plan": measure_plan, "cart": measure_cart, "setup": measure_setup}
+def counted_pass(db, plans):
+    """Both strategies once per plan with an `OpCounter`: (exact, regimes).
+
+    exact holds per strategy the OpCounter totals and a SHA-256 over every
+    query's id and result rows (their sorted reprs, so no hash seed enters
+    it), and the number of queries per regime; regimes maps each regime to
+    its plans.  A query is in `prune` when Rewriting materialises fewer
+    intermediate tuples than Base, in `dense` otherwise, as in
+    `bench/smashbench.py`."""
+    from dataclasses import asdict
+
+    from smash import engine
+
+    totals, digests, tuples = {}, {}, {}
+    for strategy in ("base", "rewriting"):
+        total = dict.fromkeys(asdict(engine.OpCounter()), 0)
+        digest = hashlib.sha256()
+        tuples[strategy] = []
+        for qid, plan, seq in plans:
+            counter = engine.OpCounter()
+            result = execute(strategy, db, plan, seq, counter)
+            digest.update(repr((qid, sorted(map(repr, result.rows)))).encode())
+            for key, value in asdict(counter).items():
+                total[key] += value
+            tuples[strategy].append(counter.intermediate_tuples)
+        totals[strategy], digests[strategy] = total, digest.hexdigest()
+    regimes = {"prune": [], "dense": []}
+    for plan, base, rewritten in zip(plans, tuples["base"], tuples["rewriting"]):
+        regimes["prune" if rewritten < base else "dense"].append(plan)
+    return ({"op_counts": totals, "result_sha256": digests,
+             "regime_sizes": {r: len(p) for r, p in regimes.items()}}, regimes)
+
+
+def measure_exec():
+    """Milliseconds per query of one Base pass and one Rewriting pass over
+    each regime's queries of both workloads (prune: Rewriting materialises
+    fewer intermediate tuples than Base; dense: the rest), median over the
+    passes; the plans are made untimed.  exact: per workload, the counted
+    pass's OpCounter totals and result SHA-256 per strategy, and the regime
+    sizes."""
+    from clock import Clock
+    from smashbench import WORKLOADS
+
+    exact, jobs, sizes = {}, {}, {}
+    for name in WORKLOADS:
+        db, queries = workload(name)
+        exact[name], regimes = counted_pass(db, prepared_plans(db, queries))
+        for regime, plans in regimes.items():
+            for strategy in ("base", "rewriting"):
+                def run(strategy=strategy, db=db, plans=plans):
+                    for _, plan, seq in plans:
+                        execute(strategy, db, plan, seq)
+
+                key = f"{name}.{strategy}_{regime}_ms"
+                jobs[key], sizes[key] = run, len(plans)
+    with Clock() as clock:
+        seconds = alternating_passes({key: lambda run=run: timed(clock, run)
+                                      for key, run in jobs.items()})
+    values = {key: statistics.median(s) * 1e3 / sizes[key] for key, s in seconds.items()}
+    keys = ("op_counts", "result_sha256", "regime_sizes")
+    return {"values": values,
+            "exact": {key: {name: e[key] for name, e in exact.items()} for key in keys}}
+
+
+MEASUREMENTS = {"plan": measure_plan, "cart": measure_cart, "setup": measure_setup,
+                "exec": measure_exec}
 
 
 def machine():
