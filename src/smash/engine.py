@@ -4,14 +4,13 @@ Relations are named schemas over multisets of tuples.  `Database.add`
 checks a table's rows once, as they enter a database; the operators build
 their outputs without a second check.  The module provides
 the basic operators (semi-join, natural join, projection, grouping), the
-left-deep baseline evaluator for normalized conjunctive queries, and a
-simple cardinality estimator based on distinct-value counts, which a
-`Database` records per base table when the table is added.  Evaluation and
+one loop that runs a plan of statements on them, for Base's left-deep plan
+and the rewriter's semi-join (Yannakakis) plan alike, and a simple
+cardinality estimator based on distinct-value counts, which a `Database`
+records per base table when the table is added.  Evaluation and
 estimation read a query atom through one scan (renaming, intra-atom
 equalities, filters), so both reject a column its table lacks and raise
-the same filter errors.  The semi-join (Yannakakis) program is the
-rewriter's plan, which `rewriter.interpret_sequence` runs on these
-operators.
+the same filter errors.
 """
 
 from __future__ import annotations
@@ -23,11 +22,13 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     AggregateOverNonNumeric,
     EmptyAggregate,
     TypeMismatch,
+    UndefinedIntermediate,
     UnknownAttribute,
 )
 
@@ -213,7 +214,7 @@ def natural_join(left: Relation, right: Relation, counter: OpCounter | None = No
     return Relation(f"({left.name}*{right.name})", left.schema + extra, rows)
 
 
-def project(rel: Relation, attrs, counter: OpCounter | None = None) -> Relation:
+def project(rel: Relation, attrs) -> Relation:
     """Projection that tolerates repeated attributes (labels get suffixed)."""
     idxs = [rel._index(a) for a in attrs]
     labels, seen = [], {}
@@ -294,7 +295,7 @@ def group_aggregate(rel: Relation, grouping, aggs, counter: OpCounter | None = N
 
 
 # ---------------------------------------------------------------------------
-# query evaluation over a NormalizedCQ
+# query evaluation over a NormalizedCQ: atom scans, plans and their loop
 # ---------------------------------------------------------------------------
 
 def _is_number_type(t):
@@ -388,19 +389,106 @@ def atom_relation(cq, atom, db: Database, counter: OpCounter | None = None) -> R
     return Relation(atom.alias, list(columns), rows)
 
 
-def _apply_output(rel: Relation, output, counter: OpCounter | None = None) -> Relation:
-    if output.kind == "enumeration":
-        return project(rel, output.columns)
-    return group_aggregate(rel, output.group_by, output.aggregates, counter)
+_KINDS = {
+    "atom": "CreateView",
+    "semijoin": "CreateTable",
+    "semijoin_agg": "CreateTable",
+    "aggregate": "CreateTable",
+    "join_project": "CreateTable",
+    "final_all": "FinalSelect",
+    "final_project": "FinalSelect",
+    "final_agg": "FinalSelect",
+    "drop": "Drop",
+}
+
+
+class Statement(NamedTuple):
+    name: str | None
+    form: tuple  # structural form: the op, then its operands
+
+    @property
+    def kind(self):
+        """CreateView | CreateTable | FinalSelect | Drop, from the form's op."""
+        return _KINDS[self.form[0]]
+
+
+def _base_plan(cq):
+    """Base as a plan: a view per atom, one left-deep join of the views in
+    FROM order without projection, the output, and the drops in reverse
+    order of creation."""
+    views = [f"E{i + 1}" for i in range(len(cq.atoms))]
+    statements = [Statement(name, ("atom", i)) for i, name in enumerate(views)]
+    statements.append(Statement("F1", ("join_project", views[0], views[1:], [])))
+    out = cq.output
+    if out.kind == "enumeration":
+        statements.append(Statement(None, ("final_project", "F1", list(out.columns))))
+    else:
+        statements.append(Statement(None, ("final_agg", "F1")))
+    return statements + [Statement(n, ("drop", n)) for n in reversed(views + ["F1"])]
 
 
 def evaluate_baseline(cq, db: Database, counter: OpCounter | None = None) -> Relation:
-    """Filters, then left-deep natural joins in FROM order, then output."""
-    rel = None
-    for atom in cq.atoms:
-        r = atom_relation(cq, atom, db, counter)
-        rel = r if rel is None else natural_join(rel, r, counter)
-    return _apply_output(rel, cq.output, counter)
+    """Base: runs `_base_plan(cq)`, filtered atoms joined left-deep in
+    FROM order, then the output."""
+    return _run(_base_plan(cq), cq, db, counter)[1]
+
+
+def _run(statements, cq, db, counter):
+    """The one loop that executes plans, Base's and the rewriter's alike:
+    runs the statements in order and returns the intermediates still bound
+    and the relation of the last final SELECT (None if there is none)."""
+    namespace = {}
+
+    def resolve(name):
+        if name not in namespace:
+            raise UndefinedIntermediate(f"undefined intermediate {name!r}")
+        return namespace[name]
+
+    result = None
+    for stmt in statements:
+        form = stmt.form
+        op = form[0]
+        if op == "atom":
+            rel = atom_relation(cq, cq.atoms[form[1]], db, counter)
+        elif op == "semijoin":
+            rel = semi_join(resolve(form[1]), resolve(form[2]), counter)
+        elif op == "semijoin_agg":
+            reduced = semi_join(resolve(form[1]), resolve(form[2]), counter)
+            rel = group_aggregate(
+                reduced, cq.output.group_by, cq.output.aggregates, counter
+            )
+        elif op == "aggregate":
+            rel = group_aggregate(
+                resolve(form[1]), cq.output.group_by, cq.output.aggregates, counter
+            )
+        elif op == "join_project":
+            rel = resolve(form[1])
+            for child in form[2]:
+                rel = natural_join(rel, resolve(child), counter)
+            if form[3]:
+                rel = project(rel, form[3])
+        elif op == "final_all":
+            result = resolve(form[1])
+            continue
+        elif op == "final_project":
+            result = project(resolve(form[1]), form[2])
+            continue
+        elif op == "final_agg":
+            result = group_aggregate(
+                resolve(form[1]), cq.output.group_by, cq.output.aggregates, counter
+            )
+            continue
+        elif op == "drop":
+            if form[1] not in namespace:
+                raise UndefinedIntermediate(f"cannot drop unknown {form[1]!r}")
+            del namespace[form[1]]
+            continue
+        else:
+            raise ValueError(f"unknown structural form {op!r}")
+        if stmt.name in namespace:
+            raise ValueError(f"duplicate intermediate name {stmt.name!r}")
+        namespace[stmt.name] = rel
+    return namespace, result
 
 
 # ---------------------------------------------------------------------------

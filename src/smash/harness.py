@@ -5,11 +5,12 @@ pipeline, and then runs under both strategies with one discarded warm-up
 run and five timed repetitions (arithmetic mean reported).  The timeout is
 checked only after a run returns: a run that took longer marks the entry
 timed out and charges exactly the timeout, but nothing stops a runaway
-query while it runs (enforcing deadlines inside the evaluators is ROADMAP
-item 5).  The end-to-end report compares Base, Rewriting, the learned SMASH
-selector (charged the chosen strategy's measured mean plus the measured
-decision latency), and the per-query oracle best, and splits the decision
-latency into its normalize, analyze, estimate, features and predict stages.
+query while it runs (enforcing deadlines inside `engine._run`, the one
+loop that runs both strategies' plans, is ROADMAP item 5).  The end-to-end
+report compares Base, Rewriting, the learned SMASH selector (charged the
+chosen strategy's measured mean plus the measured decision latency), and
+the per-query oracle best, and splits the decision latency into its
+normalize, analyze, estimate, features and predict stages.
 Timed repetitions and each query's decision run with the garbage collector
 off, so neither includes a collector pause.
 """

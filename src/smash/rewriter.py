@@ -5,9 +5,10 @@ per atom, a table per semi-join step and a final SELECT.  For guarded
 set-safe aggregate queries only the bottom-up semi-join pass is planned,
 with the aggregation on its last step.  For all other queries the top-down
 semi-join pass and the bottom-up join pass follow.  The forms are the
-plan, and it has two readings.  `interpret_sequence` runs it on the
-in-memory engine, and `full_reduce` runs its filters and both semi-join
-passes, so the plan is the one implementation of the Yannakakis passes.
+plan, and it has two readings.  The engine's one statement loop, which
+also runs Base's plan, executes it: `interpret_sequence` runs the whole
+plan, and `full_reduce` its filters and both semi-join passes, so the plan
+is the one implementation of the Yannakakis passes.
 `StatementSequence.render` writes it as plain SQL, one statement per form:
 views rename every column to its class id, semi-joins keep the left rows
 whose shared class columns are IN the right side's, and joins state their
@@ -20,42 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
 from operator import itemgetter
-from typing import NamedTuple
 
-from .engine import (
-    Database,
-    OpCounter,
-    atom_relation,
-    group_aggregate,
-    natural_join,
-    project,
-    semi_join,
-)
+from .engine import Database, OpCounter, Statement, _run
 from .errors import UndefinedIntermediate
 from .frontend import NormalizedCQ, _literal_sql
-
-_KINDS = {
-    "atom": "CreateView",
-    "semijoin": "CreateTable",
-    "semijoin_agg": "CreateTable",
-    "aggregate": "CreateTable",
-    "join_project": "CreateTable",
-    "final_all": "FinalSelect",
-    "final_project": "FinalSelect",
-    "final_agg": "FinalSelect",
-    "drop": "Drop",
-}
-
-
-class Statement(NamedTuple):
-    name: str | None
-    form: tuple  # structural form: the op, then its operands
-
-    @property
-    def kind(self):
-        """CreateView | CreateTable | FinalSelect | Drop, from the form's op."""
-        return _KINDS[self.form[0]]
-
 
 # _new(Statement, (name, form)) makes a Statement without the Python-level
 # constructor, for the emitter's many statements
@@ -71,9 +40,6 @@ class StatementSequence:
     # the query and database the plan was made for, which rendering reads
     cq: NormalizedCQ | None = field(default=None, repr=False, compare=False)
     db: Database | None = field(default=None, repr=False, compare=False)
-
-    def created_names(self):
-        return [s.name for s in self.statements if s.kind in ("CreateView", "CreateTable")]
 
     def render(self, with_drops=True, unlogged=True):
         """SQL text of each statement, in order.
@@ -208,7 +174,7 @@ def rewrite(tree, cq, db: Database | None = None) -> StatementSequence:
 
 def interpret_sequence(seq: StatementSequence, cq, db: Database,
                        counter: OpCounter | None = None):
-    """Execute the structural forms against the in-memory engine."""
+    """Run the plan in the engine's statement loop, `engine._run`."""
     _, result = _run(seq.statements, cq, db, counter)
     if result is None:
         raise UndefinedIntermediate("sequence has no final SELECT")
@@ -230,71 +196,14 @@ def full_reduce(tree, cq, db: Database, counter: OpCounter | None = None):
     return {node: namespace[name] for node, name in seq.reduced.items()}
 
 
-def _run(statements, cq, db, counter):
-    """Execute statements in order; returns the intermediates still bound
-    and the relation of the last final SELECT (None if there is none)."""
-    namespace = {}
-
-    def resolve(name):
-        if name not in namespace:
-            raise UndefinedIntermediate(f"undefined intermediate {name!r}")
-        return namespace[name]
-
-    result = None
-    for stmt in statements:
-        form = stmt.form
-        op = form[0]
-        if op == "atom":
-            rel = atom_relation(cq, cq.atoms[form[1]], db, counter)
-        elif op == "semijoin":
-            rel = semi_join(resolve(form[1]), resolve(form[2]), counter)
-        elif op == "semijoin_agg":
-            reduced = semi_join(resolve(form[1]), resolve(form[2]), counter)
-            rel = group_aggregate(
-                reduced, cq.output.group_by, cq.output.aggregates, counter
-            )
-        elif op == "aggregate":
-            rel = group_aggregate(
-                resolve(form[1]), cq.output.group_by, cq.output.aggregates, counter
-            )
-        elif op == "join_project":
-            rel = resolve(form[1])
-            for child in form[2]:
-                rel = natural_join(rel, resolve(child), counter)
-            if form[3]:
-                rel = project(rel, form[3])
-        elif op == "final_all":
-            result = resolve(form[1])
-            continue
-        elif op == "final_project":
-            result = project(resolve(form[1]), form[2])
-            continue
-        elif op == "final_agg":
-            result = group_aggregate(
-                resolve(form[1]), cq.output.group_by, cq.output.aggregates, counter
-            )
-            continue
-        elif op == "drop":
-            if form[1] not in namespace:
-                raise UndefinedIntermediate(f"cannot drop unknown {form[1]!r}")
-            del namespace[form[1]]
-            continue
-        else:
-            raise ValueError(f"unknown structural form {op!r}")
-        if stmt.name in namespace:
-            raise ValueError(f"duplicate intermediate name {stmt.name!r}")
-        namespace[stmt.name] = rel
-    return namespace, result
-
-
 # ---------------------------------------------------------------------------
 # rendering: SQL text from the structural forms
 # ---------------------------------------------------------------------------
 
 def _render(statements, cq, db, unlogged):
-    """SQL text of each statement, walking the forms in order as `_run`
-    does and tracking each artifact's class-id columns where `_run` tracks
-    its relation."""
+    """SQL text of each statement, walking the forms in order as
+    `engine._run` does and tracking each artifact's class-id columns where
+    `engine._run` tracks its relation."""
     create = "CREATE UNLOGGED TABLE" if unlogged else "CREATE TABLE"
     columns = {}  # artifact -> its class-id columns
     views = set()

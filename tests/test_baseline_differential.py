@@ -1,0 +1,167 @@
+"""Base as a plan against the loop it replaced, on generated queries.
+
+The oracle is `evaluate_baseline` as it was before Base became a plan that
+the engine's one statement loop runs: its own loop of atom scans and
+left-deep joins in FROM order, interleaved, then `_apply_output`.  It is
+kept here verbatim, as `_oracle_baseline` and `_oracle_apply_output`.  On
+acceptance 1's corpus, samples of both benchmark workloads and
+hand-written queries that raise, Base must return the oracle's rows in the
+same order (compared by repr), its schema and relation name, and equal
+`OpCounter` fields; a query that raises must raise the same exception type
+with the same message.  A shape test pins Base's statement forms.
+"""
+
+from dataclasses import asdict
+
+import pytest
+
+from smash.augmentation import generate_two_regime_workload
+from smash.engine import (
+    Database,
+    OpCounter,
+    Relation,
+    Statement,
+    _base_plan,
+    atom_relation,
+    evaluate_baseline,
+    group_aggregate,
+    natural_join,
+    project,
+)
+from smash.errors import (
+    AggregateOverNonNumeric,
+    EmptyAggregate,
+    TypeMismatch,
+    UnknownAttribute,
+)
+from smash.frontend import normalize, parse_query
+
+from conftest import CHAIN_SQL, random_specs, selector_wide
+
+# ---------------------------------------------------------------------------
+# the oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_apply_output(rel: Relation, output, counter: OpCounter | None = None) -> Relation:
+    if output.kind == "enumeration":
+        return project(rel, output.columns)
+    return group_aggregate(rel, output.group_by, output.aggregates, counter)
+
+
+def _oracle_baseline(cq, db: Database, counter: OpCounter | None = None) -> Relation:
+    """Filters, then left-deep natural joins in FROM order, then output."""
+    rel = None
+    for atom in cq.atoms:
+        r = atom_relation(cq, atom, db, counter)
+        rel = r if rel is None else natural_join(rel, r, counter)
+    return _oracle_apply_output(rel, cq.output, counter)
+
+
+# ---------------------------------------------------------------------------
+# the comparison
+# ---------------------------------------------------------------------------
+
+
+def _outcome(evaluate, cq, db):
+    """(rows by repr, schema, name, OpCounter fields), or (type, message)
+    of the error it raises."""
+    counter = OpCounter()
+    try:
+        rel = evaluate(cq, db, counter)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(rel.rows), rel.schema, rel.name, asdict(counter)
+
+
+def _compare(db, specs):
+    """Outcomes that differ, by index, and the error types seen."""
+    differ = []
+    raised = set()
+    for i, spec in enumerate(specs):
+        cq = normalize(spec, db)
+        expected = _outcome(_oracle_baseline, cq, db)
+        if _outcome(evaluate_baseline, cq, db) != expected:
+            differ.append(i)
+        if isinstance(expected[0], type):
+            raised.add(expected[0])
+    return differ, raised
+
+
+def test_acceptance_corpus():
+    differ = []
+    for i, (db, spec) in enumerate(random_specs(101, 200)):
+        if _compare(db, [spec])[0]:
+            differ.append(i)
+    assert not differ, differ[:10]
+
+
+@pytest.mark.parametrize("workload", [
+    lambda: generate_two_regime_workload(7, 24),
+    lambda: selector_wide(7, 60),
+], ids=["two_regime", "selector_wide"])
+def test_benchmark_workloads(workload):
+    db, queries = workload()
+    differ, _ = _compare(db, [spec for _, spec in queries])
+    assert not differ, [queries[i][0] for i in differ[:10]]
+
+
+def test_raising_queries():
+    db = Database()
+    db.add(Relation("T", ["a", "b"], [(5, "s"), ("t", 3), (1, 1)]))
+    db.add(Relation("V", ["a", "b"], [(1, "s"), (2, 5), (3, 7)]))
+    db.add(Relation("W", ["a", "s"], [(1, "x"), (2, "y")]))
+    specs = [parse_query(sql) for sql in (
+        # the second atom's filter fails after the first scan
+        "SELECT V.a FROM V, T WHERE V.a = T.a AND T.b > 0",
+        # the third atom's filter fails after a join
+        "SELECT V.a FROM V, W, T WHERE V.a = W.a AND W.a = T.a AND T.a > 0",
+        "SELECT MIN(V.a) FROM V, W WHERE V.a = W.a AND W.zzz > 0",
+        "SELECT V.a, W.zzz FROM V, W WHERE V.a = W.zzz",
+        "SELECT MIN(V.a) FROM V, W WHERE V.a = W.a AND V.a > 9",
+        "SELECT SUM(W.s) FROM V, W WHERE V.a = W.a",
+    )]
+    differ, raised = _compare(db, specs)
+    assert not differ, differ
+    assert raised == {TypeMismatch, UnknownAttribute, EmptyAggregate,
+                      AggregateOverNonNumeric}
+
+
+class TestBasePlanShape:
+    @staticmethod
+    def forms(sql, db):
+        return [tuple(s) for s in _base_plan(normalize(parse_query(sql), db))]
+
+    def test_one_atom(self, chain_db):
+        assert self.forms("SELECT R.a FROM R", chain_db) == [
+            ("E1", ("atom", 0)),
+            ("F1", ("join_project", "E1", [], [])),
+            (None, ("final_project", "F1", ["R.a"])),
+            ("F1", ("drop", "F1")),
+            ("E1", ("drop", "E1")),
+        ]
+
+    def test_enumeration(self, chain_db):
+        sql = "SELECT R.a, T.d FROM R, S, T WHERE R.b = S.b AND S.c = T.c"
+        assert self.forms(sql, chain_db) == [
+            ("E1", ("atom", 0)),
+            ("E2", ("atom", 1)),
+            ("E3", ("atom", 2)),
+            ("F1", ("join_project", "E1", ["E2", "E3"], [])),
+            (None, ("final_project", "F1", ["R.a", "T.d"])),
+            ("F1", ("drop", "F1")),
+            ("E3", ("drop", "E3")),
+            ("E2", ("drop", "E2")),
+            ("E1", ("drop", "E1")),
+        ]
+
+    def test_aggregate(self, chain_db):
+        plan = self.forms(CHAIN_SQL, chain_db)
+        assert plan[3:5] == [
+            ("F1", ("join_project", "E1", ["E2", "E3"], [])),
+            (None, ("final_agg", "F1")),
+        ]
+        assert [Statement(*s).kind for s in plan] == [
+            "CreateView", "CreateView", "CreateView", "CreateTable",
+            "FinalSelect", "Drop", "Drop", "Drop", "Drop",
+        ]

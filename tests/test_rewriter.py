@@ -39,6 +39,10 @@ APPENDIX_SQL = (
 )
 
 
+def created(seq):
+    return [s.name for s in seq.statements if s.kind in ("CreateView", "CreateTable")]
+
+
 def rewritten(sql, db=None):
     cq = normalize(parse_query(sql), db)
     tree, _ = analyze(cq)
@@ -143,14 +147,14 @@ class TestEmission:
         _, _, seq = rewritten(
             "SELECT R.a, T.d FROM R, S, T WHERE R.b = S.b AND S.c = T.c"
         )
-        names = seq.created_names()
+        names = created(seq)
         assert any(n.startswith("D") for n in names)  # top-down semi-joins
         assert any(n.startswith("F") for n in names)  # bottom-up joins
 
     def test_drops_mirror_creates_in_reverse(self):
         _, _, seq = rewritten(APPENDIX_SQL)
         dropped = [s.name for s in seq.statements if s.kind == "Drop"]
-        assert dropped == list(reversed(seq.created_names()))
+        assert dropped == list(reversed(created(seq)))
 
     def test_without_drops(self):
         _, _, seq = rewritten(CHAIN_SQL)
@@ -197,7 +201,7 @@ class TestEmission:
 
     def test_unique_names(self):
         _, _, seq = rewritten(APPENDIX_SQL)
-        names = seq.created_names()
+        names = created(seq)
         assert len(names) == len(set(names))
 
 

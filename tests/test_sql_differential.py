@@ -1,15 +1,15 @@
 """The rendered SQL text, run statement by statement on stdlib sqlite3.
 
 `StatementSequence.render` is the plan's second reading, next to the
-engine's `interpret_sequence`.  Each plan is rendered without UNLOGGED and
-every statement runs in order on an in-memory sqlite3 database holding the
-same tables.  The final SELECT's value multiset must equal the independent
-oracle's on acceptance 1's corpus and, on benchmark-shaped workloads too
-large for the oracle, both the engine's Base evaluation and sqlite3
-running the original query.  Each statement runs under a step budget, so a
-runaway statement, such as a join without its predicates, fails instead of
-hanging, and every join is checked to equate each class column its sources
-share.
+engine's statement loop, for both strategies' plans: Base's and the
+rewriter's.  Each plan is rendered without UNLOGGED and every statement
+runs in order on an in-memory sqlite3 database holding the same tables.
+The final SELECT's value multiset must equal the independent oracle's on
+acceptance 1's corpus and, on benchmark-shaped workloads too large for the
+oracle, both the engine's Base evaluation and sqlite3 running the original
+query.  Each statement runs under a step budget, so a runaway statement,
+such as a join without its predicates, fails instead of hanging, and every
+join is checked to equate each class column its sources share.
 """
 
 import sqlite3
@@ -19,10 +19,10 @@ import pytest
 
 from smash.acyclic import analyze
 from smash.augmentation import generate_two_regime_workload
-from smash.engine import evaluate_baseline
+from smash.engine import _base_plan, evaluate_baseline
 from smash.errors import EngineError
 from smash.frontend import normalize, parse_query, to_sql
-from smash.rewriter import rewrite
+from smash.rewriter import StatementSequence, rewrite
 
 from conftest import oracle_rows, random_specs, result_multiset, selector_wide
 from test_plan_equivalence import _HAND_SQL, _hand_db
@@ -97,26 +97,29 @@ def _run_plan(conn, seq):
     return Counter(rows)
 
 
-def _plan(spec, db):
+def _plans(spec, db):
+    """The query and its plans: Base's and the rewriter's, by strategy."""
     cq = normalize(spec, db)
     tree, _ = analyze(cq)
-    return cq, rewrite(tree, cq, db)
+    return cq, {"base": StatementSequence(_base_plan(cq), cq=cq, db=db),
+                "rewriting": rewrite(tree, cq, db)}
 
 
 def test_rendered_plans_match_the_oracle():
     n = 0
     mismatches = []
     for i, (db, spec) in enumerate(random_specs(101, 200)):
-        _, seq = _plan(spec, db)
+        _, plans = _plans(spec, db)
+        expected = oracle_rows(spec, db)
         conn = _connect(db)
         try:
-            got = _run_plan(conn, seq)
+            for strategy, seq in plans.items():
+                if _run_plan(conn, seq) != expected:
+                    mismatches.append((i, strategy))
         finally:
             conn.close()
-        if got != oracle_rows(spec, db):
-            mismatches.append(i)
         n += 1
-    assert n == 200 and not mismatches, f"{len(mismatches)}/{n}: {mismatches[:10]}"
+    assert n == 200 and not mismatches, f"{len(mismatches)}: {mismatches[:10]}"
 
 
 def _hand_workload():
@@ -133,13 +136,15 @@ def test_rendered_plans_match_base_and_the_original_query(workload):
     conn = _connect(db)
     try:
         for qid, spec in queries:
-            cq, seq = _plan(spec, db)
-            got = _run_plan(conn, seq)
-            assert got == Counter(conn.execute(to_sql(spec)).fetchall()), qid
+            cq, plans = _plans(spec, db)
+            original = Counter(conn.execute(to_sql(spec)).fetchall())
             try:
-                base = evaluate_baseline(cq, db)
+                base = result_multiset(evaluate_baseline(cq, db))
             except EngineError:  # e.g. an empty aggregate, NULL on sqlite3
-                continue
-            assert got == result_multiset(base), qid
+                base = None
+            for strategy, seq in plans.items():
+                got = _run_plan(conn, seq)
+                assert got == original, (qid, strategy)
+                assert base is None or got == base, (qid, strategy)
     finally:
         conn.close()
