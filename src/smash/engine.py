@@ -2,15 +2,15 @@
 
 Relations are named schemas over multisets of tuples.  `Database.add`
 checks a table's rows once, as they enter a database; the operators build
-their outputs without a second check.  The module provides
-the basic operators (semi-join, natural join, projection, grouping), the
-one loop that runs a plan of statements on them, for Base's left-deep plan
-and the rewriter's semi-join (Yannakakis) plan alike, and a simple
-cardinality estimator based on distinct-value counts, which a `Database`
-records per base table when the table is added.  Evaluation and
-estimation read a query atom through one scan (renaming, intra-atom
-equalities, filters), so both reject a column its table lacks and raise
-the same filter errors.
+their outputs without a second check and count nothing.  The module
+provides the basic operators (semi-join, natural join, projection,
+grouping), the one loop that runs a plan of statements on them and counts
+their work in an `OpCounter`, for Base's left-deep plan and the rewriter's
+semi-join (Yannakakis) plan alike, and a simple cardinality estimator based
+on distinct-value counts, which a `Database` records per base table when
+the table is added.  Evaluation and estimation read a query atom through
+one scan (renaming, intra-atom equalities, filters), so both reject a
+column its table lacks and raise the same filter errors.
 """
 
 from __future__ import annotations
@@ -157,11 +157,14 @@ class Database:
 
 @dataclass
 class OpCounter:
-    joins: int = 0
-    semijoins: int = 0
-    filters: int = 0
-    aggregates: int = 0
-    intermediate_tuples: int = 0  # summed output sizes of (semi-)joins
+    """What one run of a plan did.  Only `_run` updates it: an operation
+    before its operator runs, its output rows and a passed filter after."""
+
+    joins: int = 0  # natural joins: one per child of a join_project
+    semijoins: int = 0  # semi-joins, of semijoin and semijoin_agg
+    filters: int = 0  # atoms with filters whose scan passed them all
+    aggregates: int = 0  # groupings: aggregate, semijoin_agg and final_agg
+    intermediate_tuples: int = 0  # (semi-)join output rows, summed: C_out
 
 
 def _is_number(v):
@@ -177,10 +180,8 @@ def _shared(left: Relation, right: Relation):
     return [a for a in left.schema if a in rset]
 
 
-def semi_join(left: Relation, right: Relation, counter: OpCounter | None = None) -> Relation:
+def semi_join(left: Relation, right: Relation) -> Relation:
     shared = _shared(left, right)
-    if counter is not None:
-        counter.semijoins += 1
     if not shared:
         rows = list(left.rows) if right.rows else []
     else:
@@ -188,15 +189,11 @@ def semi_join(left: Relation, right: Relation, counter: OpCounter | None = None)
         ri = [right._index(a) for a in shared]
         keys = {tuple(r[i] for i in ri) for r in right.rows}
         rows = [r for r in left.rows if tuple(r[i] for i in li) in keys]
-    if counter is not None:
-        counter.intermediate_tuples += len(rows)
     return Relation(left.name, left.schema, rows)
 
 
-def natural_join(left: Relation, right: Relation, counter: OpCounter | None = None) -> Relation:
+def natural_join(left: Relation, right: Relation) -> Relation:
     shared = _shared(left, right)
-    if counter is not None:
-        counter.joins += 1
     li = [left._index(a) for a in shared]
     extra = [a for a in right.schema if a not in shared]
     ei = [right._index(a) for a in extra]
@@ -209,8 +206,6 @@ def natural_join(left: Relation, right: Relation, counter: OpCounter | None = No
         key = tuple(l[i] for i in li)
         for tail in buckets.get(key, ()):
             rows.append(l + tail)
-    if counter is not None:
-        counter.intermediate_tuples += len(rows)
     return Relation(f"({left.name}*{right.name})", left.schema + extra, rows)
 
 
@@ -260,12 +255,9 @@ def _agg_value(agg: Aggregate, values):
     raise ValueError(f"unknown aggregate {agg.fn}")
 
 
-def group_aggregate(rel: Relation, grouping, aggs, counter: OpCounter | None = None) -> Relation:
-    aggs = [a if isinstance(a, Aggregate) else Aggregate(*a) for a in aggs]
+def group_aggregate(rel: Relation, grouping, aggs) -> Relation:
     gidx = [rel._index(g) for g in grouping]
     aidx = [rel._index(a.attribute) if a.attribute is not None else None for a in aggs]
-    if counter is not None:
-        counter.aggregates += 1
     if not grouping and not rel.rows:
         # closed scalar model: no NULL stand-in for empty aggregates
         raise EmptyAggregate("aggregate over empty ungrouped relation")
@@ -370,14 +362,12 @@ def _atom_rows(cq, atom, db: Database):
     return columns, rows
 
 
-def atom_relation(cq, atom, db: Database, counter: OpCounter | None = None) -> Relation:
+def atom_relation(cq, atom, db: Database) -> Relation:
     """Renamed, filtered relation for one query atom: the atom's scan with
     one column per join class, read at the class's first attribute.  When
     every column is a class of its own, the scan's rows are kept as they
     are, in a new list, so no result shares a table's list."""
     columns, rows = _atom_rows(cq, atom, db)
-    if counter is not None and cq.filters.get(atom.alias):
-        counter.filters += 1
     if len(columns) < len(db.stats[atom.table].index):
         # a class of several columns: keep its first
         firsts = [ix[0] for ix in columns.values()]
@@ -435,8 +425,11 @@ def evaluate_baseline(cq, db: Database, counter: OpCounter | None = None) -> Rel
 
 def _run(statements, cq, db, counter):
     """The one loop that executes plans, Base's and the rewriter's alike:
-    runs the statements in order and returns the intermediates still bound
-    and the relation of the last final SELECT (None if there is none)."""
+    runs the statements in order, counting them into `counter` (or a
+    throwaway `OpCounter`), and returns the intermediates still bound and
+    the relation of the last final SELECT (None if there is none)."""
+    if counter is None:
+        counter = OpCounter()
     namespace = {}
 
     def resolve(name):
@@ -449,22 +442,32 @@ def _run(statements, cq, db, counter):
         form = stmt.form
         op = form[0]
         if op == "atom":
-            rel = atom_relation(cq, cq.atoms[form[1]], db, counter)
-        elif op == "semijoin":
-            rel = semi_join(resolve(form[1]), resolve(form[2]), counter)
-        elif op == "semijoin_agg":
-            reduced = semi_join(resolve(form[1]), resolve(form[2]), counter)
-            rel = group_aggregate(
-                reduced, cq.output.group_by, cq.output.aggregates, counter
-            )
-        elif op == "aggregate":
-            rel = group_aggregate(
-                resolve(form[1]), cq.output.group_by, cq.output.aggregates, counter
-            )
+            atom = cq.atoms[form[1]]
+            rel = atom_relation(cq, atom, db)
+            if cq.filters.get(atom.alias):
+                counter.filters += 1
+        elif op in ("semijoin", "semijoin_agg"):
+            left, right = resolve(form[1]), resolve(form[2])
+            counter.semijoins += 1
+            rel = semi_join(left, right)
+            counter.intermediate_tuples += len(rel)
+            if op == "semijoin_agg":
+                counter.aggregates += 1
+                rel = group_aggregate(rel, cq.output.group_by, cq.output.aggregates)
+        elif op in ("aggregate", "final_agg"):
+            rel = resolve(form[1])
+            counter.aggregates += 1
+            rel = group_aggregate(rel, cq.output.group_by, cq.output.aggregates)
+            if op == "final_agg":
+                result = rel
+                continue
         elif op == "join_project":
             rel = resolve(form[1])
             for child in form[2]:
-                rel = natural_join(rel, resolve(child), counter)
+                right = resolve(child)
+                counter.joins += 1
+                rel = natural_join(rel, right)
+                counter.intermediate_tuples += len(rel)
             if form[3]:
                 rel = project(rel, form[3])
         elif op == "final_all":
@@ -472,11 +475,6 @@ def _run(statements, cq, db, counter):
             continue
         elif op == "final_project":
             result = project(resolve(form[1]), form[2])
-            continue
-        elif op == "final_agg":
-            result = group_aggregate(
-                resolve(form[1]), cq.output.group_by, cq.output.aggregates, counter
-            )
             continue
         elif op == "drop":
             if form[1] not in namespace:

@@ -1,12 +1,13 @@
 """Timing harness and end-to-end strategy comparison.
 
 Every query is planned once through `plan_query`, the one decision
-pipeline, and then runs under both strategies with one discarded warm-up
-run and five timed repetitions (arithmetic mean reported).  The timeout is
-checked only after a run returns: a run that took longer marks the entry
-timed out and charges exactly the timeout, but nothing stops a runaway
-query while it runs (enforcing deadlines inside `engine._run`, the one
-loop that runs both strategies' plans, is ROADMAP item 5).  The end-to-end
+pipeline.  Both strategies' statement lists are then built untimed, and
+each runs in the one loop that executes plans, `engine._run`, with one
+discarded warm-up run and five timed repetitions (arithmetic mean
+reported).  The timeout is checked only after a run returns: a run that
+took longer marks the entry timed out and charges exactly the timeout,
+but nothing stops a runaway query while it runs (enforcing deadlines
+inside that loop is ROADMAP item 5).  The end-to-end
 report compares Base, Rewriting, the learned SMASH selector (charged the
 chosen strategy's measured mean plus the measured decision latency), and
 the per-query oracle best, and splits the decision latency into its
@@ -21,20 +22,22 @@ import gc
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from .acyclic import JoinTree, OmaResult, analyze
 from .engine import (
     Database,
     EstimateSet,
+    _base_plan,
+    _run,
     estimate_cardinalities,
-    evaluate_baseline,
 )
 from .errors import MissingStrategy, SmashError
 from .features import FeatureVector, extract_features
 from .frontend import NormalizedCQ, normalize
 from .ml import REWRITTEN, decide, label
-from .rewriter import interpret_sequence, rewrite
+from .rewriter import rewrite
 
 BASE = "Base"
 REWRITING = "Rewriting"
@@ -209,14 +212,11 @@ def run_workload(db: Database, queries, config: RunConfig) -> RunLog:
             continue
         log.features[qid] = plan.features
         cq = plan.cq
-        seq = rewrite(plan.tree, cq, db)  # built outside the timed region
-        runners = {
-            BASE: lambda: evaluate_baseline(cq, db),
-            REWRITING: lambda: interpret_sequence(seq, cq, db),
-        }
+        # both plans are built outside the timed region
+        plans = {BASE: _base_plan(cq), REWRITING: rewrite(plan.tree, cq, db).statements}
         for strategy in STRATEGIES:
             try:
-                entry = _timed(runners[strategy], config)
+                entry = _timed(partial(_run, plans[strategy], cq, db, None), config)
             except SmashError as exc:
                 entry = RunEntry(query_id=qid, strategy=strategy,
                                  skipped=True, reason=str(exc))

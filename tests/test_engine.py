@@ -74,11 +74,9 @@ class TestOperators:
         for sql, expected in [("SELECT x.a FROM x WHERE x.a >= 1", [(1,), (1,), (2,)]),
                               ("SELECT x.a FROM x WHERE x.a = 1", [(1,), (1,)])]:
             cq = normalize(parse_query(sql), db)
-            counter = OpCounter()
-            out = atom_relation(cq, cq.atoms[0], db, counter)
+            out = atom_relation(cq, cq.atoms[0], db)
             assert out.schema == ["x.a"]
             assert sorted(out.rows) == expected
-            assert counter.filters == 1
 
     def test_semi_join_no_duplication(self):
         left = rel("l", ["a"], [(1,), (1,), (2,)])
@@ -107,12 +105,29 @@ class TestOperators:
         assert Counter(out.rows) == Counter({(1,): 2})
 
     def test_op_counter(self):
-        c = OpCounter()
-        left = rel("l", ["a"], [(1,)])
-        right = rel("r", ["a"], [(1,)])
-        semi_join(left, right, c)
-        natural_join(left, right, c)
-        assert c.semijoins == 1 and c.joins == 1
+        """The statement loop counts every counted form of a plan."""
+        db = Database()
+        db.add(rel("R", ["a", "b"], [(1, 1), (1, 2), (2, 2), (3, 9)]))
+        db.add(rel("S", ["b", "c"], [(1, 5), (2, 5), (2, 6), (4, 7)]))
+        db.add(rel("T", ["c", "d"], [(5, 0), (6, 0), (6, 1)]))
+        cq = normalize(parse_query(
+            "SELECT R.a, COUNT(*) FROM R, S, T "
+            "WHERE R.b = S.b AND S.c = T.c AND R.a <= 2 GROUP BY R.a"), db)
+        plan = StatementSequence([
+            Statement("E1", ("atom", 0)),  # filtered: 3 rows
+            Statement("E2", ("atom", 1)),
+            Statement("E3", ("atom", 2)),
+            Statement("S1", ("semijoin", "E2", "E3")),  # 3 rows
+            Statement("A1", ("semijoin_agg", "E1", "S1")),  # 3 rows, grouped
+            Statement("A2", ("aggregate", "E1")),
+            Statement("F1", ("join_project", "E1", ["E2", "E3"], [])),  # 5, then 7 rows
+            Statement(None, ("final_agg", "F1")),
+        ])
+        counter = OpCounter()
+        out = interpret_sequence(plan, cq, db, counter)
+        assert sorted(out.rows) == [(1, 4), (2, 3)]
+        assert counter == OpCounter(joins=2, semijoins=2, filters=1, aggregates=3,
+                                    intermediate_tuples=3 + 3 + 5 + 7)
 
 
 class TestAggregates:
