@@ -20,11 +20,15 @@ x <= threshold in row order, `_gini`/`_variance` -- and the first
 candidate, in feature then threshold order, that no later one beats by
 more than 1e-12 wins.  Models are therefore byte-identical to the
 exhaustive depth-first search's; tests/test_cart_differential.py checks
-this.
+this.  A cross-validation fold grows only the paths its held-out rows take
+(a lazy decision tree: Friedman, Kohavi and Yun, AAAI 1996).  Each node is
+screened on its own, so every split on those paths is the full tree's, and
+so is every fold's accuracy.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import random
@@ -274,25 +278,101 @@ def _best_candidate(X, rows, ys, imp, candidates, impurity):
     on its `x <= threshold` partition in row order, a partition with an
     empty side is skipped, and the first one, in feature then threshold
     order, that no later one beats by more than 1e-12 wins.  Returns
-    (gain, feature, threshold, goes-left mask)."""
+    (gain, feature, threshold, goes-left mask, left impurity, right
+    impurity); the impurities are those of the children's targets."""
     n = len(rows)
     best = None
-    gains = {}  # partition -> exact gain; tied features repeat partitions
+    scored = {}  # partition -> (exact gain, impurities); tied features repeat partitions
     for f, threshold in candidates:
         goes_left = X[rows, f] <= threshold
         key = goes_left.tobytes()
-        if key not in gains:
+        if key not in scored:
             left, right = ys[goes_left], ys[~goes_left]
-            gains[key] = imp - (
-                len(left) / n * impurity(left)
-                + len(right) / n * impurity(right)
-            ) if len(left) and len(right) else None
-        gain = gains[key]
-        if gain is None:
+            scored[key] = None
+            if len(left) and len(right):
+                imp_left, imp_right = impurity(left), impurity(right)
+                gain = imp - (len(left) / n * imp_left + len(right) / n * imp_right)
+                scored[key] = (gain, imp_left, imp_right)
+        if scored[key] is None:
             continue
+        gain, imp_left, imp_right = scored[key]
         if best is None or gain > best[0] + 1e-12:
-            best = (gain, f, threshold, goes_left)
+            best = (gain, f, threshold, goes_left, imp_left, imp_right)
     return best
+
+
+def _grow(train, task, max_depth=None, min_leaf=2, held=None):
+    """The CART over `train`, grown breadth-first: its tree, its splits as
+    (pre-order path, feature, weighted gain), and its number of features.
+
+    With `held`, examples to decide, a node is screened and split only if
+    some held row reaches it, routed as prediction routes them (`x <=
+    threshold`, so a NaN goes right); a node that none reaches closes as a
+    leaf unscreened.  `_screen_level` scores each node on its own, so every
+    split made is the full tree's, and each held row ends in the leaf the
+    full tree sends it to.
+    """
+    if not train:
+        raise EmptyTraining("cannot train CART on an empty set")
+    X = np.asarray([e.features for e in train], dtype=float)
+    if X.shape[1] < 1:
+        raise EmptyTraining("examples carry no features")
+    y = np.asarray(
+        [e.class_label if task == "classify" else e.reg_target for e in train],
+        dtype=float,
+    )
+    reach = queries = None
+    if held is not None:
+        queries = np.asarray([_checked_values(e.features, X.shape[1]) for e in held],
+                             dtype=float)
+        reach = np.arange(len(held))
+    impurity = _gini if task == "classify" else _variance
+    n_total = len(y)
+    ranks = _ranks(X)
+    tree = {}
+    # (node dict to fill, its rows in ascending order, their targets, their
+    # impurity, its pre-order path, the held rows reaching it or None)
+    level = [(tree, np.arange(n_total), y, impurity(y), (), reach)]
+    splits = []  # (pre-order path, feature, weighted gain)
+    depth = 0
+    while level:
+        open_nodes = []
+        for entry in level:
+            node, rows, ys, imp, _, reach = entry
+            if (
+                len(rows) < max(min_leaf, 2)  # a single row has no threshold
+                or (max_depth is not None and depth >= max_depth)
+                or imp == 0.0
+                or (reach is not None and not len(reach))
+            ):
+                node.update(_leaf(task, ys))
+            else:
+                open_nodes.append(entry)
+        if not open_nodes:
+            break
+        screened = _screen_level(
+            X, ranks, [(rows, ys, imp) for _, rows, ys, imp, _, _ in open_nodes], task
+        )
+        level = []
+        for (node, rows, ys, imp, path, reach), candidates in zip(open_nodes, screened):
+            best = _best_candidate(X, rows, ys, imp, candidates, impurity)
+            if best is None or best[0] < -1e-12:
+                node.update(_leaf(task, ys))
+                continue
+            gain, f, threshold, goes_left, imp_left, imp_right = best
+            splits.append((path, f, gain * (len(rows) / n_total)))
+            node.update(leaf=False, feature=int(f), threshold=float(threshold),
+                        left={}, right={})
+            reach_left = reach_right = None
+            if reach is not None:
+                query_left = queries[reach, f] <= threshold
+                reach_left, reach_right = reach[query_left], reach[~query_left]
+            level += [(node["left"], rows[goes_left], ys[goes_left], imp_left,
+                       path + (0,), reach_left),
+                      (node["right"], rows[~goes_left], ys[~goes_left], imp_right,
+                       path + (1,), reach_right)]
+        depth += 1
+    return tree, splits, X.shape[1]
 
 
 def train_cart(train, task="classify", max_depth=None, min_leaf=2) -> CartModel:
@@ -304,8 +384,9 @@ def train_cart(train, task="classify", max_depth=None, min_leaf=2) -> CartModel:
     values, at most the training set's size per feature.  Each node then
     re-scores its screened candidates as the exhaustive search scores them
     (threshold (lo + hi) / 2, partition x <= threshold in row order,
-    `_gini`/`_variance`, the 1e-12 rule), and Gini importances are summed
-    in the pre-order a recursive build visits the nodes.  Models are
+    `_gini`/`_variance`, the 1e-12 rule), and its children take the
+    impurities of that winning partition.  Gini importances are summed in
+    the pre-order a recursive build visits the nodes.  Models are
     therefore byte-identical to the exhaustive depth-first search's;
     tests/test_cart_differential.py checks this.
 
@@ -313,55 +394,8 @@ def train_cart(train, task="classify", max_depth=None, min_leaf=2) -> CartModel:
     partition leaves one side empty; such a candidate is skipped, and a
     node with no other candidate becomes a leaf.
     """
-    if not train:
-        raise EmptyTraining("cannot train CART on an empty set")
-    X = np.asarray([e.features for e in train], dtype=float)
-    if X.shape[1] < 1:
-        raise EmptyTraining("examples carry no features")
-    y_arr = np.asarray(
-        [e.class_label if task == "classify" else e.reg_target for e in train],
-        dtype=float,
-    )
-    impurity = _gini if task == "classify" else _variance
-    n_total = len(train)
-    ranks = _ranks(X)
-    tree = {}
-    # (node dict to fill, its rows in ascending order, its pre-order path)
-    level = [(tree, np.arange(n_total), ())]
-    splits = []  # (pre-order path, feature, weighted gain)
-    depth = 0
-    while level:
-        open_nodes = []
-        for node, rows, path in level:
-            ys = y_arr[rows]
-            if (
-                len(rows) < max(min_leaf, 2)  # a single row has no threshold
-                or (max_depth is not None and depth >= max_depth)
-                or (imp := impurity(ys)) == 0.0
-            ):
-                node.update(_leaf(task, ys))
-            else:
-                open_nodes.append((node, rows, path, ys, imp))
-        if not open_nodes:
-            break
-        screened = _screen_level(
-            X, ranks, [(rows, ys, imp) for _, rows, _, ys, imp in open_nodes], task
-        )
-        level = []
-        for (node, rows, path, ys, imp), candidates in zip(open_nodes, screened):
-            best = _best_candidate(X, rows, ys, imp, candidates, impurity)
-            if best is None or best[0] < -1e-12:
-                node.update(_leaf(task, ys))
-                continue
-            gain, f, threshold, goes_left = best
-            left, right = rows[goes_left], rows[~goes_left]
-            splits.append((path, f, gain * (len(rows) / n_total)))
-            node.update(leaf=False, feature=int(f), threshold=float(threshold),
-                        left={}, right={})
-            level += [(node["left"], left, path + (0,)),
-                      (node["right"], right, path + (1,))]
-        depth += 1
-    importances = np.zeros(X.shape[1])
+    tree, splits, n_features = _grow(train, task, max_depth, min_leaf)
+    importances = np.zeros(n_features)
     for _, f, weighted_gain in sorted(splits, key=lambda s: s[0]):
         importances[f] += weighted_gain
     total = importances.sum()
@@ -371,9 +405,9 @@ def train_cart(train, task="classify", max_depth=None, min_leaf=2) -> CartModel:
         task=task,
         tree=tree,
         importances=[float(v) for v in importances],
-        feature_names=feature_names() if X.shape[1] == len(feature_names())
-        else [f"f{i}" for i in range(X.shape[1])],
-        n_features=X.shape[1],
+        feature_names=feature_names() if n_features == len(feature_names())
+        else [f"f{i}" for i in range(n_features)],
+        n_features=n_features,
     )
 
 
@@ -448,12 +482,17 @@ def _knn_predict_one(model, values):
 # prediction and decisions
 # ---------------------------------------------------------------------------
 
-def predict(model, fv):
+def _checked_values(fv, n_features):
     values = _as_values(fv)
-    if len(values) != model.n_features:
+    if len(values) != n_features:
         raise UnseenFeatureDimension(
-            f"model expects {model.n_features} features, got {len(values)}"
+            f"model expects {n_features} features, got {len(values)}"
         )
+    return values
+
+
+def predict(model, fv):
+    values = _checked_values(fv, model.n_features)
     if isinstance(model, CartModel):
         return _cart_predict_one(model, values)
     if isinstance(model, KnnModel):
@@ -553,10 +592,23 @@ def gini_importances(model: CartModel):
 
 
 def cross_validate(folds, task="classify", trainer=train_cart, **params):
-    """Accuracy per fold; folds come from split_dataset."""
+    """Accuracy per fold; folds come from split_dataset.
+
+    With the CART trainer (also behind a `functools.wraps` wrapper, as a
+    tracer installs one), a fold grows only the paths its held-out rows
+    take and decides them on that tree: every split on those paths is the
+    one `train_cart` makes, so the accuracies are its own.  Any other
+    trainer is called on each fold's training part.
+    """
+    lazy = inspect.unwrap(trainer) is inspect.unwrap(train_cart)
     accuracies = []
     for train_part, held in folds:
-        model = trainer(train_part, task=task, **params)
+        if lazy:
+            tree, _, n_features = _grow(train_part, task, held=held, **params)
+            model = CartModel(task, tree, importances=[], feature_names=[],
+                              n_features=n_features)
+        else:
+            model = trainer(train_part, task=task, **params)
         hits = sum(
             (decide(model, e.features) == REWRITTEN) == (e.class_label == 1)
             for e in held

@@ -4,11 +4,14 @@
 (feature, threshold) candidate is re-partitioned and scored from scratch,
 and the tree is built depth-first by recursion.  It is slow and obviously
 right, and `train_cart`, which grows the tree level by level, must
-serialize byte for byte the same models on every dataset here.  The
+serialize byte for byte the same models on every dataset here.
+`cross_validate`, which grows each fold's tree only along its held-out
+rows' paths, must give exactly the full trees' accuracies.  The
 oracle keeps its own impurity and leaf definitions (`np.var`/`np.mean` on
 lists), so a change to the trainer's arithmetic cannot change both sides.
 """
 
+import functools
 import random
 import signal
 from collections import defaultdict
@@ -17,6 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from smash import ml
 from smash.acyclic import analyze
 from smash.augmentation import WorkloadSpec, generate_workload
 from smash.engine import OpCounter, estimate_cardinalities, evaluate_baseline
@@ -24,10 +28,13 @@ from smash.errors import EmptyTraining, InvalidJoinTree
 from smash.features import extract_features, feature_names
 from smash.frontend import normalize
 from smash.ml import (
+    REWRITTEN,
     CartModel,
     LabeledExample,
+    decide,
     label,
     model_to_json,
+    split_dataset,
     train_cart,
 )
 from smash.rewriter import interpret_sequence, rewrite
@@ -356,3 +363,108 @@ def test_empty_side_candidates_among_others(seed):
         assert_same_models(examples, max_depth=2)
     for task in TASKS:
         assert "NaN" not in model_to_json(train_cart(examples, task=task))
+
+
+# ---------------------------------------------------------------------------
+# cross-validation grows only the held-out rows' paths
+# ---------------------------------------------------------------------------
+
+PARAMS = ({}, {"max_depth": 3}, {"min_leaf": 5})
+
+
+def full_tree_accuracies(folds, task, **params):
+    """Per fold, the accuracy of the full `train_cart` tree on the held-out
+    rows, decided as `cross_validate` decides them."""
+    accuracies = []
+    for train, held in folds:
+        model = train_cart(train, task=task, **params)
+        hits = sum((decide(model, e.features) == REWRITTEN) == (e.class_label == 1)
+                   for e in held)
+        accuracies.append(hits / len(held))
+    return accuracies
+
+
+def nan_column_examples(seed):
+    """Column 0 decides the label and is NaN in every fifth row, in the
+    training and the held-out rows alike; a held-out NaN must go right at
+    a split on it, as prediction sends it."""
+    rng = random.Random(seed)
+    examples = []
+    for i in range(80):
+        x = rng.uniform(0.0, 10.0)
+        row = [float("nan") if i % 5 == 0 else x, rng.random(), float(rng.randrange(3))]
+        examples.append(label(f"q{i}", row, x + rng.uniform(-2.0, 2.0), 5.0))
+    return examples
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow
+def test_cross_validate_matches_full_trees(wide_examples):
+    rng = random.Random(0)
+    tied = [[float(rng.randrange(3)), float(rng.randrange(5)), 7.0, rng.uniform(0.0, 10.0)]
+            for _ in range(70)]
+    overflowing = overflowing_midpoint_examples()
+    datasets = {
+        "timed": split_dataset(timed_examples(tied, 0), 0).folds,
+        "nan_column": split_dataset(nan_column_examples(1), 1).folds,
+        "wide": split_dataset(wide_examples, 42).folds,
+        # held-out rows need not be left out of training
+        "overflowing": [(overflowing, overflowing), (overflowing[:1], overflowing[1:])],
+    }
+    for name, folds in datasets.items():
+        for task in TASKS:
+            for params in PARAMS:
+                assert ml.cross_validate(folds, task=task, **params) == (
+                    full_tree_accuracies(folds, task, **params)), (name, task, params)
+    assert any(train_cart(train, task="regress").tree["feature"] == 0
+               for train, _ in datasets["nan_column"])
+
+
+@pytest.fixture
+def screened_nodes(monkeypatch):
+    """The number of nodes `ml._screen_level` has screened so far."""
+    count = [0]
+    screen = ml._screen_level
+
+    def counting(X, ranks, nodes, task):
+        count[0] += len(nodes)
+        return screen(X, ranks, nodes, task)
+
+    monkeypatch.setattr(ml, "_screen_level", counting)
+    return lambda: count[0]
+
+
+def traced(monkeypatch):
+    """Rebind `ml.train_cart` to a `functools.wraps` wrapper in `ml`'s
+    namespace, as bench/spans.py does; returns the wrapper."""
+    original = ml.train_cart
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ml, "train_cart", wrapper)
+    return wrapper
+
+
+@pytest.mark.parametrize("tracer", ["off", "default trainer", "wrapper as trainer"])
+def test_cv_fold_screens_fewer_nodes_than_full_training(
+        wide_examples, screened_nodes, monkeypatch, tracer):
+    """Every regress fold screens fewer nodes than the full tree on its
+    training rows (about 420 nodes; the classify trees are too small for
+    every fold to leave one out), and decides as the full tree does."""
+    kwargs = {}
+    if tracer != "off":
+        wrapper = traced(monkeypatch)
+        if tracer == "wrapper as trainer":
+            kwargs["trainer"] = wrapper
+    for task in TASKS:
+        lazy_total = full_total = 0
+        for fold in split_dataset(wide_examples, 42).folds:
+            before = screened_nodes()
+            accuracy = ml.cross_validate([fold], task=task, **kwargs)
+            lazy = screened_nodes() - before
+            assert accuracy == full_tree_accuracies([fold], task), task
+            full = screened_nodes() - before - lazy
+            assert 0 < lazy < full if task == "regress" else 0 < lazy <= full, task
+            lazy_total, full_total = lazy_total + lazy, full_total + full
+        assert lazy_total < full_total, task

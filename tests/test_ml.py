@@ -13,6 +13,7 @@ from smash.errors import (
     LengthMismatch,
     NonFinite,
     TooFewExamples,
+    UnseenFeatureDimension,
     UntrainedModel,
 )
 from smash.ml import (
@@ -172,6 +173,13 @@ class TestCart:
             return 1 + max(depth(node["left"]), depth(node["right"]))
 
         assert depth(model.tree) <= 1
+
+    def test_cross_validate_rejects_held_out_rows_of_another_width(self):
+        ex = make_examples(30, lambda x: x[2] > 5)  # the root splits on the last column
+        for width in (2, 4):
+            held = [label("h", [1.0] * width, 1.0, 2.0)]
+            with pytest.raises(UnseenFeatureDimension, match=f"expects 3 features, got {width}"):
+                cross_validate([(ex, held)], task="classify")
 
 
 class TestImpurityArithmetic:

@@ -2,12 +2,12 @@
 
 The cart and plan measurements label the benchmark's selector_wide queries
 by exact intermediate-tuple counts, through `harness.plan_query`.  The pool
-models trained on that dataset must stay the ones every side of
-`BENCH_cart.json` records, byte for byte, the plans of those queries the
-ones every side of `BENCH_plan.json` recorded, the benchmark's generated
-workloads the ones every side of `BENCH_setup.json` recorded, and the
-selector_wide queries' operation counts and results the ones every side of
-`BENCH_exec.json` recorded.
+models trained on that dataset and its 10-fold cross-validation accuracies
+must stay the ones every side of `BENCH_cart.json` records, byte for byte,
+the plans of those queries the ones every side of `BENCH_plan.json`
+recorded, the benchmark's generated workloads the ones every side of
+`BENCH_setup.json` recorded, and the selector_wide queries' operation
+counts and results the ones every side of `BENCH_exec.json` recorded.
 """
 
 import hashlib
@@ -48,6 +48,14 @@ def test_selector_wide_pool_models_match_bench_cart(ab):
     }
     for name, side in recorded_exact("BENCH_cart.json"):
         assert side["exact"]["model_sha256"] == digests, name
+
+
+def test_selector_wide_cv_accuracies_match_bench_cart(ab):
+    splits = ml.split_dataset(ab.count_examples(*ab.workload("selector_wide")), ab.SEED)
+    accuracies = {task: ml.cross_validate(splits.folds, task)
+                  for task in ("regress", "classify")}
+    for name, side in recorded_exact("BENCH_cart.json"):
+        assert side["exact"]["cv_accuracies"] == accuracies, name
 
 
 def test_selector_wide_plans_match_bench_plan(ab):

@@ -13,8 +13,8 @@ SEED) from this repository.  It runs one measurement:
 - plan: the seven planning stages of `harness.plan_query`'s pipeline, per
   query of both workloads, planned from SQL text, and the Python opcodes
   each stage runs per query;
-- cart: `train_cart` (regress and classify) on the selector_wide pool and
-  10-fold regress `cross_validate`;
+- cart: `train_cart` and 10-fold `cross_validate`, regress and classify,
+  on the selector_wide pool;
 - setup: the generation of both workloads, as `bench/run.py`'s `setup_s`;
 - exec: one Base pass and one Rewriting pass over each regime's queries of
   both workloads, planned untimed, as `bench/run.py`'s `exec_*_ms`.
@@ -298,8 +298,9 @@ def measure_plan():
 def measure_cart():
     """Seconds per call, and their sum per pass ("total_s"), median over the
     passes: train_cart regress and classify on the pool of the count-labelled
-    selector_wide queries, and 10-fold regress cross_validate.  exact: the
-    SHA-256 of both pool models' model_to_json, and the dataset sizes."""
+    selector_wide queries, and 10-fold regress and classify cross_validate.
+    exact: the SHA-256 of both pool models' model_to_json, the per-fold
+    cross_validate accuracies of both tasks, and the dataset sizes."""
     from clock import Clock
     from smash import ml
 
@@ -309,6 +310,7 @@ def measure_cart():
         "train_cart_regress_s": lambda: ml.train_cart(splits.pool, task="regress"),
         "train_cart_classify_s": lambda: ml.train_cart(splits.pool, task="classify"),
         "cross_validate_regress_s": lambda: ml.cross_validate(splits.folds, "regress"),
+        "cross_validate_classify_s": lambda: ml.cross_validate(splits.folds, "classify"),
     }
     with Clock() as clock:
         seconds = alternating_passes({name: lambda call=call: timed(clock, call)
@@ -320,6 +322,8 @@ def measure_cart():
     return {"values": values, "exact": {
         "model_sha256": {task: hashlib.sha256(m.encode()).hexdigest()
                          for task, m in models.items()},
+        "cv_accuracies": {task: ml.cross_validate(splits.folds, task)
+                          for task in ("regress", "classify")},
         "n_examples": len(examples),
         "n_pool": len(splits.pool),
     }}
