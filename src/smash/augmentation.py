@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 import random
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, repeat, starmap
@@ -216,6 +217,26 @@ def _tree_parents(rng, k, shape):
     return [None] + [rng.randrange(i) for i in range(1, k)]
 
 
+# the keys 0, 1, 2, ... that every generated table slices its keys from
+_KEYS = []
+_KEYS_LOCK = threading.Lock()
+
+
+def _key_pool(n):
+    """`_KEYS`, grown on demand to hold at least the keys 0 .. n-1.
+
+    A database then holds one int object per key value instead of one per
+    occurrence: a child table's parent keys and its parent's own keys are
+    the same objects, which saves memory and lets a hash probe that hits
+    compare keys by identity.  The list keeps its largest size, the row
+    count of the largest table generated so far.
+    """
+    if len(_KEYS) < n:
+        with _KEYS_LOCK:
+            _KEYS.extend(range(len(_KEYS), n))
+    return _KEYS
+
+
 def _randrange_draws(rng, n, count):
     """`count` values of `rng.randrange(n)`, drawn as it draws them.
 
@@ -292,7 +313,7 @@ def _generate_one(rng, spec: WorkloadSpec, qid):
                         repeat(dangling)))
         for key in core:
             keep.insert(key, True)
-        kept = list(compress(range(n_parent), keep))
+        kept = list(compress(_key_pool(n_parent), keep))
         parent_keys[node] = list(chain.from_iterable(map(repeat, kept, repeat(fanout))))
         row_counts[node] = len(parent_keys[node])
         core_rows[node] = {kept.index(key) * fanout for key in core}
@@ -302,7 +323,8 @@ def _generate_one(rng, spec: WorkloadSpec, qid):
     for node in range(k):
         # one key column per child edge, equal to the row's own key, and a
         # payload column; a child table leads with its parent key
-        own_keys = [range(row_counts[node])] * len(children[node])
+        keys = _key_pool(row_counts[node])[:row_counts[node]]
+        own_keys = [keys] * len(children[node])
         schema = [edge_attr[c] for c in children[node]] + ["v"]
         if node == 0:
             columns = [*own_keys, root_payloads]
@@ -347,7 +369,13 @@ def _generate_one(rng, spec: WorkloadSpec, qid):
 
 
 def generate_workload(spec: WorkloadSpec):
-    """Seeded database + query list; identical seeds reproduce both."""
+    """Seeded database + query list; identical seeds reproduce both.
+
+    Every key column holds `_key_pool`'s objects, so the database holds one
+    int object per key value.  Payloads lie below `spec.payload_range`, so
+    with a range up to 257 (the default is 100) they are the ints CPython
+    caches, and every int value of the database has one object.
+    """
     db = Database()
     return db, _add_workload(db, spec)
 

@@ -127,7 +127,11 @@ class Database:
 
         The relation's schema becomes a list and its rows a new list of
         tuples.  A duplicate attribute, or a row whose length is not the
-        schema's, raises ValueError naming the table.
+        schema's, raises ValueError naming the table.  The values stay the
+        objects given.  Both ways rows are made, the generator and
+        `load_database`, give a database one int object per key value, not
+        one per occurrence: that saves memory on key columns, and a hash
+        probe that hits compares equal keys by identity.
         """
         if rel.name in self.tables:
             raise ValueError(f"duplicate table {rel.name}")
@@ -582,28 +586,78 @@ def estimate_cardinalities(cq, db: Database) -> EstimateSet:
 # table ingestion
 # ---------------------------------------------------------------------------
 
-def _cast_column(values, cast=None):
+def _cast_column(values, ints, cast=None):
     """A column's values cast once: by `cast` if given, else by the first
-    of int, float and str that parses every value."""
-    if cast is not None:
-        return list(map(cast, values))
-    for cast in (int, float):
-        try:
-            return list(map(cast, values))
-        except ValueError:
-            pass
-    return list(values)
+    of int, float and str that parses every value.  An int column's values
+    are `ints`' objects for them, added there when new, so every table
+    loaded with the same `ints` shares one object per int value."""
+    if cast is None:
+        for cast in (int, float, str):
+            try:
+                values = list(map(cast, values))
+                break
+            except ValueError:
+                pass
+    else:
+        values = list(map(cast, values))
+    return list(map(ints.setdefault, values, values)) if cast is int else values
 
 
 _TYPE_CASTS = {"int64": int, "float64": float, "string": str}
+
+
+def _sidecar_casts(schema_file, path, header):
+    """Per column of `path`'s `header`, the cast its type in the sidecar
+    schema `schema_file` names; a column without a type, or an unknown
+    type, raises ValueError naming the sidecar and the column."""
+    with open(schema_file) as fh:
+        spec = json.load(fh)
+    casts = []
+    for col in header:
+        if col not in spec:
+            raise ValueError(f"{schema_file}: no type for column {col!r} of {path}")
+        if spec[col] not in _TYPE_CASTS:
+            raise ValueError(
+                f"{schema_file}: column {col!r} has unknown type {spec[col]!r}, "
+                f"not one of {', '.join(_TYPE_CASTS)}"
+            )
+        casts.append(_TYPE_CASTS[spec[col]])
+    return casts
+
+
+def _bad_value(path, col, cast, values):
+    """The ValueError for the first of a column's `values` that `cast`
+    rejects: it names the file, the line, the column and the value."""
+    for i, value in enumerate(values):
+        try:
+            cast(value)
+        except ValueError:
+            break
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in range(i + 2):  # the header, then rows 0 .. i
+            next(reader)
+    return ValueError(
+        f"{path}, line {reader.line_num}: column {col!r} value {value!r} "
+        f"is not a valid {cast.__name__}"
+    )
 
 
 def load_table(path, name=None, schema_file=None) -> Relation:
     """Load a headered CSV; types inferred unless a sidecar schema is given.
 
     A file without a header, or a row with more or fewer fields than the
-    header, raises ValueError naming the file (and the row's line).
+    header, raises ValueError naming the file (and the row's line).  So
+    does a sidecar that gives a column no type or an unknown one (naming
+    the sidecar and the column), or a value its column's type does not
+    parse (naming the file, line and column).  The table holds one int
+    object per int value.
     """
+    return _load_table(path, name, schema_file, {})
+
+
+def _load_table(path, name, schema_file, ints):
+    """`load_table`, its int columns' values shared through `ints`."""
     path = Path(path)
     name = name or path.stem
     with open(path, newline="") as fh:
@@ -621,11 +675,15 @@ def load_table(path, name=None, schema_file=None) -> Relation:
             raw.append(row)
     casts = [None] * len(header)
     if schema_file is not None:
-        with open(schema_file) as fh:
-            spec = json.load(fh)
-        casts = [_TYPE_CASTS[spec[col]] for col in header]
+        casts = _sidecar_casts(schema_file, path, header)
     columns = zip(*raw) if raw else [()] * len(header)
-    return Relation(name, header, list(zip(*map(_cast_column, columns, casts))))
+    cast_columns = []
+    for col, values, cast in zip(header, columns, casts):
+        try:
+            cast_columns.append(_cast_column(values, ints, cast))
+        except ValueError:
+            raise _bad_value(path, col, cast, values) from None
+    return Relation(name, header, list(zip(*cast_columns)))
 
 
 def save_database(db: Database, directory):
@@ -640,9 +698,18 @@ def save_database(db: Database, directory):
 
 
 def load_database(directory) -> Database:
+    """Every `*.csv` of `directory` as a table (see `load_table`), with the
+    sidecar `<table>.schema.json` when one exists.
+
+    One dict interns the int values of every table, so the database holds
+    one int object per value, as a generated one does: a `save_database`
+    round trip keeps the memory and the identity-comparing hash probes of
+    the database it saved.
+    """
     db = Database()
     directory = Path(directory)
+    ints = {}
     for path in sorted(directory.glob("*.csv")):
         sidecar = path.with_suffix(".schema.json")
-        db.add(load_table(path, schema_file=sidecar if sidecar.exists() else None))
+        db.add(_load_table(path, None, sidecar if sidecar.exists() else None, ints))
     return db

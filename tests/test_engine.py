@@ -370,3 +370,25 @@ class TestPersistence:
         sidecar.write_text('{"a": "int64", "b": "string"}')
         with pytest.raises(ValueError, match="line 2: 3 fields"):
             load_table(path, schema_file=sidecar)
+
+    @pytest.mark.parametrize("schema, message", [
+        ('{"a": "int64"}', "{sidecar}: no type for column 'b' of {path}"),
+        ('{"a": "int64", "b": "int32"}',
+         "{sidecar}: column 'b' has unknown type 'int32', "
+         "not one of int64, float64, string"),
+        ('{"a": "string", "b": "int64"}',
+         "{path}, line 5: column 'b' value 'x' is not a valid int"),
+        ('{"a": "string", "b": "float64"}',
+         "{path}, line 5: column 'b' value 'x' is not a valid float"),
+    ])
+    def test_bad_sidecar_names_the_file_and_column(self, tmp_path, schema, message):
+        # the third row spans lines 3-4, so the bad value's row is on line 5
+        path = tmp_path / "R.csv"
+        path.write_text('a,b\n1,2\n"two\nlines",3\n4,x\n5,y\n')
+        sidecar = tmp_path / "R.schema.json"
+        sidecar.write_text(schema)
+        for load in (lambda: load_table(path, schema_file=sidecar),
+                     lambda: load_database(tmp_path)):
+            with pytest.raises(ValueError) as info:
+                load()
+            assert str(info.value) == message.format(path=path, sidecar=sidecar)

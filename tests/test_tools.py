@@ -74,6 +74,14 @@ def test_generated_workloads_match_bench_setup(ab):
         assert side["exact"]["workload_sha256"] == digests, name
 
 
+def test_held_mb_counts_what_the_workload_keeps(ab):
+    def generate(seed):
+        bytearray(8 * 2**20)  # freed before the reading
+        return bytearray(seed * 2**20)
+
+    assert ab.held_mb(generate) == pytest.approx(ab.SEED, abs=0.1)
+
+
 def test_selector_wide_execution_matches_bench_exec(ab):
     db, queries = ab.workload("selector_wide")
     exact, _ = ab.counted_pass(db, ab.prepared_plans(db, queries))

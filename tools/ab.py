@@ -15,7 +15,8 @@ SEED) from this repository.  It runs one measurement:
   each stage runs per query;
 - cart: `train_cart` and 10-fold `cross_validate`, regress and classify,
   on the selector_wide pool;
-- setup: the generation of both workloads, as `bench/run.py`'s `setup_s`;
+- setup: the generation of both workloads, as `bench/run.py`'s `setup_s`,
+  and the memory each generated workload holds;
 - exec: one Base pass and one Rewriting pass over each regime's queries of
   both workloads, planned untimed, as `bench/run.py`'s `exec_*_ms`.
 
@@ -48,6 +49,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -329,9 +331,26 @@ def measure_cart():
     }}
 
 
+def held_mb(generate):
+    """MB that tracemalloc traces as allocated, and not yet freed, while
+    the one workload `generate(SEED)` returns is alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        generated = generate(SEED)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del generated
+        return held / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def measure_setup():
-    """Seconds to generate each workload, median over the passes.  exact:
-    workload_sha256 over every generated table and query."""
+    """Seconds to generate each workload, median over the passes, and the
+    MB one generated workload holds, traced by tracemalloc in an untimed
+    pass after them.  exact: workload_sha256 over every generated table
+    and query."""
     from clock import Clock
     from smashbench import WORKLOADS
 
@@ -339,8 +358,9 @@ def measure_setup():
         seconds = alternating_passes({
             name: lambda w=w: timed(clock, lambda: w.generate(SEED))
             for name, w in WORKLOADS.items()})
-    return {"values": {f"{name}.generate_s": statistics.median(s)
-                       for name, s in seconds.items()},
+    values = {f"{name}.generate_s": statistics.median(s) for name, s in seconds.items()}
+    values |= {f"{name}.held_mb": held_mb(w.generate) for name, w in WORKLOADS.items()}
+    return {"values": values,
             "exact": {"workload_sha256": {name: workload_digest(*w.generate(SEED))
                                           for name, w in WORKLOADS.items()}}}
 
