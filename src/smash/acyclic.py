@@ -80,16 +80,13 @@ class JoinTree:
             self._depth = depth
         return self._depth
 
-    def to_dict(self, cq=None):
+    def to_dict(self, cq):
         nodes = []
         for u in self.nodes:
-            entry = {"node": u, "parent": self.parent[u]}
-            if cq is not None:
-                atom = cq.atoms[u]
-                entry["alias"] = atom.alias
-                entry["table"] = atom.table
-                entry["attrs"] = sorted(set(atom.renaming.values()))
-            nodes.append(entry)
+            atom = cq.atoms[u]
+            nodes.append({"node": u, "parent": self.parent[u], "alias": atom.alias,
+                          "table": atom.table,
+                          "attrs": sorted(set(atom.renaming.values()))})
         return {
             "root": self.root,
             "is_0ma": self.oma_flag,
@@ -97,10 +94,8 @@ class JoinTree:
             "nodes": nodes,
         }
 
-    def to_text(self, cq=None):
+    def to_text(self, cq):
         def label(u):
-            if cq is None:
-                return str(u)
             atom = cq.atoms[u]
             return atom.alias if atom.alias == atom.table else f"{atom.table} AS {atom.alias}"
 

@@ -118,16 +118,13 @@ def augment_filters(q: QuerySpec, db: Database):
 # aggregate-attribute augmentation
 # ---------------------------------------------------------------------------
 
-def augment_aggregate_attribute(q: QuerySpec, db: Database | None = None):
+def augment_aggregate_attribute(q: QuerySpec, db: Database):
     """One MIN variant per table, over that table's first column."""
     if not q.is_aggregate:
         raise NotAggregate("enumeration queries have no aggregate to rotate")
     variants = []
     for name, alias in q.tables:
-        if db is not None:
-            attr = db.table(name).schema[0]
-        else:
-            attr = _first_mentioned_attr(q, alias)
+        attr = db.table(name).schema[0]
         variant = _copy(q)
         variant.select_columns = []
         variant.group_by = list(q.group_by)
@@ -136,20 +133,6 @@ def augment_aggregate_attribute(q: QuerySpec, db: Database | None = None):
         ]
         variants.append(variant)
     return variants
-
-
-def _first_mentioned_attr(q: QuerySpec, alias):
-    for agg in q.select_aggregates:
-        if agg.column is not None and agg.column.alias == alias:
-            return agg.column.attr
-    for l, r in q.join_conds:
-        for col in (l, r):
-            if col.alias == alias:
-                return col.attr
-    for col, _, _ in q.filters:
-        if col.alias == alias:
-            return col.attr
-    raise NotAggregate(f"no attribute known for alias {alias!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -294,13 +294,10 @@ def group_aggregate(rel: Relation, grouping, aggs) -> Relation:
 # query evaluation over a NormalizedCQ: atom scans, plans and their loop
 # ---------------------------------------------------------------------------
 
-def _is_number_type(t):
-    return issubclass(t, (int, float)) and not issubclass(t, bool)
-
-
-# value types that need no `_is_number_type` test: whether the literal is a
-# number -> types that are numbers exactly when it is
-_PLAIN_TYPES = {True: frozenset((int, float)), False: frozenset((str,))}
+# literal type -> value types on which every comparison with such a literal
+# neither mismatches nor raises (a bool literal has none: "a" < True raises)
+_NUMBERS = frozenset((int, float))
+_PLAIN_TYPES = {int: _NUMBERS, float: _NUMBERS, str: frozenset((str,))}
 
 
 def _select(rows, index, pred):
@@ -312,14 +309,9 @@ def _select(rows, index, pred):
     raises.
     """
     values = list(map(operator.itemgetter(index), rows))
-    number = _is_number(pred.literal)
-    types = set(map(type, values))
-    if types <= _PLAIN_TYPES[number] or all(_is_number_type(t) == number for t in types):
-        try:
-            keep = map(_OPS[pred.op], values, repeat(pred.literal))
-            return list(compress(rows, keep)), None
-        except Exception:
-            pass  # raised again, with its row, below
+    if set(map(type, values)) <= _PLAIN_TYPES.get(type(pred.literal), frozenset()):
+        keep = map(_OPS[pred.op], values, repeat(pred.literal))
+        return list(compress(rows, keep)), None
     kept = []
     for row, value in zip(rows, values):
         try:
@@ -608,15 +600,21 @@ _TYPE_CASTS = {"int64": int, "float64": float, "string": str}
 
 def _sidecar_casts(schema_file, path, header):
     """Per column of `path`'s `header`, the cast its type in the sidecar
-    schema `schema_file` names; a column without a type, or an unknown
-    type, raises ValueError naming the sidecar and the column."""
+    schema `schema_file` names.  A sidecar that is not a JSON object raises
+    ValueError naming it; a column without a type, or an unknown type,
+    raises ValueError naming the sidecar and the column."""
     with open(schema_file) as fh:
-        spec = json.load(fh)
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{schema_file}: not valid JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise ValueError(f"{schema_file}: not a JSON object of column types")
     casts = []
     for col in header:
         if col not in spec:
             raise ValueError(f"{schema_file}: no type for column {col!r} of {path}")
-        if spec[col] not in _TYPE_CASTS:
+        if not isinstance(spec[col], str) or spec[col] not in _TYPE_CASTS:
             raise ValueError(
                 f"{schema_file}: column {col!r} has unknown type {spec[col]!r}, "
                 f"not one of {', '.join(_TYPE_CASTS)}"
@@ -643,7 +641,7 @@ def _bad_value(path, col, cast, values):
     )
 
 
-def load_table(path, name=None, schema_file=None) -> Relation:
+def load_table(path, schema_file=None) -> Relation:
     """Load a headered CSV; types inferred unless a sidecar schema is given.
 
     A file without a header, or a row with more or fewer fields than the
@@ -653,13 +651,12 @@ def load_table(path, name=None, schema_file=None) -> Relation:
     parse (naming the file, line and column).  The table holds one int
     object per int value.
     """
-    return _load_table(path, name, schema_file, {})
+    return _load_table(path, schema_file, {})
 
 
-def _load_table(path, name, schema_file, ints):
+def _load_table(path, schema_file, ints):
     """`load_table`, its int columns' values shared through `ints`."""
     path = Path(path)
-    name = name or path.stem
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -683,7 +680,7 @@ def _load_table(path, name, schema_file, ints):
             cast_columns.append(_cast_column(values, ints, cast))
         except ValueError:
             raise _bad_value(path, col, cast, values) from None
-    return Relation(name, header, list(zip(*cast_columns)))
+    return Relation(path.stem, header, list(zip(*cast_columns)))
 
 
 def save_database(db: Database, directory):
@@ -711,5 +708,5 @@ def load_database(directory) -> Database:
     ints = {}
     for path in sorted(directory.glob("*.csv")):
         sidecar = path.with_suffix(".schema.json")
-        db.add(_load_table(path, None, sidecar if sidecar.exists() else None, ints))
+        db.add(_load_table(path, sidecar if sidecar.exists() else None, ints))
     return db

@@ -9,7 +9,7 @@ are summarized by six order statistics each.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from .engine import EstimateSet
 from .errors import EmptySet
@@ -22,9 +22,6 @@ class SixStats(NamedTuple):
     q75: float
     max: float
     mean: float
-
-    def as_list(self):
-        return list(self)
 
     @classmethod
     def zeros(cls):
@@ -60,21 +57,6 @@ def reduce_set(values) -> SixStats:
     if len(values) == 0:
         raise EmptySet("cannot summarize an empty collection")
     return _summarize(sorted(map(float, values)))
-
-
-_SCALAR_FIELDS = [
-    "is_0ma",
-    "n_relations",
-    "n_conditions",
-    "n_filters",
-    "n_joins",
-    "depth",
-]
-_SET_FIELDS = [
-    "container_counts",
-    "branching_degrees",
-]
-_STAT_NAMES = ["min", "q25", "median", "q75", "max", "mean"]
 
 
 class FeatureVector(NamedTuple):
@@ -113,12 +95,15 @@ class FeatureVector(NamedTuple):
 
 
 def feature_names():
-    names = list(_SCALAR_FIELDS)
-    for group in _SET_FIELDS:
-        names += [f"{group}_{s}" for s in _STAT_NAMES]
-    names.append("est_total_cost")
-    for group in ("est_single_table_rows", "est_join_rows"):
-        names += [f"{group}_{s}" for s in _STAT_NAMES]
+    """One name per `FeatureVector.as_list` entry, in its order: a SixStats
+    field `f` gives f_min .. f_mean."""
+    types = get_type_hints(FeatureVector)
+    names = []
+    for name in FeatureVector._fields:
+        if types[name] is SixStats:
+            names += [f"{name}_{s}" for s in SixStats._fields]
+        else:
+            names.append(name)
     return names
 
 

@@ -16,7 +16,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
-from .engine import AGG_FUNCTIONS, Aggregate, Predicate
+from .engine import _OPS, AGG_FUNCTIONS, Aggregate, Predicate
 from .errors import ParseError, UnsupportedConstruct
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ _LONGEST_WORD = max(map(len, _KEYWORDS | _REJECTED))  # longer is an identifier
 _WORDS = frozenset(_KEYWORDS | _REJECTED)  # no table name or alias
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _DIGITS = frozenset("0123456789")
-_OP_TEXTS = frozenset(("<=", ">=", "!=", "<>", "=", "<", ">"))
+_OP_TEXTS = frozenset(_OPS) | {"<>"}  # "<>" is read as "!="
 
 
 def _token_position(sql, index):

@@ -28,12 +28,11 @@ so is every fold's accuracy.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,8 +102,11 @@ class Splits:
         return self.train + self.validation
 
 
-def split_dataset(examples, seed, n_folds=10) -> Splits:
-    """Deterministic shuffled 80/10/10 split plus CV folds over the 90%."""
+N_FOLDS = 10
+
+
+def split_dataset(examples, seed) -> Splits:
+    """Deterministic shuffled 80/10/10 split plus N_FOLDS CV folds over the 90%."""
     if len(examples) < 20:
         raise TooFewExamples(f"need >= 20 examples, got {len(examples)}")
     shuffled = list(examples)
@@ -117,9 +119,9 @@ def split_dataset(examples, seed, n_folds=10) -> Splits:
     train = shuffled[n_test + n_val:]
     pool = train + validation
     folds = []
-    for i in range(n_folds):
-        held = pool[i::n_folds]
-        rest = [e for j, e in enumerate(pool) if j % n_folds != i]
+    for i in range(N_FOLDS):
+        held = pool[i::N_FOLDS]
+        rest = [e for j, e in enumerate(pool) if j % N_FOLDS != i]
         if held:
             folds.append((rest, held))
     return Splits(train=train, validation=validation, test=test, folds=folds)
@@ -405,10 +407,16 @@ def train_cart(train, task="classify", max_depth=None, min_leaf=2) -> CartModel:
         task=task,
         tree=tree,
         importances=[float(v) for v in importances],
-        feature_names=feature_names() if n_features == len(feature_names())
-        else [f"f{i}" for i in range(n_features)],
+        feature_names=_column_names(n_features),
         n_features=n_features,
     )
+
+
+def _column_names(n):
+    """The names of n feature columns: `feature_names()` if there are as
+    many, else f0 .. f{n-1}."""
+    names = feature_names()
+    return names if n == len(names) else [f"f{i}" for i in range(n)]
 
 
 def _cart_predict_one(model, values):
@@ -433,11 +441,7 @@ class KnnModel:
     scale: list
     points: list  # standardized feature rows, training order
     targets: list
-    n_features: int = field(default=0)
-
-    def __post_init__(self):
-        if not self.n_features and self.points:
-            self.n_features = len(self.points[0])
+    n_features: int
 
 
 def train_knn(train, k=5, task="classify") -> KnnModel:
@@ -527,12 +531,9 @@ class Metrics:
     rec_undefined: bool = False
 
 
-def compute_metrics(predictions, truths, pred_values=None, true_values=None):
-    """Classification confusion metrics plus MSE/MAE.
-
-    `predictions`/`truths` are 0/1 class labels; optional value pairs give
-    the regression-scale errors (defaults to the labels themselves).
-    """
+def compute_metrics(predictions, truths):
+    """Classification confusion metrics plus MSE/MAE of the 0/1 class
+    labels `predictions` against `truths`."""
     if len(predictions) != len(truths) or not predictions:
         raise LengthMismatch(
             f"got {len(predictions)} predictions for {len(truths)} truths"
@@ -541,9 +542,7 @@ def compute_metrics(predictions, truths, pred_values=None, true_values=None):
     fp = sum(1 for p, t in zip(predictions, truths) if p == 1 and t == 0)
     tn = sum(1 for p, t in zip(predictions, truths) if p == 0 and t == 0)
     fn = sum(1 for p, t in zip(predictions, truths) if p == 0 and t == 1)
-    if pred_values is None:
-        pred_values, true_values = predictions, truths
-    errors = np.asarray(pred_values, dtype=float) - np.asarray(true_values, dtype=float)
+    errors = np.asarray(predictions, dtype=float) - np.asarray(truths, dtype=float)
     prec_undefined = tp + fp == 0
     rec_undefined = tp + fn == 0
     return Metrics(
@@ -591,24 +590,19 @@ def gini_importances(model: CartModel):
     return sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
 
 
-def cross_validate(folds, task="classify", trainer=train_cart, **params):
-    """Accuracy per fold; folds come from split_dataset.
+def cross_validate(folds, task="classify", **params):
+    """CART accuracy per fold; folds come from split_dataset, `params` are
+    `train_cart`'s.
 
-    With the CART trainer (also behind a `functools.wraps` wrapper, as a
-    tracer installs one), a fold grows only the paths its held-out rows
-    take and decides them on that tree: every split on those paths is the
-    one `train_cart` makes, so the accuracies are its own.  Any other
-    trainer is called on each fold's training part.
+    A fold grows only the paths its held-out rows take and decides them on
+    that tree: every split on those paths is the one `train_cart` makes, so
+    the accuracies are its own.
     """
-    lazy = inspect.unwrap(trainer) is inspect.unwrap(train_cart)
     accuracies = []
     for train_part, held in folds:
-        if lazy:
-            tree, _, n_features = _grow(train_part, task, held=held, **params)
-            model = CartModel(task, tree, importances=[], feature_names=[],
-                              n_features=n_features)
-        else:
-            model = trainer(train_part, task=task, **params)
+        tree, _, n_features = _grow(train_part, task, held=held, **params)
+        model = CartModel(task, tree, importances=[], feature_names=[],
+                          n_features=n_features)
         hits = sum(
             (decide(model, e.features) == REWRITTEN) == (e.class_label == 1)
             for e in held
@@ -627,12 +621,8 @@ def save_dataset(examples, path):
 
     if not examples:
         raise EmptyTraining("nothing to save")
-    n = len(examples[0].features)
-    header = ["query_id"]
-    header += feature_names() if n == len(feature_names()) else [
-        f"f{i}" for i in range(n)
-    ]
-    header += ["t_original", "t_rewritten"]
+    header = ["query_id", *_column_names(len(examples[0].features)),
+              "t_original", "t_rewritten"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

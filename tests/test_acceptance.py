@@ -223,8 +223,7 @@ def test_07_ml_properties(capsys):
 
     noisy = _two_regime_examples(300, 0.05, 8)
     splits = split_dataset(noisy, 7)
-    accs = cross_validate(splits.folds, task="classify",
-                          trainer=train_cart, max_depth=3)
+    accs = cross_validate(splits.folds, task="classify", max_depth=3)
     cv_acc = sum(accs) / len(accs)
 
     importance_sum = sum(clf.importances)

@@ -435,7 +435,7 @@ def screened_nodes(monkeypatch):
 
 def traced(monkeypatch):
     """Rebind `ml.train_cart` to a `functools.wraps` wrapper in `ml`'s
-    namespace, as bench/spans.py does; returns the wrapper."""
+    namespace, as bench/spans.py does."""
     original = ml.train_cart
 
     @functools.wraps(original)
@@ -443,25 +443,21 @@ def traced(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ml, "train_cart", wrapper)
-    return wrapper
 
 
-@pytest.mark.parametrize("tracer", ["off", "default trainer", "wrapper as trainer"])
+@pytest.mark.parametrize("tracer", ["off", "default trainer"])
 def test_cv_fold_screens_fewer_nodes_than_full_training(
         wide_examples, screened_nodes, monkeypatch, tracer):
     """Every regress fold screens fewer nodes than the full tree on its
     training rows (about 420 nodes; the classify trees are too small for
     every fold to leave one out), and decides as the full tree does."""
-    kwargs = {}
     if tracer != "off":
-        wrapper = traced(monkeypatch)
-        if tracer == "wrapper as trainer":
-            kwargs["trainer"] = wrapper
+        traced(monkeypatch)
     for task in TASKS:
         lazy_total = full_total = 0
         for fold in split_dataset(wide_examples, 42).folds:
             before = screened_nodes()
-            accuracy = ml.cross_validate([fold], task=task, **kwargs)
+            accuracy = ml.cross_validate([fold], task=task)
             lazy = screened_nodes() - before
             assert accuracy == full_tree_accuracies([fold], task), task
             full = screened_nodes() - before - lazy

@@ -10,6 +10,7 @@ from smash.engine import (
     OpCounter,
     Predicate,
     Relation,
+    _select,
     atom_relation,
     estimate_cardinalities,
     evaluate_baseline,
@@ -312,6 +313,13 @@ class TestFilterTypes:
         assert self.outcomes(mixed_db, "SELECT B.n FROM B WHERE B.f < 1", "x") == [
             (TypeError, message)] * 2
 
+    def test_select_returns_the_error_of_a_bool_literal(self):
+        # strings are plain for a str literal, not for a bool one
+        rows = [("s",), ("t",)]
+        assert _select(rows, 0, Predicate("a", "!=", True)) == (rows, None)
+        kept, exc = _select(rows, 0, Predicate("a", "<", True))
+        assert kept == [] and isinstance(exc, TypeError)
+
 
 class TestPersistence:
     def test_csv_round_trip(self, tmp_path, chain_db):
@@ -380,6 +388,12 @@ class TestPersistence:
          "{path}, line 5: column 'b' value 'x' is not a valid int"),
         ('{"a": "string", "b": "float64"}',
          "{path}, line 5: column 'b' value 'x' is not a valid float"),
+        ('{"a": "int64", "b": ["int64"]}',
+         "{sidecar}: column 'b' has unknown type ['int64'], "
+         "not one of int64, float64, string"),
+        ('["a", "b"]', "{sidecar}: not a JSON object of column types"),
+        ('{"a": "int64",', "{sidecar}: not valid JSON: Expecting property name "
+         "enclosed in double quotes: line 1 column 15 (char 14)"),
     ])
     def test_bad_sidecar_names_the_file_and_column(self, tmp_path, schema, message):
         # the third row spans lines 3-4, so the bad value's row is on line 5

@@ -29,10 +29,10 @@ class TestReduceSet:
 
     def test_branching_degrees_row(self):
         s = reduce_set([3, 1])
-        assert s.as_list() == [1.0, 1.5, 2.0, 2.5, 3.0, 2.0]
+        assert list(s) == [1.0, 1.5, 2.0, 2.5, 3.0, 2.0]
 
     def test_singleton(self):
-        assert reduce_set([5]).as_list() == [5.0] * 6
+        assert list(reduce_set([5])) == [5.0] * 6
 
     def test_empty_raises(self):
         with pytest.raises(EmptySet):
@@ -69,14 +69,14 @@ class TestExtractFeatures:
         assert fv.container_counts.min == 1.0
         assert fv.container_counts.mean == 1.5
         # branching degrees {1,1}: two non-leaf nodes with one child each
-        assert fv.branching_degrees.as_list() == [1.0] * 6
+        assert list(fv.branching_degrees) == [1.0] * 6
 
     def test_single_atom_degenerate(self, chain_db):
         fv = chain_features(chain_db, "SELECT MIN(R.a) FROM R")
         assert fv.n_relations == 1
         assert fv.n_joins == 0
         assert fv.depth == 0
-        assert fv.container_counts.as_list() == [1.0] * 6
+        assert list(fv.container_counts) == [1.0] * 6
         assert fv.branching_degrees == SixStats.zeros()
         assert fv.est_join_rows == SixStats.zeros()
 
@@ -93,6 +93,10 @@ class TestExtractFeatures:
         names = feature_names()
         assert len(names) == FEATURE_COUNT == 31
         assert names[0] == "is_0ma"
+        assert names[5:8] == ["depth", "container_counts_min", "container_counts_q25"]
+        assert names[17:20] == ["branching_degrees_mean", "est_total_cost",
+                                "est_single_table_rows_min"]
+        assert names[-1] == "est_join_rows_mean"
         fv1 = chain_features(chain_db)
         fv2 = chain_features(chain_db)
         assert fv1.as_list() == fv2.as_list()

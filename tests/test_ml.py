@@ -237,7 +237,11 @@ class TestKnn:
             ex.append(label(f"q{i}", x, 2.0 if cluster else 1.0,
                             1.0 if cluster else 2.0))
         s = split_dataset(ex, 2)
-        accs = cross_validate(s.folds, task="classify", trainer=train_knn, k=5)
+        accs = []
+        for train_part, held in s.folds:
+            model = train_knn(train_part, k=5)
+            accs.append(sum((decide(model, e.features) == REWRITTEN) == (e.class_label == 1)
+                            for e in held) / len(held))
         assert sum(accs) / len(accs) == 1.0
 
 

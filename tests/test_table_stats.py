@@ -13,6 +13,7 @@ references filter with `Predicate.matches` alone.
 import operator
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from smash.acyclic import analyze
@@ -201,15 +202,37 @@ _EQUALITY_SQL = [
 ]
 
 
+# bool and numpy.float64 columns, which `_select` filters a row at a time
+_TYPED_DB = [
+    Relation("G", ["b", "x", "m", "k"], [
+        (True, np.float64(1.5), 1, 1), (False, np.float64("nan"), True, 2),
+        (True, np.float64(-0.0), 2.5, 3), (False, np.float64(3.0), 0, 4),
+    ]),
+]
+_TYPED_SQL = [
+    "SELECT MIN(G.k) FROM G WHERE G.x > 0",
+    "SELECT MIN(G.k) FROM G WHERE G.x <= 1.5 AND G.k > 1",
+    "SELECT MIN(G.k) FROM G WHERE G.x = 0 AND G.x != 3.0",
+    "SELECT MIN(G.k) FROM G WHERE G.b != 'x' AND G.k < 4",
+    "SELECT MIN(G.k) FROM G WHERE G.k = 1 AND G.m >= 1",
+    "SELECT MIN(G.k) FROM G WHERE G.k > 2 AND G.m < 1",
+    "SELECT MIN(G.k) FROM G WHERE G.b = 1",  # raises
+    "SELECT MIN(G.k) FROM G WHERE G.b < 'x'",  # raises
+    "SELECT MIN(G.k) FROM G WHERE G.k > 1 AND G.x = 'a'",  # raises
+    "SELECT MIN(G.k) FROM G WHERE G.m > 0",  # raises
+]
+
+
 def _reference_corpus():
     hand = _hand_db()
     for sql in _HAND_SQL:
         yield hand, parse_query(sql)
-    equality = Database()
-    for rel in _EQUALITY_DB:
-        equality.add(rel)
-    for sql in _EQUALITY_SQL:
-        yield equality, parse_query(sql)
+    for tables, queries in ((_EQUALITY_DB, _EQUALITY_SQL), (_TYPED_DB, _TYPED_SQL)):
+        db = Database()
+        for rel in tables:
+            db.add(rel)
+        for sql in queries:
+            yield db, parse_query(sql)
     yield from random_specs(2024, 200)
     db, queries = selector_wide(42, 120)
     for _, spec in queries:
