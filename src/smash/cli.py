@@ -20,7 +20,6 @@ from pathlib import Path
 from . import acyclic, augmentation, harness, ml, stats_tests
 from .engine import load_database, save_database
 from .errors import SmashError
-from .features import feature_names
 from .frontend import normalize, parse_query, to_sql
 from .rewriter import rewrite
 
@@ -78,9 +77,9 @@ def cmd_rewrite(args):
 def cmd_features(args):
     db = _load_db(args)
     fv = harness.plan_query(parse_query(_read_sql(args.query)), db).features
-    print(json.dumps(fv.as_dict(), indent=2))
-    print(",".join(feature_names()))
-    print(",".join(repr(v) for v in fv.as_list()))
+    print(json.dumps(fv._asdict(), indent=2))
+    print(",".join(fv._fields))
+    print(",".join(map(repr, fv)))
 
 
 def cmd_augment(args):

@@ -106,7 +106,6 @@ def _prefix_ndv(rows, indexes):
 class TableStats:
     """What the estimator knows of a base table without reading its rows."""
 
-    index: dict  # column -> position in the schema
     ndv: dict  # column -> distinct values among the first _NDV_SAMPLE_ROWS rows
     rows: int  # row count
 
@@ -148,7 +147,6 @@ class Database:
         rel.schema, rel.rows = schema, rows
         self.tables[rel.name] = rel
         self.stats[rel.name] = TableStats(
-            index={col: i for i, col in enumerate(schema)},
             ndv=dict(zip(schema, _prefix_ndv(rows, range(len(schema))))),
             rows=len(rows),
         )
@@ -333,10 +331,10 @@ def _atom_rows(cq, atom, db: Database):
     """
     base = db.table(atom.table)
     renaming = atom.renaming
-    index = db.stats[atom.table].index
-    if not renaming.keys() <= index.keys():
+    ndv = db.stats[atom.table].ndv
+    if not renaming.keys() <= ndv.keys():
         raise UnknownAttribute(
-            f"{atom.table} has no column {min(renaming.keys() - index.keys())}")
+            f"{atom.table} has no column {min(renaming.keys() - ndv.keys())}")
     columns = {}
     for i, col in enumerate(base.schema):
         cid = renaming.get(col)
@@ -364,7 +362,7 @@ def atom_relation(cq, atom, db: Database) -> Relation:
     every column is a class of its own, the scan's rows are kept as they
     are, in a new list, so no result shares a table's list."""
     columns, rows = _atom_rows(cq, atom, db)
-    if len(columns) < len(db.stats[atom.table].index):
+    if len(columns) < len(db.tables[atom.table].schema):
         # a class of several columns: keep its first
         firsts = [ix[0] for ix in columns.values()]
         rows = [tuple(r[i] for i in firsts) for r in rows]
@@ -375,27 +373,9 @@ def atom_relation(cq, atom, db: Database) -> Relation:
     return Relation(atom.alias, list(columns), rows)
 
 
-_KINDS = {
-    "atom": "CreateView",
-    "semijoin": "CreateTable",
-    "semijoin_agg": "CreateTable",
-    "aggregate": "CreateTable",
-    "join_project": "CreateTable",
-    "final_all": "FinalSelect",
-    "final_project": "FinalSelect",
-    "final_agg": "FinalSelect",
-    "drop": "Drop",
-}
-
-
 class Statement(NamedTuple):
     name: str | None
     form: tuple  # structural form: the op, then its operands
-
-    @property
-    def kind(self):
-        """CreateView | CreateTable | FinalSelect | Drop, from the form's op."""
-        return _KINDS[self.form[0]]
 
 
 def _base_plan(cq):

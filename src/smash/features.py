@@ -9,7 +9,7 @@ are summarized by six order statistics each.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 from .engine import EstimateSet
 from .errors import EmptySet
@@ -60,60 +60,56 @@ def reduce_set(values) -> SixStats:
 
 
 class FeatureVector(NamedTuple):
-    is_0ma: int
-    n_relations: int
-    n_conditions: int
-    n_filters: int
-    n_joins: int
-    depth: int
-    container_counts: SixStats
-    branching_degrees: SixStats
+    """The selector's input: query-shape counters, then six order
+    statistics (`SixStats`) per collection, one float each.  A CART node's
+    `feature` is a field's index."""
+
+    is_0ma: float
+    n_relations: float
+    n_conditions: float
+    n_filters: float
+    n_joins: float
+    depth: float
+    container_counts_min: float
+    container_counts_q25: float
+    container_counts_median: float
+    container_counts_q75: float
+    container_counts_max: float
+    container_counts_mean: float
+    branching_degrees_min: float
+    branching_degrees_q25: float
+    branching_degrees_median: float
+    branching_degrees_q75: float
+    branching_degrees_max: float
+    branching_degrees_mean: float
     est_total_cost: float
-    est_single_table_rows: SixStats
-    est_join_rows: SixStats
-
-    def as_list(self):
-        out = [
-            float(self.is_0ma),
-            float(self.n_relations),
-            float(self.n_conditions),
-            float(self.n_filters),
-            float(self.n_joins),
-            float(self.depth),
-        ]
-        out += self.container_counts
-        out += self.branching_degrees
-        out.append(float(self.est_total_cost))
-        out += self.est_single_table_rows
-        out += self.est_join_rows
-        if not all(map(math.isfinite, out)):
-            raise ValueError("feature vector contains non-finite values")
-        return out
-
-    def as_dict(self):
-        return dict(zip(feature_names(), self.as_list()))
+    est_single_table_rows_min: float
+    est_single_table_rows_q25: float
+    est_single_table_rows_median: float
+    est_single_table_rows_q75: float
+    est_single_table_rows_max: float
+    est_single_table_rows_mean: float
+    est_join_rows_min: float
+    est_join_rows_q25: float
+    est_join_rows_median: float
+    est_join_rows_q75: float
+    est_join_rows_max: float
+    est_join_rows_mean: float
 
 
 def feature_names():
-    """One name per `FeatureVector.as_list` entry, in its order: a SixStats
-    field `f` gives f_min .. f_mean."""
-    types = get_type_hints(FeatureVector)
-    names = []
-    for name in FeatureVector._fields:
-        if types[name] is SixStats:
-            names += [f"{name}_{s}" for s in SixStats._fields]
-        else:
-            names.append(name)
-    return names
+    """One name per `FeatureVector` field, in its order."""
+    return list(FeatureVector._fields)
 
 
-FEATURE_COUNT = len(feature_names())
+FEATURE_COUNT = len(FeatureVector._fields)
 _ZEROS = SixStats.zeros()
 
 
 def extract_features(cq, tree, est: EstimateSet) -> FeatureVector:
     """The feature vector of a planned query, read off the query IR, the
-    join tree and the estimates; each collection is sorted once."""
+    join tree and the estimates; each collection is sorted once.  An
+    estimate that is not finite raises ValueError."""
     occurrences = cq.occurrences
     n_joins = sum(occurrences.values()) - len(occurrences)
     n_filters = sum(map(len, cq.filters.values()))
@@ -122,16 +118,19 @@ def extract_features(cq, tree, est: EstimateSet) -> FeatureVector:
         if kids:
             branching.append(float(len(kids)))
     branching.sort()
-    return _new(FeatureVector, (
-        int(tree.oma_flag),
-        len(cq.atoms),
-        n_joins + n_filters,
-        n_filters,
-        n_joins,
-        tree.depth(),
-        reduce_set(occurrences.values()),
-        _summarize(branching) if branching else _ZEROS,
-        est.total_cost,
-        reduce_set(est.table_rows),
-        reduce_set(est.join_rows) if est.join_rows else _ZEROS,
-    ))
+    values = (
+        float(tree.oma_flag),
+        float(len(cq.atoms)),
+        float(n_joins + n_filters),
+        float(n_filters),
+        float(n_joins),
+        float(tree.depth()),
+        *reduce_set(occurrences.values()),
+        *(_summarize(branching) if branching else _ZEROS),
+        float(est.total_cost),
+        *reduce_set(est.table_rows),
+        *(reduce_set(est.join_rows) if est.join_rows else _ZEROS),
+    )
+    if not all(map(math.isfinite, values)):
+        raise ValueError("feature vector contains non-finite values")
+    return _new(FeatureVector, values)

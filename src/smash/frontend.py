@@ -492,10 +492,8 @@ def normalize(spec: QuerySpec, db=None) -> NormalizedCQ:
         renaming = renamings[alias]
         mask = masks[alias]
         if db is not None:
-            # the table's columns, in schema order, from the statistics the
-            # estimator reads next
-            stats = db.stats.get(name)
-            for attr in (db.table(name).schema if stats is None else stats.ndv):
+            # the table's columns, in schema order
+            for attr in db.table(name).schema:
                 if attr not in renaming:
                     cid = renaming[attr] = f"{alias}.{attr}"
                     mask |= 1 << n_classes

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-from .acyclic import JoinTree, OmaResult, analyze
+from .acyclic import JoinTree, analyze
 from .engine import (
     Database,
     EstimateSet,
@@ -153,7 +153,6 @@ DECISION_STAGES = ("normalize", "analyze", "estimate", "features", "predict")
 class _Plan(NamedTuple):
     cq: NormalizedCQ
     tree: JoinTree
-    oma: OmaResult
     est: EstimateSet
     features: FeatureVector
     decision: str | None  # None when planned without a model
@@ -178,7 +177,7 @@ def plan_query(spec, db: Database, model=None, threshold=0.0) -> _Plan:
         t0 = clock()
         cq = normalize(spec, db)
         t1 = clock()
-        tree, oma = analyze(cq)
+        tree, _ = analyze(cq)
         t2 = clock()
         est = estimate_cardinalities(cq, db)
         t3 = clock()
@@ -189,7 +188,7 @@ def plan_query(spec, db: Database, model=None, threshold=0.0) -> _Plan:
     finally:
         if gc_was_enabled:
             gc.enable()
-    return _Plan(cq, tree, oma, est, fv, choice, (t0, t1, t2, t3, t4, t5))
+    return _Plan(cq, tree, est, fv, choice, (t0, t1, t2, t3, t4, t5))
 
 
 def run_workload(db: Database, queries, config: RunConfig) -> RunLog:

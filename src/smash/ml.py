@@ -44,7 +44,7 @@ from .errors import (
     UnseenFeatureDimension,
     UntrainedModel,
 )
-from .features import FeatureVector, feature_names
+from .features import feature_names
 
 ORIGINAL = "Original"
 REWRITTEN = "Rewritten"
@@ -58,12 +58,6 @@ def sign_log(x) -> float:
     return math.copysign(math.log(abs(x) + 1.0), x)
 
 
-def _as_values(features):
-    if isinstance(features, FeatureVector):
-        return features.as_list()
-    return [float(v) for v in features]
-
-
 @dataclass
 class LabeledExample:
     query_id: str
@@ -75,10 +69,9 @@ class LabeledExample:
 
 
 def label(query_id, features, t_original, t_rewritten) -> LabeledExample:
-    values = _as_values(features)
     return LabeledExample(
         query_id=query_id,
-        features=values,
+        features=[float(v) for v in features],
         t_original=float(t_original),
         t_rewritten=float(t_rewritten),
         class_label=1 if t_rewritten < t_original else 0,
@@ -487,12 +480,11 @@ def _knn_predict_one(model, values):
 # ---------------------------------------------------------------------------
 
 def _checked_values(fv, n_features):
-    values = _as_values(fv)
-    if len(values) != n_features:
+    if len(fv) != n_features:
         raise UnseenFeatureDimension(
-            f"model expects {n_features} features, got {len(values)}"
+            f"model expects {n_features} features, got {len(fv)}"
         )
-    return values
+    return fv
 
 
 def predict(model, fv):

@@ -41,18 +41,14 @@ class StatementSequence:
     cq: NormalizedCQ | None = field(default=None, repr=False, compare=False)
     db: Database | None = field(default=None, repr=False, compare=False)
 
-    def render(self, with_drops=True, unlogged=True):
-        """SQL text of each statement, in order.
-
-        `unlogged` writes the tables as PostgreSQL's CREATE UNLOGGED TABLE,
-        the only difference between the dialects rendered.
-        """
-        texts = _render(self.statements, self.cq, self.db, unlogged)
+    def render(self, with_drops=True):
+        """SQL text of each statement, in order."""
+        texts = _render(self.statements, self.cq, self.db)
         return [text for s, text in zip(self.statements, texts)
-                if with_drops or s.kind != "Drop"]
+                if with_drops or s.form[0] != "drop"]
 
-    def to_sql(self, with_drops=True, unlogged=True):
-        return ";\n".join(self.render(with_drops, unlogged)) + ";"
+    def to_sql(self, with_drops=True):
+        return ";\n".join(self.render(with_drops)) + ";"
 
 
 def _emit(tree, cq):
@@ -200,11 +196,10 @@ def full_reduce(tree, cq, db: Database, counter: OpCounter | None = None):
 # rendering: SQL text from the structural forms
 # ---------------------------------------------------------------------------
 
-def _render(statements, cq, db, unlogged):
+def _render(statements, cq, db):
     """SQL text of each statement, walking the forms in order as
     `engine._run` does and tracking each artifact's class-id columns where
     `engine._run` tracks its relation."""
-    create = "CREATE UNLOGGED TABLE" if unlogged else "CREATE TABLE"
     columns = {}  # artifact -> its class-id columns
     views = set()
     texts = []
@@ -242,7 +237,7 @@ def _render(statements, cq, db, unlogged):
         else:
             raise ValueError(f"unknown structural form {op!r}")
         columns[stmt.name] = cols
-        texts.append(f"{create} {stmt.name} AS {select}")
+        texts.append(f"CREATE TABLE {stmt.name} AS {select}")
     return texts
 
 

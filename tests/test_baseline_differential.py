@@ -25,7 +25,6 @@ from smash.engine import (
     Database,
     OpCounter,
     Relation,
-    Statement,
     _base_plan,
     atom_relation,
     evaluate_baseline,
@@ -182,7 +181,7 @@ class TestBasePlanShape:
             ("F1", ("join_project", "E1", ["E2", "E3"], [])),
             (None, ("final_agg", "F1")),
         ]
-        assert [Statement(*s).kind for s in plan] == [
-            "CreateView", "CreateView", "CreateView", "CreateTable",
-            "FinalSelect", "Drop", "Drop", "Drop", "Drop",
+        assert [form[0] for _, form in plan] == [
+            "atom", "atom", "atom", "join_project",
+            "final_agg", "drop", "drop", "drop", "drop",
         ]

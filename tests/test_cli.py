@@ -1,19 +1,22 @@
 """CLI subcommand tests (driven through main())."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from smash import harness
 from smash.acyclic import analyze
 from smash.cli import main
-from smash.engine import estimate_cardinalities, save_database
+from smash.engine import estimate_cardinalities, load_database, save_database
 from smash.features import extract_features, feature_names
 from smash.frontend import normalize, parse_query
 from smash.harness import plan_query
 from smash.ml import decide, label, load_dataset, load_model, save_dataset
+from smash.rewriter import interpret_sequence, rewrite
 
 from conftest import CHAIN_SQL
+from test_sql_differential import _connect
 
 
 @pytest.fixture
@@ -55,14 +58,39 @@ class TestSingleQueryCommands:
         _, out = run(capsys, ["rewrite", CHAIN_SQL, "--no-with-drops"])
         assert "DROP" not in out
 
+    @pytest.mark.parametrize("sql", [
+        CHAIN_SQL,
+        "SELECT R.a, T.d FROM R, S, T WHERE R.b = S.b AND S.c = T.c",
+        "SELECT S.c, COUNT(*) FROM R, S WHERE R.b = S.b AND S.c >= 10 GROUP BY S.c",
+        "SELECT R.a, S.c FROM R, S WHERE R.a < 5",
+    ])
+    def test_printed_rewrite_runs_on_sqlite(self, capsys, data_dir, sql):
+        code, out = run(capsys, ["--data-dir", data_dir, "rewrite", sql])
+        assert code == 0
+        db = load_database(data_dir)
+        conn = _connect(db)
+        selected = []
+        try:
+            for text in out.strip().removesuffix(";").split(";\n"):
+                rows = conn.execute(text).fetchall()
+                if text.startswith("SELECT"):
+                    selected.append(rows)
+        finally:
+            conn.close()
+        cq = normalize(parse_query(sql), db)
+        tree, _ = analyze(cq)
+        expected = interpret_sequence(rewrite(tree, cq, db), cq, db).rows
+        assert len(selected) == 1
+        assert Counter(selected[0]) == Counter(expected)
+
     def test_features(self, capsys, data_dir, chain_db):
         code, out = run(capsys, ["--data-dir", data_dir, "features", CHAIN_SQL])
         assert code == 0
         fv = chain_features(chain_db)
         *json_lines, names, values = out.splitlines()
-        assert json.loads("\n".join(json_lines)) == fv.as_dict()
+        assert json.loads("\n".join(json_lines)) == fv._asdict()
         assert names == ",".join(feature_names())
-        assert values == ",".join(repr(v) for v in fv.as_list())
+        assert values == ",".join(repr(v) for v in fv)
         assert "est_total_cost" in names
 
     def test_features_env_var(self, capsys, data_dir, monkeypatch):

@@ -1,9 +1,11 @@
 """Feature extraction tests, anchored to the published six-statistics rows."""
 
+import math
+
 import pytest
 
 from smash.acyclic import analyze
-from smash.engine import estimate_cardinalities
+from smash.engine import EstimateSet, estimate_cardinalities
 from smash.errors import EmptySet
 from smash.features import (
     FEATURE_COUNT,
@@ -55,6 +57,11 @@ def chain_features(chain_db, sql=CHAIN_SQL):
     return extract_features(cq, tree, estimate_cardinalities(cq, chain_db))
 
 
+def six(fv, name):
+    """The six statistics of one collection, read off the flat vector."""
+    return [getattr(fv, f"{name}_{s}") for s in SixStats._fields]
+
+
 class TestExtractFeatures:
     def test_chain_fixture_values(self, chain_db):
         fv = chain_features(chain_db)
@@ -65,20 +72,20 @@ class TestExtractFeatures:
         assert fv.n_conditions == 2
         assert fv.depth == 2
         # container counts {2,2,1,1}: join classes occur twice, endpoints once
-        assert fv.container_counts.max == 2.0
-        assert fv.container_counts.min == 1.0
-        assert fv.container_counts.mean == 1.5
+        assert fv.container_counts_max == 2.0
+        assert fv.container_counts_min == 1.0
+        assert fv.container_counts_mean == 1.5
         # branching degrees {1,1}: two non-leaf nodes with one child each
-        assert list(fv.branching_degrees) == [1.0] * 6
+        assert six(fv, "branching_degrees") == [1.0] * 6
 
     def test_single_atom_degenerate(self, chain_db):
         fv = chain_features(chain_db, "SELECT MIN(R.a) FROM R")
         assert fv.n_relations == 1
         assert fv.n_joins == 0
         assert fv.depth == 0
-        assert list(fv.container_counts) == [1.0] * 6
-        assert fv.branching_degrees == SixStats.zeros()
-        assert fv.est_join_rows == SixStats.zeros()
+        assert six(fv, "container_counts") == [1.0] * 6
+        assert six(fv, "branching_degrees") == list(SixStats.zeros())
+        assert six(fv, "est_join_rows") == list(SixStats.zeros())
 
     def test_filters_counted(self, chain_db):
         fv = chain_features(
@@ -99,10 +106,22 @@ class TestExtractFeatures:
         assert names[-1] == "est_join_rows_mean"
         fv1 = chain_features(chain_db)
         fv2 = chain_features(chain_db)
-        assert fv1.as_list() == fv2.as_list()
-        assert len(fv1.as_list()) == FEATURE_COUNT
-        assert repr(fv1.as_list()) == repr(fv2.as_list())  # byte-identical
+        assert fv1 == fv2
+        assert len(fv1) == FEATURE_COUNT
+        assert all(type(v) is float for v in fv1)
+        assert repr(list(fv1)) == repr(list(fv2))  # byte-identical
 
     def test_as_dict_keys_match_names(self, chain_db):
         fv = chain_features(chain_db)
-        assert list(fv.as_dict()) == feature_names()
+        assert list(fv._asdict()) == feature_names()
+
+    @pytest.mark.parametrize("est", [
+        EstimateSet([4, 2], [3.0], math.inf),
+        EstimateSet([4, 2], [math.nan], 7.0),
+        EstimateSet([4, math.inf], [3.0], 7.0),
+    ], ids=["total_cost_inf", "join_rows_nan", "table_rows_inf"])
+    def test_non_finite_estimate_raises(self, chain_db, est):
+        cq = normalize(parse_query(CHAIN_SQL), chain_db)
+        tree, _ = analyze(cq)
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_features(cq, tree, est)

@@ -183,7 +183,7 @@ class TestPlanQuery:
     def test_without_a_model_decides_nothing(self, chain_db):
         plan = plan_query(parse_query(CHAIN_SQL), chain_db)
         assert plan.decision is None
-        assert plan.tree.oma_flag and plan.oma.is_0ma
+        assert plan.tree.oma_flag and plan.features.is_0ma == 1.0
         assert len(plan.marks) == len(DECISION_STAGES) + 1
         assert list(plan.marks) == sorted(plan.marks)
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from smash.acyclic import analyze
 from smash.augmentation import generate_two_regime_workload
 from smash.engine import Database, Relation, estimate_cardinalities
-from smash.features import extract_features, feature_names
+from smash.features import FeatureVector, extract_features
 from smash.frontend import normalize, parse_query, to_sql
 from smash.harness import plan_query
 from smash.ml import CartModel, decide
@@ -96,8 +96,8 @@ def wired_stages(db, spec):
 def plan_digests(db, spec):
     spec, cq, tree, est, fv, seq = wired_stages(db, spec)
     outputs = (
-        spec, cq, tree, est, fv.as_list(),
-        [(s.kind, s.name, s.form) for s in seq.statements],
+        spec, cq, tree, est, list(fv),
+        [(s.name, s.form) for s in seq.statements],
         seq.to_sql(),
     )
     return dict(zip(STAGES, map(_sha, outputs)))
@@ -134,13 +134,13 @@ def _median_split_model(vectors, feature):
 
 def test_plan_query_matches_the_stage_by_stage_wiring():
     wired = [(name, db, wired_stages(db, spec)) for name, db, spec in corpus()]
-    model = _median_split_model([stages[4].as_list() for _, _, stages in wired],
-                                feature_names().index("est_total_cost"))
+    model = _median_split_model([stages[4] for _, _, stages in wired],
+                                FeatureVector._fields.index("est_total_cost"))
     decisions = Counter()
     for name, db, (spec, cq, tree, est, fv, _) in wired:
         plan = plan_query(spec, db, model)
-        got = (plan.cq, plan.tree, plan.est, plan.features.as_list())
-        assert list(map(_sha, got)) == list(map(_sha, (cq, tree, est, fv.as_list()))), name
+        got = (plan.cq, plan.tree, plan.est, plan.features)
+        assert list(map(_sha, got)) == list(map(_sha, (cq, tree, est, fv))), name
         assert plan.decision == decide(model, fv, 0.0), name
         decisions[plan.decision] += 1
     assert sum(decisions.values()) == 435 and len(decisions) == 2

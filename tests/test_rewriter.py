@@ -40,7 +40,7 @@ APPENDIX_SQL = (
 
 
 def created(seq):
-    return [s.name for s in seq.statements if s.kind in ("CreateView", "CreateTable")]
+    return [s.name for s in seq.statements if s.name is not None and s.form[0] != "drop"]
 
 
 def rewritten(sql, db=None):
@@ -52,16 +52,16 @@ def rewritten(sql, db=None):
 class TestEmission:
     def test_appendix_example_structure(self):
         _, _, seq = rewritten(APPENDIX_SQL)
-        body = [s for s in seq.statements if s.kind != "Drop"]
+        body = [s for s in seq.statements if s.form[0] != "drop"]
         assert [
-            (s.kind, s.name) for s in body
+            (s.form[0], s.name) for s in body
         ] == [
-            ("CreateView", "E3"),
-            ("CreateView", "E2"),
-            ("CreateTable", "E3E2"),
-            ("CreateView", "E1"),
-            ("CreateTable", "E3E2E1"),
-            ("FinalSelect", None),
+            ("atom", "E3"),
+            ("atom", "E2"),
+            ("semijoin", "E3E2"),
+            ("atom", "E1"),
+            ("semijoin_agg", "E3E2E1"),
+            ("final_all", None),
         ]
         text = seq.render(with_drops=False)
         # views rename every column to its class id
@@ -70,11 +70,11 @@ class TestEmission:
             'DownVotes AS "u.DownVotes" FROM users WHERE DownVotes = 0'
         )
         assert text[2] == (
-            'CREATE UNLOGGED TABLE E3E2 AS SELECT * FROM E3 WHERE "v.UserId" '
+            'CREATE TABLE E3E2 AS SELECT * FROM E3 WHERE "v.UserId" '
             'IN (SELECT "v.UserId" FROM E2)'
         )
         assert text[4] == (
-            'CREATE UNLOGGED TABLE E3E2E1 AS SELECT MIN("v.UserId") AS EXPR$0 '
+            'CREATE TABLE E3E2E1 AS SELECT MIN("v.UserId") AS EXPR$0 '
             'FROM E3E2 WHERE "v.UserId" IN (SELECT "v.UserId" FROM E1)'
         )
         assert text[5] == "SELECT * FROM E3E2E1"
@@ -84,14 +84,14 @@ class TestEmission:
             "SELECT MIN(R.a) FROM R, S WHERE R.a = S.a AND R.b = S.b"
         )
         assert seq.render(with_drops=False)[2] == (
-            'CREATE UNLOGGED TABLE E1E2 AS SELECT MIN("R.a") AS EXPR$0 FROM E1 '
+            'CREATE TABLE E1E2 AS SELECT MIN("R.a") AS EXPR$0 FROM E1 '
             'WHERE ("R.a", "R.b") IN (SELECT "R.a", "R.b" FROM E2)'
         )
 
     def test_semijoin_without_shared_columns_keeps_exists(self):
         _, _, seq = rewritten("SELECT MIN(R.a) FROM R, S")
         assert seq.render(with_drops=False)[2] == (
-            'CREATE UNLOGGED TABLE E1E2 AS SELECT MIN("R.a") AS EXPR$0 FROM E1 '
+            'CREATE TABLE E1E2 AS SELECT MIN("R.a") AS EXPR$0 FROM E1 '
             "WHERE EXISTS (SELECT 1 FROM E2)"
         )
 
@@ -99,9 +99,9 @@ class TestEmission:
         _, _, seq = rewritten(
             "SELECT R.a, T.d FROM R, S, T WHERE R.b = S.b AND S.c = T.c"
         )
-        (join,) = [t for t in seq.render() if t.startswith("CREATE UNLOGGED TABLE F")]
+        (join,) = [t for t in seq.render() if t.startswith("CREATE TABLE F")]
         assert join == (
-            'CREATE UNLOGGED TABLE F2 AS SELECT D1."R.a", D3."T.d" '
+            'CREATE TABLE F2 AS SELECT D1."R.a", D3."T.d" '
             'FROM E2E3E1, D1, D3 WHERE E2E3E1."R.b" = D1."R.b" '
             'AND E2E3E1."S.c" = D3."S.c"'
         )
@@ -115,10 +115,8 @@ class TestEmission:
 
     def test_single_atom_aggregate(self):
         _, _, seq = rewritten("SELECT MIN(R.a) FROM R")
-        body = [s for s in seq.statements if s.kind != "Drop"]
-        assert [s.kind for s in body] == [
-            "CreateView", "CreateTable", "FinalSelect"
-        ]
+        body = [s for s in seq.statements if s.form[0] != "drop"]
+        assert [s.form[0] for s in body] == ["atom", "aggregate", "final_all"]
 
     def test_count_distinct_star_is_rejected(self):
         # SQL has no COUNT(DISTINCT *); the parser rejects it as it does MIN(*)
@@ -136,7 +134,7 @@ class TestEmission:
             conn.execute("CREATE TABLE S (c)")
             conn.executemany("INSERT INTO R VALUES (?, ?)", [(1, 2), (3, 4)])
             conn.executemany("INSERT INTO S VALUES (?)", [(5,), (6,), (7,)])
-            for text in seq.render(with_drops=False, unlogged=False):
+            for text in seq.render(with_drops=False):
                 rows = conn.execute(text).fetchall()
         finally:
             conn.close()
@@ -153,21 +151,13 @@ class TestEmission:
 
     def test_drops_mirror_creates_in_reverse(self):
         _, _, seq = rewritten(APPENDIX_SQL)
-        dropped = [s.name for s in seq.statements if s.kind == "Drop"]
+        dropped = [s.name for s in seq.statements if s.form[0] == "drop"]
         assert dropped == list(reversed(created(seq)))
 
     def test_without_drops(self):
         _, _, seq = rewritten(CHAIN_SQL)
         assert "DROP" not in seq.to_sql(with_drops=False)
         assert "DROP" in seq.to_sql(with_drops=True)
-
-    def test_unlogged_flag(self):
-        _, _, seq = rewritten(CHAIN_SQL)
-        unlogged, plain = seq.render(), seq.render(unlogged=False)
-        assert unlogged == [t.replace("CREATE TABLE", "CREATE UNLOGGED TABLE")
-                            for t in plain]
-        assert "UNLOGGED" in seq.to_sql()
-        assert "UNLOGGED" not in seq.to_sql(unlogged=False)
 
     def test_cast_for_string_typed_numeric_comparison(self):
         db = Database()

@@ -2,14 +2,14 @@
 
 `StatementSequence.render` is the plan's second reading, next to the
 engine's statement loop, for both strategies' plans: Base's and the
-rewriter's.  Each plan is rendered without UNLOGGED and every statement
-runs in order on an in-memory sqlite3 database holding the same tables.
-The final SELECT's value multiset must equal the independent oracle's on
-acceptance 1's corpus and, on benchmark-shaped workloads too large for the
-oracle, both the engine's Base evaluation and sqlite3 running the original
-query.  Each statement runs under a step budget, so a runaway statement,
-such as a join without its predicates, fails instead of hanging, and every
-join is checked to equate each class column its sources share.
+rewriter's.  Each plan is rendered and every statement runs in order on
+an in-memory sqlite3 database holding the same tables.  The final SELECT's
+value multiset must equal the independent oracle's on acceptance 1's
+corpus and, on benchmark-shaped workloads too large for the oracle, both
+the engine's Base evaluation and sqlite3 running the original query.
+Each statement runs under a step budget, so a runaway statement, such as
+a join without its predicates, fails instead of hanging, and every join
+is checked to equate each class column its sources share.
 """
 
 import sqlite3
@@ -81,13 +81,13 @@ def _run_plan(conn, seq):
     conn.set_progress_handler(tick, _STEPS_PER_CHECK)
     rows = None
     try:
-        for stmt, text in zip(seq.statements, seq.render(unlogged=False)):
+        for stmt, text in zip(seq.statements, seq.render()):
             if stmt.form[0] == "join_project":
                 _assert_join_predicates(conn, stmt.form, text)
             checks = 0
             try:
                 cursor = conn.execute(text)
-                if stmt.kind == "FinalSelect":
+                if stmt.form[0].startswith("final_"):
                     rows = cursor.fetchall()
             except sqlite3.OperationalError as exc:
                 pytest.fail(f"{exc} after {checks * _STEPS_PER_CHECK} steps: {text}")

@@ -123,7 +123,7 @@ def _assert_stats_match_rows(db):
     assert db.stats.keys() == db.tables.keys()
     for name, rel in db.tables.items():
         stats = db.stats[name]
-        assert stats.index == {col: i for i, col in enumerate(rel.schema)}
+        assert list(stats.ndv) == rel.schema
         prefix = rel.rows[:512]
         assert stats.ndv == {
             col: len(set(row[i] for row in prefix))

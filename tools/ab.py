@@ -21,10 +21,10 @@ SEED) from this repository.  It runs one measurement:
   both workloads, planned untimed, as `bench/run.py`'s `exec_*_ms`.
 
 Every duration is rescaled to reference speed with `bench/clock.py`, with
-the garbage collector off.  A measurement returns `values`, each timed
-metric of the round, and `exact`, outputs that must repeat: digests, opcode
-counts and dataset sizes.  The record (default `BENCH_<measurement>.json`)
-is one JSON object:
+the garbage collector off.  A measurement returns `values`, each metric of
+the round (durations and opcode counts), and `exact`, outputs that must
+repeat: digests and dataset sizes.  The record (default
+`BENCH_<measurement>.json`) is one JSON object:
 
     measurement, description   the measurement's name and what it times
     rounds, passes, machine    ROUNDS, PASSES and the machine it ran on
@@ -156,9 +156,18 @@ def plan_digest(db, queries, model):
         for call in calls:
             planned = call(planned)
         fv, decision, seq = planned
-        digest.update(repr((fv.as_list(), decision,
+        digest.update(repr((flat_floats(fv), decision,
                             [(s.name, s.form) for s in seq.statements])).encode())
     return digest.hexdigest()
+
+
+def flat_floats(fv):
+    """A feature vector's values as one flat list of floats, so that trees
+    whose vectors nest each collection's six statistics digest alike."""
+    values = []
+    for v in fv:
+        values += v if isinstance(v, tuple) else [v]
+    return [float(v) for v in values]
 
 
 def workload_digest(db, queries):
@@ -267,9 +276,10 @@ def measure_plan():
     on both workloads: per query the stage's median over the passes (a query
     during which the clock took a reading is left out of that pass), then
     the median over queries.  regress CART on the workload's count labels
-    decides.  exact: plan_sha256 over every query's features, decision and
-    statement forms; opcodes per stage, median over queries, counted in one
-    untimed pass after the timed ones."""
+    decides.  The Python opcodes per stage and their sum, median over
+    queries, are counted in one untimed pass after the timed ones.  exact:
+    plan_sha256 over every query's features, decision and statement
+    forms."""
     from clock import Clock
     from smash import ml
     from smashbench import WORKLOADS
@@ -292,9 +302,10 @@ def measure_plan():
             if kept:
                 per_query.append([statistics.median(s) for s in zip(*kept)])
         values |= {f"{name}.{stage}_us": s * 1e6 for stage, s in per_stage(per_query).items()}
-    opcodes = {name: per_stage(opcode_counts(calls[name], queries))
-               for name, (_, queries) in loads.items()}
-    return {"values": values, "exact": {"plan_sha256": digests, "opcodes": opcodes}}
+    for name, (_, queries) in loads.items():
+        opcodes = per_stage(opcode_counts(calls[name], queries))
+        values |= {f"{name}.{stage}_opcodes": n for stage, n in opcodes.items()}
+    return {"values": values, "exact": {"plan_sha256": digests}}
 
 
 def measure_cart():
