@@ -230,10 +230,7 @@ def _randrange_draws(rng, n, count):
     values it must still yield, so it never draws past the last call the
     per-value loop would make.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:  # randrange's deprecated non-integer argument
-        return [rng.randrange(n) for _ in range(count)]
+    n = operator.index(n)
     if n < 1:  # getrandbits(0) is 0, so the batches would never fill
         raise ValueError("empty range for randrange()")
     getrandbits, bits = rng.getrandbits, n.bit_length()

@@ -114,18 +114,17 @@ def cmd_augment(args):
 
 
 def cmd_generate(args):
-    spec = augmentation.WorkloadSpec(
-        seed=args.seed,
-        n_base_queries=args.queries,
-        dangling_fraction=args.dangling,
-        shape=args.shape,
-    )
     if args.two_regime:
         db, queries = augmentation.generate_two_regime_workload(
             seed=args.seed, n_queries=args.queries
         )
     else:
-        db, queries = augmentation.generate_workload(spec)
+        db, queries = augmentation.generate_workload(augmentation.WorkloadSpec(
+            seed=args.seed,
+            n_base_queries=args.queries,
+            dangling_fraction=args.dangling,
+            shape=args.shape,
+        ))
     out = Path(args.out)
     save_database(db, out / "data")
     qdir = out / "queries"
@@ -272,7 +271,10 @@ def build_parser():
     p.add_argument("--dangling", type=float, default=0.3)
     p.add_argument("--shape", choices=["random", "star", "chain"],
                    default="random")
-    p.add_argument("--two-regime", action="store_true")
+    p.add_argument("--two-regime", action="store_true",
+                   help="the two-regime workload, whose generator fixes the "
+                        "dangling fraction and the shape: --dangling and "
+                        "--shape are ignored")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("run", help="time a workload under both strategies")

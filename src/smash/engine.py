@@ -380,8 +380,7 @@ class Statement(NamedTuple):
 
 def _base_plan(cq):
     """Base as a plan: a view per atom, one left-deep join of the views in
-    FROM order without projection, the output, and the drops in reverse
-    order of creation."""
+    FROM order without projection, and the output."""
     views = [f"E{i + 1}" for i in range(len(cq.atoms))]
     statements = [Statement(name, ("atom", i)) for i, name in enumerate(views)]
     statements.append(Statement("F1", ("join_project", views[0], views[1:], [])))
@@ -390,7 +389,7 @@ def _base_plan(cq):
         statements.append(Statement(None, ("final_project", "F1", list(out.columns))))
     else:
         statements.append(Statement(None, ("final_agg", "F1")))
-    return statements + [Statement(n, ("drop", n)) for n in reversed(views + ["F1"])]
+    return statements
 
 
 def evaluate_baseline(cq, db: Database, counter: OpCounter | None = None) -> Relation:
@@ -402,7 +401,7 @@ def evaluate_baseline(cq, db: Database, counter: OpCounter | None = None) -> Rel
 def _run(statements, cq, db, counter):
     """The one loop that executes plans, Base's and the rewriter's alike:
     runs the statements in order, counting them into `counter` (or a
-    throwaway `OpCounter`), and returns the intermediates still bound and
+    throwaway `OpCounter`), and returns every intermediate, by name, and
     the relation of the last final SELECT (None if there is none)."""
     if counter is None:
         counter = OpCounter()
@@ -451,11 +450,6 @@ def _run(statements, cq, db, counter):
             continue
         elif op == "final_project":
             result = project(resolve(form[1]), form[2])
-            continue
-        elif op == "drop":
-            if form[1] not in namespace:
-                raise UndefinedIntermediate(f"cannot drop unknown {form[1]!r}")
-            del namespace[form[1]]
             continue
         else:
             raise ValueError(f"unknown structural form {op!r}")

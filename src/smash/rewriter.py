@@ -13,7 +13,8 @@ is the one implementation of the Yannakakis passes.
 views rename every column to its class id, semi-joins keep the left rows
 whose shared class columns are IN the right side's, and joins state their
 equalities on the class columns they share, so the text computes the
-engine's result on a SQL engine such as stdlib sqlite3.
+engine's result on a SQL engine such as stdlib sqlite3.  The plan holds no
+DROP: `render` writes them, one per view and table, after the final SELECT.
 """
 
 from __future__ import annotations
@@ -42,10 +43,13 @@ class StatementSequence:
     db: Database | None = field(default=None, repr=False, compare=False)
 
     def render(self, with_drops=True):
-        """SQL text of each statement, in order."""
+        """SQL text of each statement, in order, then, `with_drops`, a DROP
+        of each view and table in the reverse order of creation."""
         texts = _render(self.statements, self.cq, self.db)
-        return [text for s, text in zip(self.statements, texts)
-                if with_drops or s.form[0] != "drop"]
+        if with_drops:
+            texts += [f"DROP {'VIEW' if s.form[0] == 'atom' else 'TABLE'} {s.name}"
+                      for s in reversed(self.statements) if s.name is not None]
+        return texts
 
     def to_sql(self, with_drops=True):
         return ";\n".join(self.render(with_drops)) + ";"
@@ -60,7 +64,6 @@ def _emit(tree, cq):
     root = tree.root
     statements = []
     add = statements.append
-    created = []  # every view and table name, in creation order
 
     # bottom-up semi-joins, depth first from the root: a view per node
     # (numbered by the 1-based FROM position of its atom), then per child,
@@ -71,7 +74,6 @@ def _emit(tree, cq):
     # `finished` lists the nodes children first.
     art = {root: f"E{root + 1}"}
     add(_new(Statement, (art[root], ("atom", root))))
-    created.append(art[root])
     last_at_root = min(kids[root]) if tree.oma_flag and kids[root] else None
     finished = []
     stack = [(root, iter(sorted(kids[root], reverse=True)))]
@@ -81,7 +83,6 @@ def _emit(tree, cq):
         if child is not None:
             name = art[child] = f"E{child + 1}"
             add(_new(Statement, (name, ("atom", child))))
-            created.append(name)
             stack.append((child, iter(sorted(kids[child], reverse=True))))
             continue
         stack.pop()
@@ -92,12 +93,10 @@ def _emit(tree, cq):
             acc = art[above]
             name = art[above] = acc + art[node]
             add(_new(Statement, (name, (op, acc, art[node]))))
-            created.append(name)
     if tree.oma_flag and not kids[root]:
         acc = art[root]
         name = art[root] = acc + "A"
         add(_new(Statement, (name, ("aggregate", acc))))
-        created.append(name)
     root_art = art[root]
     if tree.oma_flag:
         add(_new(Statement, (None, ("final_all", root_art))))
@@ -108,7 +107,6 @@ def _emit(tree, cq):
         for node in reversed(finished[:-1]):
             name = f"D{node + 1}"
             add(_new(Statement, (name, ("semijoin", art[node], topdown[parent_of[node]]))))
-            created.append(name)
             topdown[node] = name
 
         # bottom-up joins, each projected on the classes the output or the
@@ -142,7 +140,6 @@ def _emit(tree, cq):
             for c in children:
                 sources.append(joined[c])
             add(_new(Statement, (name, ("join_project", topdown[node], sources, kept))))
-            created.append(name)
             joined[node] = name
 
         out = cq.output
@@ -150,9 +147,6 @@ def _emit(tree, cq):
             add(_new(Statement, (None, ("final_project", joined[root], list(out.columns)))))
         else:
             add(_new(Statement, (None, ("final_agg", joined[root]))))
-    # every view and table, dropped in the reverse order of creation
-    for name in reversed(created):
-        add(_new(Statement, (name, ("drop", name))))
     return statements, topdown
 
 
@@ -201,14 +195,12 @@ def _render(statements, cq, db):
     `engine._run` does and tracking each artifact's class-id columns where
     `engine._run` tracks its relation."""
     columns = {}  # artifact -> its class-id columns
-    views = set()
     texts = []
     for stmt in statements:
         form = stmt.form
         op = form[0]
         if op == "atom":
             columns[stmt.name], select = _view(cq, cq.atoms[form[1]], db)
-            views.add(stmt.name)
             texts.append(f"CREATE VIEW {stmt.name} AS {select}")
             continue
         if op == "semijoin":
@@ -230,9 +222,6 @@ def _render(statements, cq, db):
             continue
         elif op == "final_agg":
             texts.append(_aggregate(cq.output, form[1])[1])
-            continue
-        elif op == "drop":
-            texts.append(f"DROP {'VIEW' if form[1] in views else 'TABLE'} {form[1]}")
             continue
         else:
             raise ValueError(f"unknown structural form {op!r}")

@@ -157,8 +157,6 @@ class TestBasePlanShape:
             ("E1", ("atom", 0)),
             ("F1", ("join_project", "E1", [], [])),
             (None, ("final_project", "F1", ["R.a"])),
-            ("F1", ("drop", "F1")),
-            ("E1", ("drop", "E1")),
         ]
 
     def test_enumeration(self, chain_db):
@@ -169,10 +167,6 @@ class TestBasePlanShape:
             ("E3", ("atom", 2)),
             ("F1", ("join_project", "E1", ["E2", "E3"], [])),
             (None, ("final_project", "F1", ["R.a", "T.d"])),
-            ("F1", ("drop", "F1")),
-            ("E3", ("drop", "E3")),
-            ("E2", ("drop", "E2")),
-            ("E1", ("drop", "E1")),
         ]
 
     def test_aggregate(self, chain_db):
@@ -182,6 +176,5 @@ class TestBasePlanShape:
             (None, ("final_agg", "F1")),
         ]
         assert [form[0] for _, form in plan] == [
-            "atom", "atom", "atom", "join_project",
-            "final_agg", "drop", "drop", "drop", "drop",
+            "atom", "atom", "atom", "join_project", "final_agg",
         ]

@@ -7,10 +7,11 @@ import pytest
 
 from smash import harness
 from smash.acyclic import analyze
+from smash.augmentation import generate_two_regime_workload
 from smash.cli import main
 from smash.engine import estimate_cardinalities, load_database, save_database
 from smash.features import extract_features, feature_names
-from smash.frontend import normalize, parse_query
+from smash.frontend import normalize, parse_query, to_sql
 from smash.harness import plan_query
 from smash.ml import decide, label, load_dataset, load_model, save_dataset
 from smash.rewriter import interpret_sequence, rewrite
@@ -120,6 +121,22 @@ class TestWorkloadCommands:
             "significance", "--runlog", str(runlog), "Base", "Rewriting",
         ])
         assert code == 0 and "median test p" in out
+
+    def test_generate_two_regime_writes_its_workload(self, capsys, tmp_path):
+        # --dangling and --shape are the generic generator's; two-regime
+        # fixes both
+        code, out = run(capsys, [
+            "--seed", "7", "generate", "--two-regime", "--queries", "6",
+            "--dangling", "0.5", "--shape", "chain", "--out", str(tmp_path),
+        ])
+        db, queries = generate_two_regime_workload(7, 6)
+        assert code == 0 and out == (
+            f"wrote {len(db.tables)} tables and 6 queries to {tmp_path}\n")
+        written = load_database(tmp_path / "data")
+        assert {name: (rel.schema, rel.rows) for name, rel in written.tables.items()} == {
+            name: (rel.schema, rel.rows) for name, rel in db.tables.items()}
+        assert {p.stem: p.read_text() for p in (tmp_path / "queries").glob("*.sql")} == {
+            qid: to_sql(q) + "\n" for qid, q in queries}
 
     def test_generate_then_run_dataset_then_train(self, capsys, tmp_path):
         out_dir = tmp_path / "wl"

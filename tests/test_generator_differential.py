@@ -230,6 +230,12 @@ def test_empty_payload_range_raises():
             generate_workload(spec)
 
 
+def test_non_integer_payload_range_raises():
+    # `payload_range` is an int; randrange's float argument is not taken
+    with pytest.raises(TypeError):
+        generate_workload(WorkloadSpec(payload_range=100.0))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 100, 128, 257, 2**31 + 1, 2**70 - 5])
 def test_batched_draws_equal_randrange(n):
     ours, theirs = random.Random(n), random.Random(n)

@@ -10,6 +10,7 @@ from smash.augmentation import generate_two_regime_workload
 from smash.engine import (
     Database,
     Relation,
+    _base_plan,
     atom_relation,
     evaluate_baseline,
     natural_join,
@@ -40,7 +41,7 @@ APPENDIX_SQL = (
 
 
 def created(seq):
-    return [s.name for s in seq.statements if s.name is not None and s.form[0] != "drop"]
+    return [s.name for s in seq.statements if s.name is not None]
 
 
 def rewritten(sql, db=None):
@@ -52,9 +53,8 @@ def rewritten(sql, db=None):
 class TestEmission:
     def test_appendix_example_structure(self):
         _, _, seq = rewritten(APPENDIX_SQL)
-        body = [s for s in seq.statements if s.form[0] != "drop"]
         assert [
-            (s.form[0], s.name) for s in body
+            (s.form[0], s.name) for s in seq.statements
         ] == [
             ("atom", "E3"),
             ("atom", "E2"),
@@ -115,8 +115,7 @@ class TestEmission:
 
     def test_single_atom_aggregate(self):
         _, _, seq = rewritten("SELECT MIN(R.a) FROM R")
-        body = [s for s in seq.statements if s.form[0] != "drop"]
-        assert [s.form[0] for s in body] == ["atom", "aggregate", "final_all"]
+        assert [s.form[0] for s in seq.statements] == ["atom", "aggregate", "final_all"]
 
     def test_count_distinct_star_is_rejected(self):
         # SQL has no COUNT(DISTINCT *); the parser rejects it as it does MIN(*)
@@ -150,9 +149,18 @@ class TestEmission:
         assert any(n.startswith("F") for n in names)  # bottom-up joins
 
     def test_drops_mirror_creates_in_reverse(self):
-        _, _, seq = rewritten(APPENDIX_SQL)
-        dropped = [s.name for s in seq.statements if s.form[0] == "drop"]
-        assert dropped == list(reversed(created(seq)))
+        # after the plan's texts, Base's and Rewriting's alike, one DROP per
+        # CREATE, in reverse order, of the kind the CREATE made
+        for sql in (APPENDIX_SQL, CHAIN_SQL,
+                    "SELECT R.a, T.d FROM R, S, T WHERE R.b = S.b AND S.c = T.c"):
+            cq, _, seq = rewritten(sql)
+            for plan in (seq, StatementSequence(_base_plan(cq), cq=cq)):
+                body = plan.render(with_drops=False)
+                made = [text.split()[1:3] for text in body if text.startswith("CREATE ")]
+                assert [name for _, name in made] == created(plan)
+                assert plan.render() == body + [
+                    f"DROP {kind} {name}" for kind, name in reversed(made)
+                ]
 
     def test_without_drops(self):
         _, _, seq = rewritten(CHAIN_SQL)
@@ -233,6 +241,13 @@ class TestInterpretation:
             Statement("X", ("semijoin", "NOPE", "ALSO_NOPE")),
         ])
         with pytest.raises(UndefinedIntermediate):
+            interpret_sequence(broken, cq, chain_db)
+
+    def test_a_drop_is_not_a_plan_form(self, chain_db):
+        # the plan holds no drop; only `render` writes DROP text
+        cq, tree, seq = rewritten(CHAIN_SQL, chain_db)
+        broken = StatementSequence([*seq.statements, Statement("E1", ("drop", "E1"))])
+        with pytest.raises(ValueError, match="unknown structural form 'drop'"):
             interpret_sequence(broken, cq, chain_db)
 
 

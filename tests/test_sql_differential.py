@@ -68,8 +68,8 @@ def _assert_join_predicates(conn, form, text):
 
 def _run_plan(conn, seq):
     """Value multiset of the plan's final SELECT, running each rendered
-    statement in order under `STEP_BUDGET`; every intermediate is dropped
-    again, so the connection holds only the base tables afterwards."""
+    statement in order under `STEP_BUDGET`, then the rendered DROPs, which
+    leave the connection holding only the base tables."""
     checks = 0
 
     def tick():
@@ -80,8 +80,9 @@ def _run_plan(conn, seq):
     tables = _objects(conn)
     conn.set_progress_handler(tick, _STEPS_PER_CHECK)
     rows = None
+    texts = seq.render()
     try:
-        for stmt, text in zip(seq.statements, seq.render()):
+        for stmt, text in zip(seq.statements, texts):
             if stmt.form[0] == "join_project":
                 _assert_join_predicates(conn, stmt.form, text)
             checks = 0
@@ -93,6 +94,8 @@ def _run_plan(conn, seq):
                 pytest.fail(f"{exc} after {checks * _STEPS_PER_CHECK} steps: {text}")
     finally:
         conn.set_progress_handler(None, 0)
+    for text in texts[len(seq.statements):]:
+        conn.execute(text)
     assert _objects(conn) == tables
     return Counter(rows)
 

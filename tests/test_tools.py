@@ -66,13 +66,6 @@ def test_selector_wide_plans_match_bench_plan(ab):
         assert side["exact"]["plan_sha256"]["selector_wide"] == digest, name
 
 
-def test_plan_digest_reads_nested_and_flat_vectors_alike(ab):
-    six = (1.0, 1.5, 2.0, 2.5, 3.0, 2.0)
-    flat = [1.0, 3.0, *six, 7.0]
-    assert repr(ab.flat_floats((1, 3, six, 7))) == repr(flat)
-    assert repr(ab.flat_floats(tuple(flat))) == repr(flat)
-
-
 def test_bench_plan_keeps_opcode_counts_among_the_values(ab):
     record = json.loads((REPO / "BENCH_plan.json").read_text())
     for side in record["sides"].values():

@@ -148,7 +148,7 @@ def stage_calls(db, model):
 
 
 def plan_digest(db, queries, model):
-    """SHA-256 over every query's feature vector, decision and statement forms."""
+    """SHA-256 over every query's feature vector, decision and rendered SQL."""
     calls = stage_calls(db, model)
     digest = hashlib.sha256()
     for _, sql in queries:
@@ -156,18 +156,8 @@ def plan_digest(db, queries, model):
         for call in calls:
             planned = call(planned)
         fv, decision, seq = planned
-        digest.update(repr((flat_floats(fv), decision,
-                            [(s.name, s.form) for s in seq.statements])).encode())
+        digest.update(repr((list(fv), decision, seq.to_sql())).encode())
     return digest.hexdigest()
-
-
-def flat_floats(fv):
-    """A feature vector's values as one flat list of floats, so that trees
-    whose vectors nest each collection's six statistics digest alike."""
-    values = []
-    for v in fv:
-        values += v if isinstance(v, tuple) else [v]
-    return [float(v) for v in values]
 
 
 def workload_digest(db, queries):
