@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import Aggregate
-from .errors import InvalidJoinTree
+from .errors import SmashError
 
 SET_SAFE_FUNCTIONS = ("MIN", "MAX")
 
@@ -76,7 +76,7 @@ class JoinTree:
                 level = below
                 depth += 1
             if seen != len(self.nodes):
-                raise InvalidJoinTree(f"parent map is not a tree rooted at {self.root}")
+                raise SmashError(f"parent map is not a tree rooted at {self.root}")
             self._depth = depth
         return self._depth
 
@@ -178,7 +178,7 @@ def classify_0ma(cq) -> OmaResult:
 
 
 def check_connectedness(tree: JoinTree, cq):
-    """Raise InvalidJoinTree unless each class's atoms form a subtree.
+    """Raise SmashError unless each class's atoms form a subtree.
 
     The atoms holding a class induce a forest in the tree, which is
     connected iff it has one edge fewer than it has atoms.  The tree edges
@@ -200,7 +200,7 @@ def check_connectedness(tree: JoinTree, cq):
         for atom in cq.atoms:
             for cid in atom.renaming.values():
                 if missing[index[cid]]:
-                    raise InvalidJoinTree(
+                    raise SmashError(
                         f"attribute class {cid} not connected in join tree"
                     )
 
@@ -238,7 +238,7 @@ def build_join_tree(ears, cq, oma: OmaResult) -> JoinTree:
             root = atom
     nodes = sorted(parent)
     if root is None or len(nodes) != len(cq.atoms):
-        raise InvalidJoinTree("ear ordering does not cover the query atoms")
+        raise SmashError("ear ordering does not cover the query atoms")
     oma_flag = oma.is_0ma
     guard = oma.guard if oma_flag else None
     if oma_flag and guard != root:
@@ -261,10 +261,10 @@ def build_join_tree(ears, cq, oma: OmaResult) -> JoinTree:
 def analyze(cq):
     """GYO + 0MA classification + join tree in one step, over the query IR.
 
-    Returns (tree, oma) or raises InvalidJoinTree for cyclic queries.
+    Returns (tree, oma) or raises SmashError for cyclic queries.
     """
     ears, alive = _gyo(cq.masks)
     if alive:
-        raise InvalidJoinTree("query is cyclic; no join tree exists")
+        raise SmashError("query is cyclic; no join tree exists")
     oma = classify_0ma(cq)
     return build_join_tree(ears, cq, oma), oma

@@ -21,7 +21,7 @@ from itertools import chain, compress, repeat, starmap
 import numpy as np
 
 from .engine import _OPS, Database, Relation
-from .errors import NoJoins, NotAggregate
+from .errors import SmashError
 from .frontend import ColumnRef, QuerySpec, SelectAggregate
 
 
@@ -121,7 +121,7 @@ def augment_filters(q: QuerySpec, db: Database):
 def augment_aggregate_attribute(q: QuerySpec, db: Database):
     """One MIN variant per table, over that table's first column."""
     if not q.is_aggregate:
-        raise NotAggregate("enumeration queries have no aggregate to rotate")
+        raise SmashError("enumeration queries have no aggregate to rotate")
     variants = []
     for name, alias in q.tables:
         attr = db.table(name).schema[0]
@@ -142,7 +142,7 @@ def augment_aggregate_attribute(q: QuerySpec, db: Database):
 def augment_enumeration(q: QuerySpec, rng: random.Random):
     """Replace the output by random pairs of join attributes."""
     if not q.join_conds:
-        raise NoJoins("query has no join conditions")
+        raise SmashError("query has no join conditions")
     attrs = []
     for l, r in q.join_conds:
         for col in (l, r):
@@ -186,10 +186,10 @@ class WorkloadSpec:
 
     def validate(self):
         if not (0.0 <= self.dangling_fraction <= 1.0):
-            raise ValueError("dangling fraction must be within [0, 1]")
+            raise SmashError("dangling fraction must be within [0, 1]")
         for lo, hi in (self.n_relations, self.rows, self.fanout):
             if lo > hi or lo < 1:
-                raise ValueError("ranges must be nonempty")
+                raise SmashError("ranges must be nonempty")
 
 
 def _tree_parents(rng, k, shape):

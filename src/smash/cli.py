@@ -27,9 +27,10 @@ DATA_DIR_ENV = "SMASH_DATA_DIR"
 
 
 def _read_sql(arg):
-    path = Path(arg)
-    if path.exists():
-        return path.read_text()
+    """The text of the file `arg` names, if it names one; else `arg`,
+    the SQL itself."""
+    if os.path.isfile(arg):  # False, not OSError, for a name too long
+        return Path(arg).read_text()
     return arg
 
 
@@ -321,7 +322,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except SmashError as exc:
+    except (SmashError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -24,13 +24,7 @@ from itertools import compress, repeat
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import (
-    AggregateOverNonNumeric,
-    EmptyAggregate,
-    TypeMismatch,
-    UndefinedIntermediate,
-    UnknownAttribute,
-)
+from .errors import SmashError
 
 _OPS = {
     "=": operator.eq,
@@ -54,7 +48,7 @@ class Predicate:
 
     def matches(self, value):
         if _is_number(value) != _is_number(self.literal):
-            raise TypeMismatch(
+            raise SmashError(
                 f"cannot compare {value!r} with literal {self.literal!r}"
             )
         return _OPS[self.op](value, self.literal)
@@ -80,7 +74,7 @@ class Relation:
         try:
             return self.schema.index(attr)
         except ValueError:
-            raise UnknownAttribute(f"{attr} not in {self.name}{tuple(self.schema)}")
+            raise SmashError(f"{attr} not in {self.name}{tuple(self.schema)}")
 
     def __len__(self):
         return len(self.rows)
@@ -126,21 +120,21 @@ class Database:
 
         The relation's schema becomes a list and its rows a new list of
         tuples.  A duplicate attribute, or a row whose length is not the
-        schema's, raises ValueError naming the table.  The values stay the
+        schema's, raises SmashError naming the table.  The values stay the
         objects given.  Both ways rows are made, the generator and
         `load_database`, give a database one int object per key value, not
         one per occurrence: that saves memory on key columns, and a hash
         probe that hits compares equal keys by identity.
         """
         if rel.name in self.tables:
-            raise ValueError(f"duplicate table {rel.name}")
+            raise SmashError(f"duplicate table {rel.name}")
         schema = list(rel.schema)
         if len(set(schema)) != len(schema):
-            raise ValueError(f"duplicate attribute in schema of {rel.name}")
+            raise SmashError(f"duplicate attribute in schema of {rel.name}")
         rows = list(map(tuple, rel.rows))
         if set(map(len, rows)) - {len(schema)}:
             arity = next(n for n in map(len, rows) if n != len(schema))
-            raise ValueError(
+            raise SmashError(
                 f"row arity {arity} != schema arity {len(schema)} "
                 f"in relation {rel.name}"
             )
@@ -153,7 +147,7 @@ class Database:
 
     def table(self, name):
         if name not in self.tables:
-            raise UnknownAttribute(f"unknown table {name}")
+            raise SmashError(f"unknown table {name}")
         return self.tables[name]
 
 
@@ -243,13 +237,13 @@ def _agg_value(agg: Aggregate, values):
     if agg.distinct:
         values = list(set(values))
     if not values:
-        raise EmptyAggregate(f"{agg.label()} over empty input")
+        raise SmashError(f"{agg.label()} over empty input")
     if agg.fn == "MIN":
         return min(values)
     if agg.fn == "MAX":
         return max(values)
     if any(not _is_number(v) for v in values):
-        raise AggregateOverNonNumeric(f"{agg.label()} over non-numeric values")
+        raise SmashError(f"{agg.label()} over non-numeric values")
     if agg.fn == "SUM":
         return sum(values)
     if agg.fn == "AVG":
@@ -262,7 +256,7 @@ def group_aggregate(rel: Relation, grouping, aggs) -> Relation:
     aidx = [rel._index(a.attribute) if a.attribute is not None else None for a in aggs]
     if not grouping and not rel.rows:
         # closed scalar model: no NULL stand-in for empty aggregates
-        raise EmptyAggregate("aggregate over empty ungrouped relation")
+        raise SmashError("aggregate over empty ungrouped relation")
     groups = {}
     order = []
     for r in rel.rows:
@@ -333,7 +327,7 @@ def _atom_rows(cq, atom, db: Database):
     renaming = atom.renaming
     ndv = db.stats[atom.table].ndv
     if not renaming.keys() <= ndv.keys():
-        raise UnknownAttribute(
+        raise SmashError(
             f"{atom.table} has no column {min(renaming.keys() - ndv.keys())}")
     columns = {}
     for i, col in enumerate(base.schema):
@@ -409,7 +403,7 @@ def _run(statements, cq, db, counter):
 
     def resolve(name):
         if name not in namespace:
-            raise UndefinedIntermediate(f"undefined intermediate {name!r}")
+            raise SmashError(f"undefined intermediate {name!r}")
         return namespace[name]
 
     result = None
@@ -518,7 +512,7 @@ def estimate_cardinalities(cq, db: Database) -> EstimateSet:
     filters and intra-atom equalities reads them from there; other atoms
     count them over the rows of their scan, the one `atom_relation` builds
     its relation from, on each call.  A renamed column the table lacks
-    raises `UnknownAttribute`, as it does in execution.
+    raises `SmashError`, as it does in execution.
     """
     table_rows = []
     join_rows = []
@@ -575,21 +569,21 @@ _TYPE_CASTS = {"int64": int, "float64": float, "string": str}
 def _sidecar_casts(schema_file, path, header):
     """Per column of `path`'s `header`, the cast its type in the sidecar
     schema `schema_file` names.  A sidecar that is not a JSON object raises
-    ValueError naming it; a column without a type, or an unknown type,
-    raises ValueError naming the sidecar and the column."""
+    SmashError naming it; a column without a type, or an unknown type,
+    raises SmashError naming the sidecar and the column."""
     with open(schema_file) as fh:
         try:
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{schema_file}: not valid JSON: {exc}") from None
+            raise SmashError(f"{schema_file}: not valid JSON: {exc}") from None
     if not isinstance(spec, dict):
-        raise ValueError(f"{schema_file}: not a JSON object of column types")
+        raise SmashError(f"{schema_file}: not a JSON object of column types")
     casts = []
     for col in header:
         if col not in spec:
-            raise ValueError(f"{schema_file}: no type for column {col!r} of {path}")
+            raise SmashError(f"{schema_file}: no type for column {col!r} of {path}")
         if not isinstance(spec[col], str) or spec[col] not in _TYPE_CASTS:
-            raise ValueError(
+            raise SmashError(
                 f"{schema_file}: column {col!r} has unknown type {spec[col]!r}, "
                 f"not one of {', '.join(_TYPE_CASTS)}"
             )
@@ -598,7 +592,7 @@ def _sidecar_casts(schema_file, path, header):
 
 
 def _bad_value(path, col, cast, values):
-    """The ValueError for the first of a column's `values` that `cast`
+    """The SmashError for the first of a column's `values` that `cast`
     rejects: it names the file, the line, the column and the value."""
     for i, value in enumerate(values):
         try:
@@ -609,7 +603,7 @@ def _bad_value(path, col, cast, values):
         reader = csv.reader(fh)
         for _ in range(i + 2):  # the header, then rows 0 .. i
             next(reader)
-    return ValueError(
+    return SmashError(
         f"{path}, line {reader.line_num}: column {col!r} value {value!r} "
         f"is not a valid {cast.__name__}"
     )
@@ -619,7 +613,7 @@ def load_table(path, schema_file=None) -> Relation:
     """Load a headered CSV; types inferred unless a sidecar schema is given.
 
     A file without a header, or a row with more or fewer fields than the
-    header, raises ValueError naming the file (and the row's line).  So
+    header, raises SmashError naming the file (and the row's line).  So
     does a sidecar that gives a column no type or an unknown one (naming
     the sidecar and the column), or a value its column's type does not
     parse (naming the file, line and column).  The table holds one int
@@ -635,11 +629,11 @@ def _load_table(path, schema_file, ints):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ValueError(f"{path}: empty file, no header")
+            raise SmashError(f"{path}: empty file, no header")
         raw = []
         for row in reader:
             if len(row) != len(header):
-                raise ValueError(
+                raise SmashError(
                     f"{path}, line {reader.line_num}: {len(row)} fields, "
                     f"but the header has {len(header)}"
                 )
@@ -675,10 +669,13 @@ def load_database(directory) -> Database:
     One dict interns the int values of every table, so the database holds
     one int object per value, as a generated one does: a `save_database`
     round trip keeps the memory and the identity-comparing hash probes of
-    the database it saved.
+    the database it saved.  A `directory` that is not one raises
+    SmashError naming it.
     """
     db = Database()
     directory = Path(directory)
+    if not directory.is_dir():
+        raise SmashError(f"{directory}: not a directory")
     ints = {}
     for path in sorted(directory.glob("*.csv")):
         sidecar = path.with_suffix(".schema.json")

@@ -1,41 +1,15 @@
-"""Exception hierarchy shared across the package."""
+"""The errors smash raises on input it rejects.
+
+Every rejection is a `SmashError`, whose message says what was rejected
+and where; no caller tells one kind from another, so there is one class.
+It is a `ValueError`, as `json.JSONDecodeError` is.  A parse error also
+carries the line and column it points at.
+"""
 
 
-class SmashError(Exception):
+class SmashError(ValueError):
     """Base class for all errors raised by this package."""
 
-
-# --- relational engine ---
-
-class EngineError(SmashError):
-    pass
-
-
-class UnknownAttribute(EngineError):
-    pass
-
-
-class TypeMismatch(EngineError):
-    pass
-
-
-class EmptyAggregate(EngineError):
-    """Aggregate over an empty, ungrouped input (we do not model NULL)."""
-
-
-class AggregateOverNonNumeric(EngineError):
-    pass
-
-
-class InvalidJoinTree(EngineError):
-    pass
-
-
-class UndefinedIntermediate(EngineError):
-    pass
-
-
-# --- query frontend ---
 
 class ParseError(SmashError):
     def __init__(self, message, line=None, column=None):
@@ -47,66 +21,4 @@ class ParseError(SmashError):
 
 
 class UnsupportedConstruct(ParseError):
-    pass
-
-
-# --- features ---
-
-class EmptySet(SmashError):
-    pass
-
-
-# --- augmentation ---
-
-class NotAggregate(SmashError):
-    pass
-
-
-class NoJoins(SmashError):
-    pass
-
-
-# --- ml selector ---
-
-class NonFinite(SmashError):
-    pass
-
-
-class TooFewExamples(SmashError):
-    pass
-
-
-class EmptyTraining(SmashError):
-    pass
-
-
-class LengthMismatch(SmashError):
-    pass
-
-
-class UntrainedModel(SmashError):
-    pass
-
-
-class UnseenFeatureDimension(SmashError):
-    pass
-
-
-# --- statistics ---
-
-class AllDifferencesZero(SmashError):
-    pass
-
-
-class TooFewPairs(SmashError):
-    pass
-
-
-class ZeroVariance(SmashError):
-    pass
-
-
-# --- harness ---
-
-class MissingStrategy(SmashError):
     pass

@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple
 
 from .engine import EstimateSet
-from .errors import EmptySet
+from .errors import SmashError
 
 
 class SixStats(NamedTuple):
@@ -55,7 +55,7 @@ def _summarize(arr):
 def reduce_set(values) -> SixStats:
     """Six order statistics; quantiles interpolate linearly at q*(n-1)."""
     if len(values) == 0:
-        raise EmptySet("cannot summarize an empty collection")
+        raise SmashError("cannot summarize an empty collection")
     return _summarize(sorted(map(float, values)))
 
 
@@ -109,7 +109,7 @@ _ZEROS = SixStats.zeros()
 def extract_features(cq, tree, est: EstimateSet) -> FeatureVector:
     """The feature vector of a planned query, read off the query IR, the
     join tree and the estimates; each collection is sorted once.  An
-    estimate that is not finite raises ValueError."""
+    estimate that is not finite raises SmashError."""
     occurrences = cq.occurrences
     n_joins = sum(occurrences.values()) - len(occurrences)
     n_filters = sum(map(len, cq.filters.values()))
@@ -132,5 +132,5 @@ def extract_features(cq, tree, est: EstimateSet) -> FeatureVector:
         *(reduce_set(est.join_rows) if est.join_rows else _ZEROS),
     )
     if not all(map(math.isfinite, values)):
-        raise ValueError("feature vector contains non-finite values")
+        raise SmashError("feature vector contains non-finite values")
     return _new(FeatureVector, values)

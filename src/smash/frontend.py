@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
@@ -542,6 +543,11 @@ def normalize(spec: QuerySpec, db=None) -> NormalizedCQ:
 def _literal_sql(value):
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
+    if isinstance(value, float):
+        # repr's shortest round-trip digits without the exponent the parser
+        # does not read; a whole float keeps its ".0", so it reads as a float
+        text = format(Decimal(repr(value)), "f")
+        return text if "." in text else text + ".0"
     return str(value)
 
 

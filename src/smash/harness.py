@@ -33,7 +33,7 @@ from .engine import (
     _run,
     estimate_cardinalities,
 )
-from .errors import MissingStrategy, SmashError
+from .errors import SmashError
 from .features import FeatureVector, extract_features
 from .frontend import NormalizedCQ, normalize
 from .ml import REWRITTEN, decide, label
@@ -167,8 +167,8 @@ def plan_query(spec, db: Database, model=None, threshold=0.0) -> _Plan:
     a query's stages add up to its decision latency exactly.  The stages
     run with the garbage collector off, and its earlier state is restored
     after, also when a stage raises; the record is built after the last
-    timestamp.  A stage's `SmashError`, such as `InvalidJoinTree` for a
-    cyclic query, propagates.
+    timestamp.  A stage's `SmashError`, such as the one for a cyclic
+    query or a non-finite feature, propagates.
     """
     clock = time.perf_counter
     gc_was_enabled = gc.isenabled()
@@ -194,7 +194,8 @@ def plan_query(spec, db: Database, model=None, threshold=0.0) -> _Plan:
 def run_workload(db: Database, queries, config: RunConfig) -> RunLog:
     """queries: (query id, QuerySpec) pairs, run in the given order.
 
-    A query that cannot be planned is recorded as skipped under both
+    A query that cannot be planned (any `SmashError`, such as a cyclic
+    query or a non-finite feature) is recorded as skipped under both
     strategies, with the planning error as the reason.  The log keeps the
     feature vector of every query planned (`RunLog.features`), for
     `build_dataset`."""
@@ -236,11 +237,11 @@ def excluded_query_ids(log: RunLog):
 
 def _measured(log: RunLog, qid):
     """A query's measured (Base, Rewriting) mean seconds; raises
-    MissingStrategy when either strategy is absent or was skipped."""
+    SmashError when either strategy is absent or was skipped."""
     base = log.entry(qid, BASE)
     rewr = log.entry(qid, REWRITING)
     if base is None or rewr is None or base.skipped or rewr.skipped:
-        raise MissingStrategy(f"query {qid} lacks a strategy measurement")
+        raise SmashError(f"query {qid} lacks a strategy measurement")
     return base.mean_s, rewr.mean_s
 
 
@@ -253,7 +254,7 @@ def build_dataset(log: RunLog, features_per_query):
             continue
         base_s, rewr_s = _measured(log, qid)
         if qid not in features_per_query:
-            raise MissingStrategy(f"query {qid} lacks a feature vector")
+            raise SmashError(f"query {qid} lacks a feature vector")
         examples.append(label(qid, features_per_query[qid], base_s, rewr_s))
     return examples
 

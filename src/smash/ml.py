@@ -36,14 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyTraining,
-    LengthMismatch,
-    NonFinite,
-    TooFewExamples,
-    UnseenFeatureDimension,
-    UntrainedModel,
-)
+from .errors import SmashError
 from .features import feature_names
 
 ORIGINAL = "Original"
@@ -54,7 +47,7 @@ def sign_log(x) -> float:
     """sgn(x) * ln(|x| + 1)."""
     x = float(x)
     if not math.isfinite(x):
-        raise NonFinite(f"sign_log argument must be finite, got {x!r}")
+        raise SmashError(f"sign_log argument must be finite, got {x!r}")
     return math.copysign(math.log(abs(x) + 1.0), x)
 
 
@@ -101,7 +94,7 @@ N_FOLDS = 10
 def split_dataset(examples, seed) -> Splits:
     """Deterministic shuffled 80/10/10 split plus N_FOLDS CV folds over the 90%."""
     if len(examples) < 20:
-        raise TooFewExamples(f"need >= 20 examples, got {len(examples)}")
+        raise SmashError(f"need >= 20 examples, got {len(examples)}")
     shuffled = list(examples)
     random.Random(seed).shuffle(shuffled)
     n = len(shuffled)
@@ -308,10 +301,10 @@ def _grow(train, task, max_depth=None, min_leaf=2, held=None):
     full tree sends it to.
     """
     if not train:
-        raise EmptyTraining("cannot train CART on an empty set")
+        raise SmashError("cannot train CART on an empty set")
     X = np.asarray([e.features for e in train], dtype=float)
     if X.shape[1] < 1:
-        raise EmptyTraining("examples carry no features")
+        raise SmashError("examples carry no features")
     y = np.asarray(
         [e.class_label if task == "classify" else e.reg_target for e in train],
         dtype=float,
@@ -439,7 +432,7 @@ class KnnModel:
 
 def train_knn(train, k=5, task="classify") -> KnnModel:
     if not train:
-        raise EmptyTraining("cannot train k-NN on an empty set")
+        raise SmashError("cannot train k-NN on an empty set")
     if k > len(train):
         warnings.warn(
             f"k={k} exceeds training size {len(train)}; clamping", stacklevel=2
@@ -481,7 +474,7 @@ def _knn_predict_one(model, values):
 
 def _checked_values(fv, n_features):
     if len(fv) != n_features:
-        raise UnseenFeatureDimension(
+        raise SmashError(
             f"model expects {n_features} features, got {len(fv)}"
         )
     return fv
@@ -493,7 +486,7 @@ def predict(model, fv):
         return _cart_predict_one(model, values)
     if isinstance(model, KnnModel):
         return _knn_predict_one(model, values)
-    raise UntrainedModel(f"unknown model type {type(model).__name__}")
+    raise SmashError(f"unknown model type {type(model).__name__}")
 
 
 def decide(model, fv, threshold=0.0) -> str:
@@ -527,7 +520,7 @@ def compute_metrics(predictions, truths):
     """Classification confusion metrics plus MSE/MAE of the 0/1 class
     labels `predictions` against `truths`."""
     if len(predictions) != len(truths) or not predictions:
-        raise LengthMismatch(
+        raise SmashError(
             f"got {len(predictions)} predictions for {len(truths)} truths"
         )
     tp = sum(1 for p, t in zip(predictions, truths) if p == 1 and t == 1)
@@ -573,7 +566,7 @@ def threshold_sweep(model, validation, grid):
 def gini_importances(model: CartModel):
     """Descending (feature name, importance) pairs; zero entries omitted."""
     if not isinstance(model, CartModel):
-        raise UntrainedModel("Gini importances require a CART model")
+        raise SmashError("Gini importances require a CART model")
     pairs = [
         (name, imp)
         for name, imp in zip(model.feature_names, model.importances)
@@ -612,7 +605,7 @@ def save_dataset(examples, path):
     import csv
 
     if not examples:
-        raise EmptyTraining("nothing to save")
+        raise SmashError("nothing to save")
     header = ["query_id", *_column_names(len(examples[0].features)),
               "t_original", "t_rewritten"]
     with open(path, "w", newline="") as fh:
@@ -645,7 +638,7 @@ _MODEL_KINDS = {"cart": CartModel, "knn": KnnModel}
 def model_to_json(model) -> str:
     kind = next((k for k, cls in _MODEL_KINDS.items() if isinstance(model, cls)), None)
     if kind is None:
-        raise UntrainedModel(f"cannot serialize {type(model).__name__}")
+        raise SmashError(f"cannot serialize {type(model).__name__}")
     return json.dumps({"kind": kind, **vars(model)}, sort_keys=True, indent=2)
 
 
@@ -659,5 +652,5 @@ def load_model(path):
         payload = json.load(fh)
     kind = payload.pop("kind", None)
     if kind not in _MODEL_KINDS:
-        raise UntrainedModel(f"unknown model kind {kind!r} in {path}")
+        raise SmashError(f"unknown model kind {kind!r} in {path}")
     return _MODEL_KINDS[kind](**payload)

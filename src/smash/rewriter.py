@@ -24,7 +24,7 @@ from itertools import takewhile
 from operator import itemgetter
 
 from .engine import Database, OpCounter, Statement, _run
-from .errors import UndefinedIntermediate
+from .errors import SmashError
 from .frontend import NormalizedCQ, _literal_sql
 
 # _new(Statement, (name, form)) makes a Statement without the Python-level
@@ -167,7 +167,7 @@ def interpret_sequence(seq: StatementSequence, cq, db: Database,
     """Run the plan in the engine's statement loop, `engine._run`."""
     _, result = _run(seq.statements, cq, db, counter)
     if result is None:
-        raise UndefinedIntermediate("sequence has no final SELECT")
+        raise SmashError("sequence has no final SELECT")
     return result
 
 

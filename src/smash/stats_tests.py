@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllDifferencesZero, TooFewPairs, ZeroVariance
+from .errors import SmashError
 
 
 @dataclass
@@ -26,7 +26,7 @@ class PairedSample:
 
     def __post_init__(self):
         if len(self.a) != len(self.b):
-            raise TooFewPairs(
+            raise SmashError(
                 f"paired sample lengths differ: {len(self.a)} vs {len(self.b)}"
             )
 
@@ -72,9 +72,9 @@ def wilcoxon_signed_rank(sample: PairedSample):
     """(statistic, two-sided p); statistic = min(W+, W-) on average ranks."""
     diffs = [d for d in sample.differences() if d != 0.0]
     if not diffs:
-        raise AllDifferencesZero("all paired differences are zero")
+        raise SmashError("all paired differences are zero")
     if len(diffs) < 2:
-        raise TooFewPairs("need >= 2 nonzero differences")
+        raise SmashError("need >= 2 nonzero differences")
     n = len(diffs)
     ranks = average_ranks([abs(d) for d in diffs])
     w_plus = sum(r for d, r in zip(diffs, ranks) if d > 0)
@@ -150,11 +150,11 @@ def paired_t_test(sample: PairedSample):
     diffs = sample.differences()
     n = len(diffs)
     if n < 2:
-        raise TooFewPairs("need >= 2 pairs")
+        raise SmashError("need >= 2 pairs")
     mean = float(np.mean(diffs))
     s = float(np.std(diffs, ddof=1))
     if s == 0.0:
-        raise ZeroVariance("all differences identical; t undefined")
+        raise SmashError("all differences identical; t undefined")
     t = mean * math.sqrt(n) / s
     nu = n - 1
     p = regularized_incomplete_beta(nu / 2.0, 0.5, nu / (nu + t * t))

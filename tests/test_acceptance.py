@@ -22,7 +22,7 @@ from smash.augmentation import (
     generate_workload,
 )
 from smash.engine import OpCounter, estimate_cardinalities, evaluate_baseline
-from smash.errors import InvalidJoinTree
+from smash.errors import SmashError
 from smash.features import extract_features, reduce_set
 from smash.frontend import normalize, parse_query
 from smash.harness import RunConfig, build_dataset, run_workload, smash_e2e
@@ -146,7 +146,7 @@ def _join_tree(cq):
     """analyze's join tree, or None when GYO finds the query cyclic."""
     try:
         return analyze(cq)[0]
-    except InvalidJoinTree as exc:
+    except SmashError as exc:
         if str(exc) != "query is cyclic; no join tree exists":
             raise
         return None

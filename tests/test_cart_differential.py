@@ -24,7 +24,7 @@ from smash import ml
 from smash.acyclic import analyze
 from smash.augmentation import WorkloadSpec, generate_workload
 from smash.engine import OpCounter, estimate_cardinalities, evaluate_baseline
-from smash.errors import EmptyTraining, InvalidJoinTree
+from smash.errors import SmashError
 from smash.features import extract_features, feature_names
 from smash.frontend import normalize
 from smash.ml import (
@@ -71,10 +71,10 @@ def leaf(task, y):
 
 def reference_train_cart(train, task="classify", max_depth=None, min_leaf=2) -> CartModel:
     if not train:
-        raise EmptyTraining("cannot train CART on an empty set")
+        raise SmashError("cannot train CART on an empty set")
     X = np.asarray([e.features for e in train], dtype=float)
     if X.shape[1] < 1:
-        raise EmptyTraining("examples carry no features")
+        raise SmashError("examples carry no features")
     y = [e.class_label if task == "classify" else e.reg_target for e in train]
     impurity = gini if task == "classify" else variance
     n_total = len(train)
@@ -232,7 +232,8 @@ def count_labelled_dataset(seed, n_queries):
         cq = normalize(spec, db)
         try:
             tree, _ = analyze(cq)
-        except InvalidJoinTree:
+        except SmashError as exc:
+            assert str(exc) == "query is cyclic; no join tree exists"
             continue
         base, rewritten = OpCounter(), OpCounter()
         evaluate_baseline(cq, db, base)

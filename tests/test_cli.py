@@ -49,6 +49,14 @@ class TestSingleQueryCommands:
     def test_parse_error_exit_code(self, capsys):
         assert main(["parse", "SELECT * FROM R"]) == 1
 
+    def test_long_inline_sql_parses(self, capsys):
+        tables = [f"table_number_{i}" for i in range(40)]
+        sql = f"SELECT MIN({tables[0]}.a) FROM {', '.join(tables)}"
+        assert len(sql.encode()) >= 300  # longer than a file name may be
+        code, out = run(capsys, ["parse", sql])
+        assert code == 0
+        assert json.loads(out)["tables"] == [[t, t] for t in tables]
+
     def test_jointree(self, capsys):
         code, out = run(capsys, ["jointree", CHAIN_SQL])
         assert code == 0 and '"root": 0' in out
@@ -177,6 +185,51 @@ class TestWorkloadCommands:
         assert any("-augF" in n for n in names)
         assert any("-augA" in n for n in names)
         assert any("-augE" in n for n in names)
+
+
+class TestRejectedInput:
+    """Each rejection exits 1 with one `error:` line on stderr, and no
+    traceback."""
+
+    @staticmethod
+    def error(capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err.rstrip("\n")
+
+    def test_empty_csv_in_the_data_dir(self, capsys, tmp_path):
+        (tmp_path / "t.csv").write_text("")
+        err = self.error(capsys, ["--data-dir", str(tmp_path), "features",
+                                  "SELECT MIN(t.a) FROM t"])
+        assert err == f"error: {tmp_path / 't.csv'}: empty file, no header"
+
+    def test_dangling_fraction_out_of_range(self, capsys, tmp_path):
+        err = self.error(capsys, ["generate", "--dangling", "2",
+                                  "--out", str(tmp_path)])
+        assert err == "error: dangling fraction must be within [0, 1]"
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--dataset", "{missing}", "--out", "{tmp}/m.json"],
+        ["--data-dir", "{data}", "decide", CHAIN_SQL, "--model", "{missing}"],
+        ["significance", "--runlog", "{missing}", "Base", "Rewriting"],
+    ], ids=["dataset", "model", "runlog"])
+    def test_missing_file(self, capsys, tmp_path, data_dir, argv):
+        missing = tmp_path / "nope.csv"
+        argv = [a.format(missing=missing, tmp=tmp_path, data=data_dir) for a in argv]
+        err = self.error(capsys, argv)
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'"
+
+    def test_missing_data_dir(self, capsys, tmp_path):
+        missing = tmp_path / "nowhere"
+        err = self.error(capsys, ["--data-dir", str(missing), "features",
+                                  "SELECT MIN(t.a) FROM t"])
+        assert err == f"error: {missing}: not a directory"
+
+    def test_directory_argument_is_read_as_sql(self, capsys, tmp_path):
+        (tmp_path / "q").mkdir()
+        err = self.error(capsys, ["parse", str(tmp_path / "q")])
+        assert err == "error: unexpected character '/' (line 1, column 1)"
 
 
 class TestModelCommands:

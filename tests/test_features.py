@@ -6,7 +6,7 @@ import pytest
 
 from smash.acyclic import analyze
 from smash.engine import EstimateSet, estimate_cardinalities
-from smash.errors import EmptySet
+from smash.errors import SmashError
 from smash.features import (
     FEATURE_COUNT,
     SixStats,
@@ -37,7 +37,7 @@ class TestReduceSet:
         assert list(reduce_set([5])) == [5.0] * 6
 
     def test_empty_raises(self):
-        with pytest.raises(EmptySet):
+        with pytest.raises(SmashError, match="^cannot summarize an empty collection$"):
             reduce_set([])
 
     def test_ordering_invariant(self):

@@ -4,7 +4,7 @@ The oracle is the set-based implementation `acyclic` had before it read
 the query IR: hypergraph edges as frozensets of class ids, GYO over Python
 sets, 0MA classification by set containment and the connectedness check
 counted class by class.  Both must agree on the ears, the residual of a
-cyclic query, the join tree, the 0MA result and every `InvalidJoinTree`,
+cyclic query, the join tree, the 0MA result and every `SmashError`,
 on the digest corpus of `test_plan_equivalence` and on generated
 hypergraphs, cyclic ones included.
 """
@@ -25,7 +25,7 @@ from smash.acyclic import (
     check_connectedness,
 )
 from smash.engine import Database, Relation
-from smash.errors import InvalidJoinTree
+from smash.errors import SmashError
 from smash.frontend import (
     ColumnRef,
     QuerySpec,
@@ -129,14 +129,14 @@ def oracle_check_connectedness(parent, cq):
                 missing[cid] -= 1
     for cid, n in missing.items():
         if n:
-            raise InvalidJoinTree(f"attribute class {cid} not connected in join tree")
+            raise SmashError(f"attribute class {cid} not connected in join tree")
 
 
 def oracle_analyze(cq):
     """(nodes, parent, root, oma flag, guard, children, depth), oma."""
     result = oracle_gyo(oracle_hypergraph(cq))
     if not result.acyclic:
-        raise InvalidJoinTree("query is cyclic; no join tree exists")
+        raise SmashError("query is cyclic; no join tree exists")
     oma = oracle_0ma(cq)
     parent = {}
     root = None
@@ -146,7 +146,7 @@ def oracle_analyze(cq):
             root = atom
     nodes = sorted(parent)
     if root is None or len(nodes) != len(cq.atoms):
-        raise InvalidJoinTree("ear ordering does not cover the query atoms")
+        raise SmashError("ear ordering does not cover the query atoms")
     guard = oma.guard if oma.is_0ma else None
     if oma.is_0ma and guard != root:
         path = [guard]
@@ -175,8 +175,8 @@ def oracle_analyze(cq):
 def _outcome(fn, cq):
     try:
         return fn(cq)
-    except InvalidJoinTree as exc:
-        return "InvalidJoinTree", str(exc)
+    except SmashError as exc:
+        return "SmashError", str(exc)
 
 
 def _analyzed(cq):
@@ -259,8 +259,8 @@ def test_generated_hypergraphs_include_cyclic_ones():
     triangle = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 0})]
     cq = _hypergraph_cq(triangle, frozenset({0}), "MIN", False)
     assert not _agree(cq)
-    assert _outcome(_analyzed, cq) == ("InvalidJoinTree",
-                                       "query is cyclic; no join tree exists")
+    assert _outcome(_analyzed, cq) == ("SmashError",
+                                  "query is cyclic; no join tree exists")
 
 
 CYCLE = {0: 1, 1: 0, 2: None}  # not a tree
@@ -283,5 +283,5 @@ def test_connectedness_matches_the_oracle_on_given_trees(parent, root):
 @pytest.mark.parametrize("root", [0, 2])
 def test_depth_rejects_a_parent_map_with_a_cycle(root):
     tree = JoinTree(nodes=[0, 1, 2], parent=CYCLE, root=root)
-    with pytest.raises(InvalidJoinTree, match=f"not a tree rooted at {root}"):
+    with pytest.raises(SmashError, match=f"not a tree rooted at {root}"):
         tree.depth()

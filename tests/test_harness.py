@@ -2,11 +2,13 @@
 
 import gc
 import json
+import math
 
 import pytest
 
 from smash import harness
-from smash.errors import MissingStrategy
+from smash.engine import EstimateSet
+from smash.errors import SmashError
 from smash.frontend import parse_query
 from smash.harness import (
     BASE,
@@ -79,6 +81,17 @@ class TestRunWorkload:
             (REWRITING, True, "R has no column zz"),
         ]
         assert excluded_query_ids(log) == ["bad"]
+
+    def test_non_finite_feature_recorded_as_skipped(self, chain_db, monkeypatch):
+        monkeypatch.setattr(harness, "estimate_cardinalities",
+                            lambda cq, db: EstimateSet([4, 2], [3.0], math.inf))
+        log = run_workload(chain_db, [("inf", parse_query(CHAIN_SQL))],
+                           RunConfig(repeats=1))
+        assert [(e.strategy, e.skipped, e.reason) for e in log.entries] == [
+            (BASE, True, "feature vector contains non-finite values"),
+            (REWRITING, True, "feature vector contains non-finite values"),
+        ]
+        assert log.features == {}
 
     def test_features_of_planned_queries_feed_the_dataset(self, chain_db):
         queries = [("good", parse_query(CHAIN_SQL)), ("bad", parse_query(
@@ -156,7 +169,7 @@ class TestBuildDataset:
 
     def test_missing_features_raise(self):
         log = synthetic_log({"a": (1.0, 2.0)})
-        with pytest.raises(MissingStrategy):
+        with pytest.raises(SmashError, match="^query a lacks a feature vector$"):
             build_dataset(log, {})
 
 
@@ -172,9 +185,9 @@ def skipped_base_log(qid):
 def test_one_skipped_strategy_raises_in_dataset_and_e2e(chain_db):
     """Neither charges a skipped strategy 0 s; both raise alike."""
     log = skipped_base_log("q0")
-    with pytest.raises(MissingStrategy, match="q0 lacks a strategy measurement"):
+    with pytest.raises(SmashError, match="q0 lacks a strategy measurement"):
         build_dataset(log, {"q0": [0.0]})
-    with pytest.raises(MissingStrategy, match="q0 lacks a strategy measurement"):
+    with pytest.raises(SmashError, match="q0 lacks a strategy measurement"):
         smash_e2e(chain_db, [("q0", parse_query(CHAIN_SQL))],
                   constant_model(0.5), 0.0, log)
 

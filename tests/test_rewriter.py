@@ -15,7 +15,7 @@ from smash.engine import (
     evaluate_baseline,
     natural_join,
 )
-from smash.errors import ParseError, UndefinedIntermediate
+from smash.errors import ParseError, SmashError
 from smash.frontend import normalize, parse_query
 from smash.rewriter import (
     Statement,
@@ -240,7 +240,7 @@ class TestInterpretation:
         broken = StatementSequence([
             Statement("X", ("semijoin", "NOPE", "ALSO_NOPE")),
         ])
-        with pytest.raises(UndefinedIntermediate):
+        with pytest.raises(SmashError, match="^undefined intermediate 'NOPE'$"):
             interpret_sequence(broken, cq, chain_db)
 
     def test_a_drop_is_not_a_plan_form(self, chain_db):

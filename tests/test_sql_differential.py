@@ -20,7 +20,7 @@ import pytest
 from smash.acyclic import analyze
 from smash.augmentation import generate_two_regime_workload
 from smash.engine import _base_plan, evaluate_baseline
-from smash.errors import EngineError
+from smash.errors import SmashError
 from smash.frontend import normalize, parse_query, to_sql
 from smash.rewriter import StatementSequence, rewrite
 
@@ -143,7 +143,7 @@ def test_rendered_plans_match_base_and_the_original_query(workload):
             original = Counter(conn.execute(to_sql(spec)).fetchall())
             try:
                 base = result_multiset(evaluate_baseline(cq, db))
-            except EngineError:  # e.g. an empty aggregate, NULL on sqlite3
+            except SmashError:  # e.g. an empty aggregate, NULL on sqlite3
                 base = None
             for strategy, seq in plans.items():
                 got = _run_plan(conn, seq)

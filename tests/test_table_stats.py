@@ -28,7 +28,7 @@ from smash.engine import (
     load_database,
     save_database,
 )
-from smash.errors import UnknownAttribute
+from smash.errors import SmashError
 from smash.frontend import normalize, parse_query
 from smash.rewriter import rewrite
 
@@ -48,7 +48,7 @@ def _reference_atom_stats(cq, atom, db, shared):
     renaming = atom.renaming
     unknown = renaming.keys() - set(base.schema)
     if unknown:
-        raise UnknownAttribute(f"{atom.table} has no column {min(unknown)}")
+        raise SmashError(f"{atom.table} has no column {min(unknown)}")
     columns = {}  # class id -> base column indexes
     for i, col in enumerate(base.schema):
         columns.setdefault(renaming.get(col) or f"{atom.alias}.{col}", []).append(i)
