@@ -20,7 +20,7 @@ from itertools import chain, compress, repeat, starmap
 
 import numpy as np
 
-from .engine import _OPS, Database, Relation
+from .engine import _OPS, Database, Table
 from .errors import SmashError
 from .frontend import ColumnRef, QuerySpec, SelectAggregate
 
@@ -312,7 +312,7 @@ def _generate_one(rng, spec: WorkloadSpec, qid):
             schema.insert(0, edge_attr[node])
             payloads = _randrange_draws(rng, spec.payload_range, row_counts[node])
             columns = [parent_keys[node], *own_keys, payloads]
-        relations.append(Relation(table_names[node], schema, list(zip(*columns))))
+        relations.append(Table(table_names[node], schema, columns))
 
     tables = [(table_names[i], aliases[i]) for i in range(k)]
     join_conds = []

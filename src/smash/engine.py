@@ -1,8 +1,9 @@
 """In-memory bag-semantics relational engine.
 
-Relations are named schemas over multisets of tuples.  `Database.add`
-checks a table's rows once, as they enter a database; the operators build
-their outputs without a second check and count nothing.  The module
+A database stores each base table by column (`Table`); the relations the
+operators pass on are named schemas over multisets of row tuples.
+`Database.add` checks a table once, as it enters a database; the operators
+build their outputs without a second check and count nothing.  The module
 provides the basic operators (semi-join, natural join, projection,
 grouping), the one loop that runs a plan of statements on them and counts
 their work in an `OpCounter`, for Base's left-deep plan and the rewriter's
@@ -16,7 +17,6 @@ column its table lacks and raise the same filter errors.
 from __future__ import annotations
 
 import csv
-import json
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -24,7 +24,7 @@ from itertools import compress, repeat
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import SmashError
+from .errors import SmashError, json_object
 
 _OPS = {
     "=": operator.eq,
@@ -54,46 +54,56 @@ class Predicate:
         return _OPS[self.op](value, self.literal)
 
 
+def _position(name, schema, attr):
+    try:
+        return schema.index(attr)
+    except ValueError:
+        raise SmashError(f"{attr} not in {name}{tuple(schema)}")
+
+
 @dataclass(slots=True)
 class Relation:
     """A name, a schema and a list of row tuples as long as the schema.
 
-    A plain record: `Database.add` checks the rows of a table as they enter
-    a database, and the operators build rows that hold by construction.
+    A plain record: the operators build rows that hold by construction.
     """
 
     name: str
     schema: list
     rows: list = field(default_factory=list)
 
-    def column(self, attr):
-        idx = self._index(attr)
-        return [r[idx] for r in self.rows]
-
     def _index(self, attr):
-        try:
-            return self.schema.index(attr)
-        except ValueError:
-            raise SmashError(f"{attr} not in {self.name}{tuple(self.schema)}")
+        return _position(self.name, self.schema, attr)
 
     def __len__(self):
         return len(self.rows)
 
 
-_NDV_SAMPLE_ROWS = 512
+@dataclass(slots=True)
+class Table:
+    """A base table as a database stores it: a name, a schema and one list
+    per column, each holding the column's values in row order.
 
-
-def _prefix_ndv(rows, indexes):
-    """Distinct counts of the columns at `indexes` over the first
-    `_NDV_SAMPLE_ROWS` rows, one set per column.
-
-    A deterministic prefix keeps the count cheap on large tables.
+    `Database.add` checks a table as it enters a database; a table must not
+    change after that.  Planning and execution read the columns.
     """
-    sample = rows if len(rows) <= _NDV_SAMPLE_ROWS else rows[:_NDV_SAMPLE_ROWS]
-    counts = []
-    for i in indexes:
-        counts.append(len(set(map(operator.itemgetter(i), sample))))
-    return counts
+
+    name: str
+    schema: list
+    columns: list
+
+    def column(self, attr):
+        """The list of `attr`'s values, the table's own: not a copy."""
+        return self.columns[_position(self.name, self.schema, attr)]
+
+    @property
+    def rows(self):
+        """The row tuples, built anew on each read, for readers outside
+        planning and execution (an oracle, a digest)."""
+        return list(zip(*self.columns))
+
+
+_NDV_SAMPLE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -108,41 +118,46 @@ class TableStats:
 class Database:
     """Named base tables and their statistics.
 
-    `add` is the only way in: it checks each table's rows and records its
+    `add` is the only way in: it checks each table and records its
     `TableStats` once, so a table must not change after it is added.
     """
 
     tables: dict = field(default_factory=dict, init=False)
     stats: dict = field(default_factory=dict, init=False, repr=False)
 
-    def add(self, rel: Relation):
-        """Check `rel` and store it as the table `rel.name`.
+    def add(self, table: Table):
+        """Check `table` and store it as the table `table.name`.
 
-        The relation's schema becomes a list and its rows a new list of
-        tuples.  A duplicate attribute, or a row whose length is not the
-        schema's, raises SmashError naming the table.  The values stay the
-        objects given.  Both ways rows are made, the generator and
+        The schema becomes a list; the column lists are stored as given,
+        not copied.  A duplicate attribute, a column count other than the
+        schema's or columns of unequal length raise SmashError naming the
+        table.  Both ways tables are made, the generator and
         `load_database`, give a database one int object per key value, not
         one per occurrence: that saves memory on key columns, and a hash
         probe that hits compares equal keys by identity.
         """
-        if rel.name in self.tables:
-            raise SmashError(f"duplicate table {rel.name}")
-        schema = list(rel.schema)
+        name = table.name
+        if name in self.tables:
+            raise SmashError(f"duplicate table {name}")
+        schema = list(table.schema)
         if len(set(schema)) != len(schema):
-            raise SmashError(f"duplicate attribute in schema of {rel.name}")
-        rows = list(map(tuple, rel.rows))
-        if set(map(len, rows)) - {len(schema)}:
-            arity = next(n for n in map(len, rows) if n != len(schema))
+            raise SmashError(f"duplicate attribute in schema of {name}")
+        columns = table.columns
+        if len(columns) != len(schema):
             raise SmashError(
-                f"row arity {arity} != schema arity {len(schema)} "
-                f"in relation {rel.name}"
-            )
-        rel.schema, rel.rows = schema, rows
-        self.tables[rel.name] = rel
-        self.stats[rel.name] = TableStats(
-            ndv=dict(zip(schema, _prefix_ndv(rows, range(len(schema))))),
-            rows=len(rows),
+                f"{len(columns)} columns != schema arity {len(schema)} in table {name}")
+        n = len(columns[0]) if columns else 0
+        for attr, col in zip(schema, columns):
+            if len(col) != n:
+                raise SmashError(
+                    f"column {attr} has {len(col)} values, column {schema[0]} {n}, "
+                    f"in table {name}")
+        table.schema = schema
+        self.tables[name] = table
+        self.stats[name] = TableStats(
+            ndv={attr: len(set(col[:_NDV_SAMPLE_ROWS]))
+                 for attr, col in zip(schema, columns)},
+            rows=n,
         )
 
     def table(self, name):
@@ -292,23 +307,23 @@ _NUMBERS = frozenset((int, float))
 _PLAIN_TYPES = {int: _NUMBERS, float: _NUMBERS, str: frozenset((str,))}
 
 
-def _select(rows, index, pred):
-    """Rows whose value at `index` satisfies `pred`, tested a column at a time.
+def _select(values, positions, pred):
+    """The `positions` whose value in `values` (the column at those
+    positions, in order) satisfies `pred`, tested a column at a time.
 
-    Returns (kept rows, error).  When `pred.matches` raises on some row, the
-    error is the first such row's and only rows before it are kept: exactly
-    the rows a row-at-a-time filter compares with later predicates before it
-    raises.
+    Returns (kept positions, error).  When `pred.matches` raises on some
+    value, the error is the first such value's and only positions before it
+    are kept: exactly the rows a row-at-a-time filter compares with later
+    predicates before it raises.
     """
-    values = list(map(operator.itemgetter(index), rows))
     if set(map(type, values)) <= _PLAIN_TYPES.get(type(pred.literal), frozenset()):
         keep = map(_OPS[pred.op], values, repeat(pred.literal))
-        return list(compress(rows, keep)), None
+        return list(compress(positions, keep)), None
     kept = []
-    for row, value in zip(rows, values):
+    for position, value in zip(positions, values):
         try:
             if pred.matches(value):
-                kept.append(row)
+                kept.append(position)
         except Exception as exc:
             return kept, exc
     return kept, None
@@ -317,54 +332,56 @@ def _select(rows, index, pred):
 def _atom_rows(cq, atom, db: Database):
     """The one scan of a query atom, which execution and estimation share.
 
-    Returns (columns, rows).  `columns` maps each class id to the schema
+    Returns (classes, keep).  `classes` maps each class id to the schema
     positions of its attributes, in schema order; a column the renaming
-    does not name is the class `alias.col`.  `rows` are the base rows, in
-    the table's layout and order, that satisfy the intra-atom equalities
-    and then each predicate in query order (see `_select`).
+    does not name is the class `alias.col`.  `keep` holds the positions, in
+    table order, of the rows that satisfy the intra-atom equalities and then
+    each predicate in query order (see `_select`): a `range` of every row
+    when nothing is dropped.  The scan reads the table's columns and builds
+    no row, apart from the rows of an atom with an intra-atom equality.
     """
-    base = db.table(atom.table)
+    table = db.table(atom.table)
     renaming = atom.renaming
-    ndv = db.stats[atom.table].ndv
+    stats = db.stats[atom.table]
+    ndv = stats.ndv
     if not renaming.keys() <= ndv.keys():
         raise SmashError(
             f"{atom.table} has no column {min(renaming.keys() - ndv.keys())}")
-    columns = {}
-    for i, col in enumerate(base.schema):
+    classes = {}
+    for i, col in enumerate(table.schema):
         cid = renaming.get(col)
-        columns.setdefault(f"{atom.alias}.{col}" if cid is None else cid, []).append(i)
-    rows = base.rows
+        classes.setdefault(f"{atom.alias}.{col}" if cid is None else cid, []).append(i)
+    columns = table.columns
+    keep = range(stats.rows)
     dup = []
-    for ix in columns.values():
+    for ix in classes.values():
         if len(ix) > 1:
             dup.append(ix)
     if dup:  # intra-atom equalities
-        rows = [r for r in rows if all(len({r[i] for i in ix}) == 1 for ix in dup)]
+        keep = [k for k, r in enumerate(zip(*columns))
+                if all(len({r[i] for i in ix}) == 1 for ix in dup)]
     error = None
     for p in cq.filters.get(atom.alias, ()):
-        rows, exc = _select(rows, columns[p.attribute][0], p)
+        col = columns[classes[p.attribute][0]]
+        values = col if len(keep) == len(col) else list(map(col.__getitem__, keep))
+        keep, exc = _select(values, keep, p)
         if exc is not None:
             error = exc
     if error is not None:
         raise error
-    return columns, rows
+    return classes, keep
 
 
 def atom_relation(cq, atom, db: Database) -> Relation:
     """Renamed, filtered relation for one query atom: the atom's scan with
-    one column per join class, read at the class's first attribute.  When
-    every column is a class of its own, the scan's rows are kept as they
-    are, in a new list, so no result shares a table's list."""
-    columns, rows = _atom_rows(cq, atom, db)
-    if len(columns) < len(db.tables[atom.table].schema):
-        # a class of several columns: keep its first
-        firsts = [ix[0] for ix in columns.values()]
-        rows = [tuple(r[i] for i in firsts) for r in rows]
-    elif rows is db.tables[atom.table].rows:
-        # one class per column, in schema order: the base rows as they are,
-        # in a list of the result's own
-        rows = list(rows)
-    return Relation(atom.alias, list(columns), rows)
+    one column per join class, read at the class's first attribute.  Row
+    tuples are built only for the rows the scan keeps."""
+    classes, keep = _atom_rows(cq, atom, db)
+    table = db.tables[atom.table]
+    firsts = [table.columns[ix[0]] for ix in classes.values()]
+    if len(keep) < db.stats[atom.table].rows:
+        firsts = [list(map(col.__getitem__, keep)) for col in firsts]
+    return Relation(atom.alias, list(classes), list(zip(*firsts)))
 
 
 class Statement(NamedTuple):
@@ -470,12 +487,13 @@ def _atom_stats(cq, i, db: Database):
     An atom without filters and intra-atom equalities whose renaming names
     only columns of its table is that table renamed, so its counts are the
     table's ingestion `TableStats` and no row is read.  Any other atom
-    counts the rows of its scan, `_atom_rows`, over the same prefix sample
-    as the table's, a class at its first attribute.  Only classes shared
-    between atoms enter the join estimates, so distinct counts are limited
-    to those, in the renaming's order.  Whether the atom has an intra-atom
-    equality (fewer class bits than attributes) and which classes are
-    shared come from the query IR.
+    counts the rows its scan, `_atom_rows`, keeps, and distinct values on
+    the columns at those rows over the same prefix sample as the table's, a
+    class at its first attribute; it builds no row tuple.  Only classes
+    shared between atoms enter the join estimates, so distinct counts are
+    limited to those, in the renaming's order.  Whether the atom has an
+    intra-atom equality (fewer class bits than attributes) and which
+    classes are shared come from the query IR.
     """
     atom = cq.atoms[i]
     renaming = atom.renaming
@@ -492,14 +510,15 @@ def _atom_stats(cq, i, db: Database):
                 counts[cid] = ndv[attr]
         else:
             return stats.rows, counts
-    columns, rows = _atom_rows(cq, atom, db)
-    wanted = []
-    firsts = []
+    classes, keep = _atom_rows(cq, atom, db)
+    columns = db.tables[atom.table].columns
+    sample = keep[:_NDV_SAMPLE_ROWS]
+    counts = {}
     for cid in dict.fromkeys(renaming.values()):
         if cid in shared:
-            wanted.append(cid)
-            firsts.append(columns[cid][0])
-    return len(rows), dict(zip(wanted, _prefix_ndv(rows, firsts)))
+            col = columns[classes[cid][0]]
+            counts[cid] = len(set(map(col.__getitem__, sample)))
+    return len(keep), counts
 
 
 def estimate_cardinalities(cq, db: Database) -> EstimateSet:
@@ -510,9 +529,9 @@ def estimate_cardinalities(cq, db: Database) -> EstimateSet:
     over the first `_NDV_SAMPLE_ROWS` rows of an atom.  `Database.add`
     records them for every column of a base table once, so an atom without
     filters and intra-atom equalities reads them from there; other atoms
-    count them over the rows of their scan, the one `atom_relation` builds
-    its relation from, on each call.  A renamed column the table lacks
-    raises `SmashError`, as it does in execution.
+    count them on the columns, at the rows their scan keeps (the ones
+    `atom_relation` builds its relation from), on each call.  A renamed
+    column the table lacks raises `SmashError`, as it does in execution.
     """
     table_rows = []
     join_rows = []
@@ -571,13 +590,7 @@ def _sidecar_casts(schema_file, path, header):
     schema `schema_file` names.  A sidecar that is not a JSON object raises
     SmashError naming it; a column without a type, or an unknown type,
     raises SmashError naming the sidecar and the column."""
-    with open(schema_file) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SmashError(f"{schema_file}: not valid JSON: {exc}") from None
-    if not isinstance(spec, dict):
-        raise SmashError(f"{schema_file}: not a JSON object of column types")
+    spec = json_object(schema_file, "column types")
     casts = []
     for col in header:
         if col not in spec:
@@ -609,7 +622,7 @@ def _bad_value(path, col, cast, values):
     )
 
 
-def load_table(path, schema_file=None) -> Relation:
+def load_table(path, schema_file=None) -> Table:
     """Load a headered CSV; types inferred unless a sidecar schema is given.
 
     A file without a header, or a row with more or fewer fields than the
@@ -648,18 +661,18 @@ def _load_table(path, schema_file, ints):
             cast_columns.append(_cast_column(values, ints, cast))
         except ValueError:
             raise _bad_value(path, col, cast, values) from None
-    return Relation(path.stem, header, list(zip(*cast_columns)))
+    return Table(path.stem, header, cast_columns)
 
 
 def save_database(db: Database, directory):
     """Write each table as a headered CSV that load_database can read back."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for rel in db.tables.values():
-        with open(directory / f"{rel.name}.csv", "w", newline="") as fh:
+    for table in db.tables.values():
+        with open(directory / f"{table.name}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(rel.schema)
-            writer.writerows(rel.rows)
+            writer.writerow(table.schema)
+            writer.writerows(zip(*table.columns))
 
 
 def load_database(directory) -> Database:

@@ -33,7 +33,7 @@ from .engine import (
     _run,
     estimate_cardinalities,
 )
-from .errors import SmashError
+from .errors import SmashError, from_fields, json_object
 from .features import FeatureVector, extract_features
 from .frontend import NormalizedCQ, normalize
 from .ml import REWRITTEN, decide, label
@@ -111,10 +111,19 @@ class RunLog:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            payload = json.load(fh)
-        log = cls(config=RunConfig(**payload["config"]))
-        log.entries = [RunEntry(**e) for e in payload["entries"]]
+        """The run log `save` wrote to `path`.  Invalid JSON, keys other
+        than config and entries, entries that are not a list, or a config
+        or entry with a missing or unknown field raises SmashError naming
+        the file."""
+        payload = json_object(path, "run log fields")
+        if sorted(payload) != ["config", "entries"]:
+            raise SmashError(
+                f"{path}: a run log has the keys config and entries, "
+                f"not {', '.join(sorted(payload)) or 'none'}")
+        if not isinstance(payload["entries"], list):
+            raise SmashError(f"{path}: entries is not a JSON list")
+        log = cls(config=from_fields(RunConfig, payload["config"], path))
+        log.entries = [from_fields(RunEntry, e, path) for e in payload["entries"]]
         return log
 
 

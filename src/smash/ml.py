@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SmashError
+from .errors import SmashError, from_fields, json_object
 from .features import feature_names
 
 ORIGINAL = "Original"
@@ -619,15 +619,42 @@ def save_dataset(examples, path):
 
 
 def load_dataset(path):
+    """The examples of a CSV that `save_dataset` wrote.
+
+    An empty file, a header of fewer than three fields (the query id, the
+    features, two timings), a row whose width is not the header's, or a
+    cell other than the query id that is not a finite number raises
+    SmashError naming the file and the line.
+    """
     import csv
 
     examples = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise SmashError(f"{path}: empty file, no header")
+        if len(header) < 3:
+            raise SmashError(
+                f"{path}, line 1: {len(header)} fields, but a dataset has a "
+                "query id, the features and two timings")
         for row in reader:
+            if len(row) != len(header):
+                raise SmashError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, "
+                    f"but the header has {len(header)}")
             qid, *rest = row
-            values = [float(v) for v in rest]
+            values = []
+            for col, v in zip(header[1:], rest):
+                try:
+                    value = float(v)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise SmashError(
+                        f"{path}, line {reader.line_num}: column {col!r} "
+                        f"value {v!r} is not a finite number")
+                values.append(value)
             examples.append(label(qid, values[:-2], values[-2], values[-1]))
     return examples
 
@@ -648,9 +675,11 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path) as fh:
-        payload = json.load(fh)
+    """The model `save_model` wrote to `path`.  Invalid JSON, a kind other
+    than cart or knn, or a missing or unknown field raises SmashError
+    naming the file."""
+    payload = json_object(path, "model fields")
     kind = payload.pop("kind", None)
     if kind not in _MODEL_KINDS:
-        raise SmashError(f"unknown model kind {kind!r} in {path}")
-    return _MODEL_KINDS[kind](**payload)
+        raise SmashError(f"{path}: unknown model kind {kind!r}")
+    return from_fields(_MODEL_KINDS[kind], payload, path)

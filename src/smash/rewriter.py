@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
-from operator import itemgetter
 
 from .engine import Database, OpCounter, Statement, _run
 from .errors import SmashError
@@ -266,8 +265,7 @@ def _needs_cast(db, table, column, literal):
     engine compares as numbers only through a CAST (REAL keeps fractions)."""
     if db is None or isinstance(literal, str):
         return False
-    rel = db.table(table)
-    return any(isinstance(v, str) for v in map(itemgetter(rel._index(column)), rel.rows))
+    return any(isinstance(v, str) for v in db.table(table).column(column))
 
 
 def _semi_joined(left, right, columns):

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from smash.augmentation import WorkloadSpec, generate_workload
-from smash.engine import Database, Relation
+from smash.engine import Database, Table
 
 _OPS = {
     "=": operator.eq,
@@ -24,13 +24,21 @@ _OPS = {
 }
 
 
+def from_rows(name, schema, rows):
+    """The `Table` of `rows`, row tuples (or lists) as long as the schema,
+    stored by column as `Database.add` takes it."""
+    if not rows:
+        return Table(name, schema, [[] for _ in schema])
+    return Table(name, schema, [list(col) for col in zip(*rows, strict=True)])
+
+
 @pytest.fixture
 def chain_db():
     """R(a,b)-S(b,c)-T(c,d); exactly one joining combination (1,1,10,100)."""
     db = Database()
-    db.add(Relation("R", ["a", "b"], [(1, 1), (2, 5)]))
-    db.add(Relation("S", ["b", "c"], [(1, 10), (7, 11)]))
-    db.add(Relation("T", ["c", "d"], [(10, 100), (12, 101)]))
+    db.add(from_rows("R", ["a", "b"], [(1, 1), (2, 5)]))
+    db.add(from_rows("S", ["b", "c"], [(1, 10), (7, 11)]))
+    db.add(from_rows("T", ["c", "d"], [(10, 100), (12, 101)]))
     return db
 
 
@@ -41,14 +49,14 @@ CHAIN_SQL = "SELECT MIN(R.a) FROM R, S, T WHERE R.b = S.b AND S.c = T.c"
 def toy_db():
     """users/votes/badges in the flavor of a Q&A site schema."""
     db = Database()
-    db.add(Relation("users", ["Id", "DownVotes", "UpVotes"], [
+    db.add(from_rows("users", ["Id", "DownVotes", "UpVotes"], [
         (1, 0, 10), (2, 0, 3), (3, 10, 0), (4, 0, 7), (5, 2, 2),
     ]))
-    db.add(Relation("votes", ["Id", "UserId", "BountyAmount"], [
+    db.add(from_rows("votes", ["Id", "UserId", "BountyAmount"], [
         (100, 1, 0), (101, 1, 50), (102, 2, 0), (103, 3, 10),
         (104, 4, 0), (105, 4, 100),
     ]))
-    db.add(Relation("badges", ["Id", "UserId", "Name"], [
+    db.add(from_rows("badges", ["Id", "UserId", "Name"], [
         (200, 1, "gold"), (201, 2, "silver"), (202, 2, "gold"),
         (203, 5, "bronze"),
     ]))

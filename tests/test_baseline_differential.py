@@ -35,7 +35,7 @@ from smash.engine import (
 from smash.errors import SmashError
 from smash.frontend import normalize, parse_query
 
-from conftest import CHAIN_SQL, random_specs, selector_wide
+from conftest import CHAIN_SQL, from_rows, random_specs, selector_wide
 
 # ---------------------------------------------------------------------------
 # the oracle
@@ -116,9 +116,9 @@ def test_benchmark_workloads(workload):
 
 def test_raising_queries():
     db = Database()
-    db.add(Relation("T", ["a", "b"], [(5, "s"), ("t", 3), (1, 1)]))
-    db.add(Relation("V", ["a", "b"], [(1, "s"), (2, 5), (3, 7)]))
-    db.add(Relation("W", ["a", "s"], [(1, "x"), (2, "y")]))
+    db.add(from_rows("T", ["a", "b"], [(5, "s"), ("t", 3), (1, 1)]))
+    db.add(from_rows("V", ["a", "b"], [(1, "s"), (2, 5), (3, 7)]))
+    db.add(from_rows("W", ["a", "s"], [(1, "x"), (2, "y")]))
     specs = [parse_query(sql) for sql in (
         # the second atom's filter fails after the first scan
         "SELECT V.a FROM V, T WHERE V.a = T.a AND T.b > 0",

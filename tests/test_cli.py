@@ -231,6 +231,59 @@ class TestRejectedInput:
         err = self.error(capsys, ["parse", str(tmp_path / "q")])
         assert err == "error: unexpected character '/' (line 1, column 1)"
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("text, message", [
+        ("", "{path}: empty file, no header"),
+        ("a,b\n1,2\n", "{path}, line 1: 2 fields, but a dataset has a query id, "
+                       "the features and two timings"),
+        ("query_id,f0,t_original,t_rewritten\nq1,1,2,3\nq2,1,2\n",
+         "{path}, line 3: 3 fields, but the header has 4"),
+        ("query_id,f0,t_original,t_rewritten\nq1,x,2,3\n",
+         "{path}, line 2: column 'f0' value 'x' is not a finite number"),
+        ("query_id,f0,t_original,t_rewritten\nq1,1,2,3\nq2,1,nan,3\n",
+         "{path}, line 3: column 't_original' value 'nan' is not a finite number"),
+    ], ids=["empty", "narrow", "ragged", "non-numeric", "non-finite"])
+    def test_malformed_dataset(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        model = "--out" if command == "train" else "--model"
+        err = self.error(capsys, [command, "--dataset", str(path),
+                                  model, str(tmp_path / "m.json")])
+        assert err == "error: " + message.format(path=path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "{path}: not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "{path}: not a JSON object of model fields"),
+        ('{"kind": "forest"}', "{path}: unknown model kind 'forest'"),
+        ('{"kind": "cart"}',
+         "{path}: CartModel lacks task, tree, importances, feature_names, n_features"),
+        ('{"kind": "knn", "task": "classify", "k": 1, "mean": [], "scale": [], '
+         '"points": [], "targets": [], "n_features": 0, "depth": 3}',
+         "{path}: KnnModel has no field depth"),
+    ], ids=["invalid", "list", "kind", "missing", "unknown"])
+    def test_malformed_model(self, capsys, tmp_path, data_dir, text, message):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        err = self.error(capsys, ["--data-dir", data_dir, "decide", CHAIN_SQL,
+                                  "--model", str(path)])
+        assert err == "error: " + message.format(path=path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "{path}: not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("3", "{path}: not a JSON object of run log fields"),
+        ('{"entries": []}', "{path}: a run log has the keys config and entries, not entries"),
+        ('{"config": {}, "entries": {}}', "{path}: entries is not a JSON list"),
+        ('{"config": [], "entries": []}', "{path}: RunConfig is not a JSON object"),
+        ('{"config": {"repeat": 2}, "entries": []}', "{path}: RunConfig has no field repeat"),
+        ('{"config": {}, "entries": [{"query_id": "q"}]}', "{path}: RunEntry lacks strategy"),
+    ], ids=["invalid", "number", "keys", "entries", "config", "unknown", "missing"])
+    def test_malformed_runlog(self, capsys, tmp_path, text, message):
+        path = tmp_path / "log.json"
+        path.write_text(text)
+        err = self.error(capsys, ["significance", "--runlog", str(path),
+                                  "Base", "Rewriting"])
+        assert err == "error: " + message.format(path=path)
+
 
 class TestModelCommands:
     @pytest.fixture

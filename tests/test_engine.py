@@ -10,6 +10,7 @@ from smash.engine import (
     OpCounter,
     Predicate,
     Relation,
+    Table,
     _select,
     atom_relation,
     estimate_cardinalities,
@@ -28,7 +29,7 @@ from smash.frontend import parse_query, normalize
 from smash.harness import BASE, REWRITING, RunConfig, run_workload
 from smash.rewriter import Statement, StatementSequence, interpret_sequence, rewrite
 
-from conftest import CHAIN_SQL, oracle_rows, result_multiset
+from conftest import CHAIN_SQL, from_rows, oracle_rows, result_multiset
 
 
 def rel(name, schema, rows):
@@ -36,42 +37,51 @@ def rel(name, schema, rows):
 
 
 class TestDatabaseAdd:
-    """Rows are checked once, as a table enters a database."""
+    """A table is checked once, as it enters a database."""
 
     def test_duplicate_schema_rejected(self):
         with pytest.raises(ValueError):
-            Database().add(rel("x", ["a", "a"], []))
+            Database().add(from_rows("x", ["a", "a"], []))
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Database().add(rel("x", ["a", "b"], [(1,)]))
+            Database().add(from_rows("x", ["a", "b"], [(1,)]))
 
     def test_list_rows_are_stored_as_tuples(self):
         rows = [[1, "u"], [2, "v"]]
         db = Database()
-        db.add(rel("x", ("a", "b"), rows))
+        db.add(from_rows("x", ("a", "b"), rows))
         table = db.table("x")
         assert table.schema == ["a", "b"]
         assert table.rows == [(1, "u"), (2, "v")]  # a list never equals a tuple
         assert table.rows is not rows
 
+    def test_columns_are_stored_as_given(self):
+        columns = [[1, 1000, 1000], ["u", "v", "u"]]
+        db = Database()
+        db.add(Table("x", ["a", "b"], columns))
+        table = db.table("x")
+        assert table.columns is columns
+        assert db.stats["x"].ndv == {"a": 2, "b": 2} and db.stats["x"].rows == 3
+
     def test_ragged_row_names_the_table(self):
         db = Database()
-        with pytest.raises(ValueError, match="arity 3 != schema arity 2 in relation ragged"):
-            db.add(rel("ragged", ["a", "b"], [(1, 2), (3, 4, 5), (6, 7)]))
+        with pytest.raises(ValueError, match="^column b has 2 values, column a 3, in table ragged$"):
+            db.add(Table("ragged", ["a", "b"], [[1, 3, 6], [2, 4]]))
         assert "ragged" not in db.tables
 
 
 class TestRelation:
     def test_unknown_attribute(self):
-        with pytest.raises(SmashError, match=r"^b not in x\('a',\)$"):
-            rel("x", ["a"], [(1,)]).column("b")
+        for named in (rel("x", ["a"], [(1,)])._index, from_rows("x", ["a"], [(1,)]).column):
+            with pytest.raises(SmashError, match=r"^b not in x\('a',\)$"):
+                named("b")
 
 
 class TestOperators:
     def test_filter_keeps_duplicates(self):
         db = Database()
-        db.add(rel("x", ["a"], [(1,), (1,), (2,)]))
+        db.add(from_rows("x", ["a"], [(1,), (1,), (2,)]))
         for sql, expected in [("SELECT x.a FROM x WHERE x.a >= 1", [(1,), (1,), (2,)]),
                               ("SELECT x.a FROM x WHERE x.a = 1", [(1,), (1,)])]:
             cq = normalize(parse_query(sql), db)
@@ -108,9 +118,9 @@ class TestOperators:
     def test_op_counter(self):
         """The statement loop counts every counted form of a plan."""
         db = Database()
-        db.add(rel("R", ["a", "b"], [(1, 1), (1, 2), (2, 2), (3, 9)]))
-        db.add(rel("S", ["b", "c"], [(1, 5), (2, 5), (2, 6), (4, 7)]))
-        db.add(rel("T", ["c", "d"], [(5, 0), (6, 0), (6, 1)]))
+        db.add(from_rows("R", ["a", "b"], [(1, 1), (1, 2), (2, 2), (3, 9)]))
+        db.add(from_rows("S", ["b", "c"], [(1, 5), (2, 5), (2, 6), (4, 7)]))
+        db.add(from_rows("T", ["c", "d"], [(5, 0), (6, 0), (6, 1)]))
         cq = normalize(parse_query(
             "SELECT R.a, COUNT(*) FROM R, S, T "
             "WHERE R.b = S.b AND S.c = T.c AND R.a <= 2 GROUP BY R.a"), db)
@@ -178,7 +188,7 @@ class TestEvaluation:
         # an atom scan keeps the base rows of a table whose columns are all
         # classes of their own; each result must still own its list
         db = Database()
-        db.add(rel("x", ["a", "b"], [(1, 2), (1, 2), (3, 4)]))
+        db.add(from_rows("x", ["a", "b"], [(1, 2), (1, 2), (3, 4)]))
         table = db.table("x")
         before = list(table.rows)
         cq = normalize(parse_query("SELECT x.a, x.b FROM x"), db)
@@ -200,8 +210,8 @@ class TestEvaluation:
 class TestEstimates:
     def test_join_estimate_formula(self):
         db = Database()
-        db.add(rel("A", ["x"], [(1,), (2,), (3,), (3,)]))  # 4 rows, ndv 3
-        db.add(rel("B", ["x", "y"], [(1, 1), (2, 1)]))  # 2 rows, ndv 2
+        db.add(from_rows("A", ["x"], [(1,), (2,), (3,), (3,)]))  # 4 rows, ndv 3
+        db.add(from_rows("B", ["x", "y"], [(1, 1), (2, 1)]))  # 2 rows, ndv 2
         spec = parse_query("SELECT MIN(B.y) FROM A, B WHERE A.x = B.x")
         est = estimate_cardinalities(normalize(spec, db), db)
         assert est.table_rows == [4, 2]
@@ -227,10 +237,10 @@ class TestFilterTypes:
     @pytest.fixture
     def mixed_db(self):
         db = Database()
-        db.add(rel("T", ["a", "b"], [(5, "s"), ("t", 3), (1, 1)]))
-        db.add(rel("B", ["f", "n"], [(True, 1), (False, 0), (True, 2)]))
-        db.add(rel("U", ["a", "b"], [("s", 5), (3, "t"), (2, 2)]))
-        db.add(rel("V", ["a", "b"], [(1, "s"), (2, 5), (3, 7)]))
+        db.add(from_rows("T", ["a", "b"], [(5, "s"), ("t", 3), (1, 1)]))
+        db.add(from_rows("B", ["f", "n"], [(True, 1), (False, 0), (True, 2)]))
+        db.add(from_rows("U", ["a", "b"], [("s", 5), (3, "t"), (2, 2)]))
+        db.add(from_rows("V", ["a", "b"], [(1, "s"), (2, 5), (3, 7)]))
         return db
 
     @staticmethod
@@ -315,9 +325,9 @@ class TestFilterTypes:
 
     def test_select_returns_the_error_of_a_bool_literal(self):
         # strings are plain for a str literal, not for a bool one
-        rows = [("s",), ("t",)]
-        assert _select(rows, 0, Predicate("a", "!=", True)) == (rows, None)
-        kept, exc = _select(rows, 0, Predicate("a", "<", True))
+        values = ["s", "t"]
+        assert _select(values, range(2), Predicate("a", "!=", True)) == ([0, 1], None)
+        kept, exc = _select(values, range(2), Predicate("a", "<", True))
         assert kept == [] and isinstance(exc, TypeError)
 
 
@@ -337,9 +347,9 @@ class TestPersistence:
 
     def test_round_trip_keeps_rows_and_types(self, tmp_path):
         db = Database()
-        db.add(Relation("mixed", ["i", "f", "s", "n"], [
+        db.add(from_rows("mixed", ["i", "f", "s", "n"], [
             (1, 0.5, "a", -3), (20, 1e-07, "3x", 0), (-4, 2.0, "", 7)]))
-        db.add(Relation("empty", ["x", "y"], []))
+        db.add(from_rows("empty", ["x", "y"], []))
         save_database(db, tmp_path)
         back = load_database(tmp_path)
         for name, rel in db.tables.items():

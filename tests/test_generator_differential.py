@@ -3,9 +3,10 @@
 `oracle_generate_one` is the generator as it was before its row building
 drew each table's payloads and dangling draws in batches, kept verbatim
 (renamed, with its `_tree_parents`): one `randrange` or `random()` call
-per row and one `tuple([...])` per row.  The generator must make the same
-draws in the same order, so for every spec and seed both give the same
-tables (names, schemas, rows in order, value types) and the same queries.
+per row and one `tuple([...])` per row, the rows turned into a `Table`
+only at the end.  The generator must make the same draws in the same
+order, so for every spec and seed both give the same tables (names,
+schemas, rows in order, value types) and the same queries.
 """
 
 import random
@@ -21,8 +22,9 @@ from smash.augmentation import (
     generate_two_regime_workload,
     generate_workload,
 )
-from smash.engine import Relation
 from smash.frontend import ColumnRef, QuerySpec, SelectAggregate, to_sql
+
+from conftest import from_rows
 
 REPO = Path(__file__).resolve().parent.parent
 SHAPES = ("random", "star", "chain")
@@ -110,7 +112,7 @@ def oracle_generate_one(rng, spec: WorkloadSpec, qid):
                 )
                 for pk, own in rows_of[node]
             ]
-        relations.append(Relation(table_names[node], schema, rows))
+        relations.append(from_rows(table_names[node], schema, rows))
 
     tables = [(table_names[i], aliases[i]) for i in range(k)]
     join_conds = []

@@ -24,7 +24,7 @@ from smash.acyclic import (
     analyze,
     check_connectedness,
 )
-from smash.engine import Database, Relation
+from smash.engine import Database
 from smash.errors import SmashError
 from smash.frontend import (
     ColumnRef,
@@ -35,6 +35,7 @@ from smash.frontend import (
     to_sql,
 )
 
+from conftest import from_rows
 from test_plan_equivalence import corpus
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def _hypergraph_cq(edges, needed, fn, distinct):
     db = Database()
     holders = {}
     for i, edge in enumerate(edges):
-        db.add(Relation(f"t{i}", [f"c{j}" for j in sorted(edge)]))
+        db.add(from_rows(f"t{i}", [f"c{j}" for j in sorted(edge)], []))
         for j in sorted(edge):
             holders.setdefault(j, []).append(i)
     joins = [(ColumnRef(f"a{x}", f"c{j}"), ColumnRef(f"a{y}", f"c{j}"))

@@ -7,16 +7,21 @@ int values.  Values, types and row order stay those of the rows generated
 or saved; floats are not interned, so 0.0 and -0.0 stay apart.
 """
 
+import gc
 import math
+import operator
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from smash import augmentation
 from smash.augmentation import WorkloadSpec, generate_two_regime_workload, generate_workload
-from smash.engine import Database, Relation, load_database, load_table, save_database
+from smash.engine import Database, Table, load_database, load_table, save_database
+
+from conftest import from_rows
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -57,7 +62,7 @@ def test_tables_that_outgrow_the_pool_still_share(shape):
 
 def test_csv_round_trip_keeps_rows_types_and_sharing(tmp_path):
     db, _ = generate_two_regime_workload(7, 24)
-    db.add(Relation("mixed", ["i", "f", "s"], [
+    db.add(from_rows("mixed", ["i", "f", "s"], [
         (256, 1000.0, "1000"), (-5, 0.5, "x"), (256, -0.0, "")]))
     save_database(db, tmp_path)
     back = load_database(tmp_path)
@@ -81,7 +86,7 @@ def test_one_table_shares_its_ints_across_columns(tmp_path):
 @pytest.mark.parametrize("sidecar", [False, True])
 def test_float_zeros_keep_their_signs(tmp_path, sidecar):
     db = Database()
-    db.add(Relation("F", ["f", "i"], [(0.0, 0), (-0.0, 0), (-0.0, 1), (0.0, 1)]))
+    db.add(from_rows("F", ["f", "i"], [(0.0, 0), (-0.0, 0), (-0.0, 1), (0.0, 1)]))
     save_database(db, tmp_path)
     if sidecar:
         (tmp_path / "F.schema.json").write_text('{"f": "float64", "i": "int64"}')
@@ -108,3 +113,27 @@ def test_pool_grown_from_many_threads_holds_each_key_at_its_index(monkeypatch):
             assert augmentation._KEYS == list(range(4 * 2999 + 3))
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_two_regime_tables_are_stored_by_column():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        db, _ = generate_two_regime_workload(42, 240)
+        gc.collect()
+        held_mb = tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert held_mb < 40  # 72.2 MB when each row was a tuple
+    keys = augmentation._KEYS
+    for name, table in db.tables.items():
+        assert type(table) is Table and all(type(c) is list for c in table.columns)
+        *key_columns, payloads = table.columns
+        assert table.schema[-1] == "v"
+        for col in key_columns:
+            assert all(map(operator.is_, col, map(keys.__getitem__, col))), name
+        # a table's own keys, one column per child edge, are one list
+        own = key_columns if name.endswith("_t0") else key_columns[1:]
+        assert len(set(map(id, own))) <= 1, name
+    roots = [t for name, t in db.tables.items() if name.endswith("_t0")]
+    assert sum(len(t.columns) > 2 for t in roots) > 100

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import chain
 
-from smash.engine import Aggregate, Database, Predicate, Relation
+from smash.engine import Aggregate, Database, Predicate
 from smash.frontend import (
     Atom,
     ColumnRef,
@@ -26,6 +26,8 @@ from smash.frontend import (
     SelectAggregate,
     normalize,
 )
+
+from conftest import from_rows
 
 # ---------------------------------------------------------------------------
 # the oracle
@@ -220,7 +222,7 @@ def _spec(rng):
             for _ in range(rng.randint(1, 2))]
     db = Database()
     for t in range(3):
-        db.add(Relation(f"t{t}", _ATTRS[:rng.randint(2, 4)], []))
+        db.add(from_rows(f"t{t}", _ATTRS[:rng.randint(2, 4)], []))
     return spec, db
 
 

@@ -27,14 +27,14 @@ from pathlib import Path
 
 from smash.acyclic import analyze
 from smash.augmentation import generate_two_regime_workload
-from smash.engine import Database, Relation, estimate_cardinalities
+from smash.engine import Database, estimate_cardinalities
 from smash.features import FeatureVector, extract_features
 from smash.frontend import normalize, parse_query, to_sql
 from smash.harness import plan_query
 from smash.ml import CartModel, decide
 from smash.rewriter import rewrite
 
-from conftest import random_specs, selector_wide
+from conftest import from_rows, random_specs, selector_wide
 
 FIXTURE = Path(__file__).resolve().parent / "plan_digests.json"
 STAGES = ("spec", "cq", "tree", "est", "features", "statements", "sql")
@@ -55,10 +55,10 @@ _HAND_SQL = [
 
 def _hand_db():
     db = Database()
-    db.add(Relation("P", ["id", "name", "score"], [
+    db.add(from_rows("P", ["id", "name", "score"], [
         (1, "a", 3), (2, "b", "n/a"), (3, "it's", 7), (4, "c", 1.5),
     ]))
-    db.add(Relation("Q", ["pid", "qty"], [(1, 1), (1, 4), (3, 3), (4, 4), (5, 2)]))
+    db.add(from_rows("Q", ["pid", "qty"], [(1, 1), (1, 4), (3, 3), (4, 4), (5, 2)]))
     return db
 
 

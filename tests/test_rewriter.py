@@ -9,7 +9,6 @@ from smash.acyclic import analyze
 from smash.augmentation import generate_two_regime_workload
 from smash.engine import (
     Database,
-    Relation,
     _base_plan,
     atom_relation,
     evaluate_baseline,
@@ -27,6 +26,7 @@ from smash.rewriter import (
 
 from conftest import (
     CHAIN_SQL,
+    from_rows,
     oracle_rows,
     random_specs,
     result_multiset,
@@ -169,7 +169,7 @@ class TestEmission:
 
     def test_cast_for_string_typed_numeric_comparison(self):
         db = Database()
-        db.add(Relation("votes", ["Id", "BountyAmount"], [(1, "50"), (2, "0")]))
+        db.add(from_rows("votes", ["Id", "BountyAmount"], [(1, "50"), (2, "0")]))
         _, _, seq = rewritten(
             "SELECT MIN(v.Id) FROM votes AS v WHERE v.BountyAmount >= 40", db
         )
@@ -179,7 +179,7 @@ class TestEmission:
         # a float below the literal's next integer: CAST(... AS INTEGER)
         # would truncate 1.5 to 1 and drop id 1
         db = Database()
-        db.add(Relation("P", ["id", "score"], [(1, 1.5), (2, "n/a"), (3, 7)]))
+        db.add(from_rows("P", ["id", "score"], [(1, 1.5), (2, "n/a"), (3, 7)]))
         sql = "SELECT P.id FROM P WHERE P.id != 2 AND P.score > 1"
         cq, _, seq = rewritten(sql, db)
         (view,) = [t for t in seq.render() if t.startswith("CREATE VIEW")]

@@ -32,7 +32,7 @@ from smash.errors import SmashError
 from smash.frontend import normalize, parse_query
 from smash.rewriter import rewrite
 
-from conftest import random_specs, selector_wide
+from conftest import from_rows, random_specs, selector_wide
 from test_plan_equivalence import _HAND_SQL, _hand_db
 
 
@@ -100,7 +100,7 @@ def _reference_atom_relation(cq, atom, db):
 
 
 class CountingRows(list):
-    """Rows that count every iteration and indexing of the list."""
+    """A stored column that counts every iteration and indexing of it."""
 
     reads = 0
 
@@ -138,8 +138,8 @@ def test_stored_counts_equal_prefix_distinct_counts(name, db):
 
 def test_stored_counts_survive_save_and_load(tmp_path):
     db = _hand_db()
-    db.add(Relation("Big", ["k", "v"], [(i % 700, i // 3) for i in range(2000)]))
-    db.add(Relation("Empty", ["x", "y"], []))
+    db.add(from_rows("Big", ["k", "v"], [(i % 700, i // 3) for i in range(2000)]))
+    db.add(from_rows("Empty", ["x", "y"], []))
     save_database(db, tmp_path)
     back = load_database(tmp_path)
     _assert_stats_match_rows(back)
@@ -153,8 +153,8 @@ def test_tables_enter_only_through_add():
 
 
 def _counted(db):
-    for rel in db.tables.values():
-        rel.rows = CountingRows(rel.rows)
+    for table in db.tables.values():
+        table.columns = list(map(CountingRows, table.columns))
     CountingRows.reads = 0
     return db
 
@@ -189,10 +189,10 @@ def test_rewrite_reads_no_row_and_rendering_decides_the_cast():
 
 # intra-atom equalities over values that compare equal across types
 _EQUALITY_DB = [
-    Relation("E", ["a", "b", "c"], [
+    from_rows("E", ["a", "b", "c"], [
         (1, 1.0, "x"), (1, True, "y"), (2, 2, 3), (0, False, "z"), (5, 6, 7),
     ]),
-    Relation("F", ["a", "d"], [(1, 1), (2, 2), (0, 9)]),
+    from_rows("F", ["a", "d"], [(1, 1), (2, 2), (0, 9)]),
 ]
 _EQUALITY_SQL = [
     "SELECT MIN(E.c) FROM E, F WHERE E.a = E.b AND E.a = F.a",
@@ -204,7 +204,7 @@ _EQUALITY_SQL = [
 
 # bool and numpy.float64 columns, which `_select` filters a row at a time
 _TYPED_DB = [
-    Relation("G", ["b", "x", "m", "k"], [
+    from_rows("G", ["b", "x", "m", "k"], [
         (True, np.float64(1.5), 1, 1), (False, np.float64("nan"), True, 2),
         (True, np.float64(-0.0), 2.5, 3), (False, np.float64(3.0), 0, 4),
     ]),
