@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import operator
 import random
-import threading
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat, starmap
+from itertools import compress, repeat, starmap
 
 import numpy as np
 
-from .engine import _OPS, Database, Table
+from .engine import _OPS, Database, Table, int_typecode
 from .errors import SmashError
 from .frontend import ColumnRef, QuerySpec, SelectAggregate
 
@@ -200,26 +200,6 @@ def _tree_parents(rng, k, shape):
     return [None] + [rng.randrange(i) for i in range(1, k)]
 
 
-# the keys 0, 1, 2, ... that every generated table slices its keys from
-_KEYS = []
-_KEYS_LOCK = threading.Lock()
-
-
-def _key_pool(n):
-    """`_KEYS`, grown on demand to hold at least the keys 0 .. n-1.
-
-    A database then holds one int object per key value instead of one per
-    occurrence: a child table's parent keys and its parent's own keys are
-    the same objects, which saves memory and lets a hash probe that hits
-    compare keys by identity.  The list keeps its largest size, the row
-    count of the largest table generated so far.
-    """
-    if len(_KEYS) < n:
-        with _KEYS_LOCK:
-            _KEYS.extend(range(len(_KEYS), n))
-    return _KEYS
-
-
 def _randrange_draws(rng, n, count):
     """`count` values of `rng.randrange(n)`, drawn as it draws them.
 
@@ -240,6 +220,17 @@ def _randrange_draws(rng, n, count):
     return values
 
 
+def _payloads(rng, spec: WorkloadSpec, count):
+    """`count` `_randrange_draws` below `spec.payload_range`, as an array of
+    its narrowest typecode, or a list beyond 64 bits (a byte array is built
+    from `bytes`, 3× faster than from the list)."""
+    values = _randrange_draws(rng, spec.payload_range, count)
+    code = int_typecode(0, spec.payload_range - 1)
+    if code is None:
+        return values
+    return array(code, bytes(values) if code == "B" else values)
+
+
 def _generate_one(rng, spec: WorkloadSpec, qid):
     """One tree-shaped query over `k` tables of its own, drawn from `rng`.
 
@@ -248,7 +239,8 @@ def _generate_one(rng, spec: WorkloadSpec, qid):
     breadth-first order, its fanout and one `random()` per non-core row of
     its parent; then the other tables' payloads in table order; then the
     filter and the output.  Change that order, or the number of draws, and
-    the tables and queries of every seed change.
+    the tables and queries of every seed change.  Own keys are a `range`;
+    parent keys and payloads arrays of the narrowest typecode for their bound.
     """
     k = rng.randint(*spec.n_relations)
     parents = _tree_parents(rng, k, spec.shape)
@@ -271,7 +263,7 @@ def _generate_one(rng, spec: WorkloadSpec, qid):
     # a few "core" rows always join through every table, so query results
     # are never empty regardless of the dangling fraction
     core_rows = {0: set(range(min(2, n_root)))}
-    root_payloads = _randrange_draws(rng, spec.payload_range, n_root)
+    root_payloads = _payloads(rng, spec, n_root)
     queue = list(children[0])
     while queue:
         node = queue.pop(0)
@@ -293,8 +285,9 @@ def _generate_one(rng, spec: WorkloadSpec, qid):
                         repeat(dangling)))
         for key in core:
             keep.insert(key, True)
-        kept = list(compress(_key_pool(n_parent), keep))
-        parent_keys[node] = list(chain.from_iterable(map(repeat, kept, repeat(fanout))))
+        kept = list(compress(range(n_parent), keep))
+        code = int_typecode(0, n_parent - 1)
+        parent_keys[node] = array(code, np.repeat(np.array(kept, code), fanout).tobytes())
         row_counts[node] = len(parent_keys[node])
         core_rows[node] = {kept.index(key) * fanout for key in core}
         queue.extend(children[node])
@@ -303,14 +296,13 @@ def _generate_one(rng, spec: WorkloadSpec, qid):
     for node in range(k):
         # one key column per child edge, equal to the row's own key, and a
         # payload column; a child table leads with its parent key
-        keys = _key_pool(row_counts[node])[:row_counts[node]]
-        own_keys = [keys] * len(children[node])
+        own_keys = [range(row_counts[node])] * len(children[node])
         schema = [edge_attr[c] for c in children[node]] + ["v"]
         if node == 0:
             columns = [*own_keys, root_payloads]
         else:
             schema.insert(0, edge_attr[node])
-            payloads = _randrange_draws(rng, spec.payload_range, row_counts[node])
+            payloads = _payloads(rng, spec, row_counts[node])
             columns = [parent_keys[node], *own_keys, payloads]
         relations.append(Table(table_names[node], schema, columns))
 
@@ -351,10 +343,7 @@ def _generate_one(rng, spec: WorkloadSpec, qid):
 def generate_workload(spec: WorkloadSpec):
     """Seeded database + query list; identical seeds reproduce both.
 
-    Every key column holds `_key_pool`'s objects, so the database holds one
-    int object per key value.  Payloads lie below `spec.payload_range`, so
-    with a range up to 257 (the default is 100) they are the ints CPython
-    caches, and every int value of the database has one object.
+    Every int column is compact (see `_generate_one`).
     """
     db = Database()
     return db, _add_workload(db, spec)

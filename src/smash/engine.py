@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import operator
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, repeat
@@ -81,9 +82,10 @@ class Relation:
 
 @dataclass(slots=True)
 class Table:
-    """A base table as a database stores it: a name, a schema and one list
-    per column, each holding the column's values in row order.
-
+    """A base table as a database stores it: a name, a schema and one
+    column per attribute in row order, an int column compactly as a `range`
+    or an `array.array` (see `int_typecode`), any other as a list.  Readers
+    use only len, indexing, slicing and iteration, so all three read alike.
     `Database.add` checks a table as it enters a database; a table must not
     change after that.  Planning and execution read the columns.
     """
@@ -93,7 +95,7 @@ class Table:
     columns: list
 
     def column(self, attr):
-        """The list of `attr`'s values, the table's own: not a copy."""
+        """`attr`'s column, the table's own: not a copy."""
         return self.columns[_position(self.name, self.schema, attr)]
 
     @property
@@ -101,6 +103,18 @@ class Table:
         """The row tuples, built anew on each read, for readers outside
         planning and execution (an oracle, a digest)."""
         return list(zip(*self.columns))
+
+
+def int_typecode(lo, hi):
+    """The narrowest `array` typecode whose items hold every int from `lo`
+    to `hi`: unsigned unless `lo` is negative; None when no 64-bit type
+    holds them, so the column stays a list."""
+    for code in "BbHhIiQq":  # narrowest first, unsigned before signed
+        bits = 8 * array(code).itemsize
+        least = 0 if code.isupper() else -(1 << bits - 1)
+        if least <= lo and hi < least + (1 << bits):
+            return code
+    return None
 
 
 _NDV_SAMPLE_ROWS = 512
@@ -128,13 +142,11 @@ class Database:
     def add(self, table: Table):
         """Check `table` and store it as the table `table.name`.
 
-        The schema becomes a list; the column lists are stored as given,
-        not copied.  A duplicate attribute, a column count other than the
-        schema's or columns of unequal length raise SmashError naming the
-        table.  Both ways tables are made, the generator and
-        `load_database`, give a database one int object per key value, not
-        one per occurrence: that saves memory on key columns, and a hash
-        probe that hits compares equal keys by identity.
+        The schema becomes a list; the columns (see `Table`) are stored as
+        given, not copied or converted.  A duplicate attribute, a column
+        count other than the schema's, a column that is not a list, array
+        or range, or columns of unequal length raise SmashError naming the
+        table, and leave the database as it was.
         """
         name = table.name
         if name in self.tables:
@@ -146,19 +158,25 @@ class Database:
         if len(columns) != len(schema):
             raise SmashError(
                 f"{len(columns)} columns != schema arity {len(schema)} in table {name}")
+        for attr, col in zip(schema, columns):
+            if not isinstance(col, (list, array, range)):
+                raise SmashError(
+                    f"column {attr} of table {name} is a {type(col).__name__}, "
+                    f"not a list, array or range")
         n = len(columns[0]) if columns else 0
         for attr, col in zip(schema, columns):
             if len(col) != n:
                 raise SmashError(
                     f"column {attr} has {len(col)} values, column {schema[0]} {n}, "
                     f"in table {name}")
-        table.schema = schema
-        self.tables[name] = table
-        self.stats[name] = TableStats(
+        stats = TableStats(
             ndv={attr: len(set(col[:_NDV_SAMPLE_ROWS]))
                  for attr, col in zip(schema, columns)},
             rows=n,
         )
+        table.schema = schema
+        self.tables[name] = table
+        self.stats[name] = stats
 
     def table(self, name):
         if name not in self.tables:
@@ -565,11 +583,10 @@ def estimate_cardinalities(cq, db: Database) -> EstimateSet:
 # table ingestion
 # ---------------------------------------------------------------------------
 
-def _cast_column(values, ints, cast=None):
+def _cast_column(values, cast=None):
     """A column's values cast once: by `cast` if given, else by the first
-    of int, float and str that parses every value.  An int column's values
-    are `ints`' objects for them, added there when new, so every table
-    loaded with the same `ints` shares one object per int value."""
+    of int, float and str that parses every value.  An int column becomes
+    an array of the narrowest typecode for its values, if one holds them."""
     if cast is None:
         for cast in (int, float, str):
             try:
@@ -579,7 +596,8 @@ def _cast_column(values, ints, cast=None):
                 pass
     else:
         values = list(map(cast, values))
-    return list(map(ints.setdefault, values, values)) if cast is int else values
+    code = cast is int and int_typecode(min(values, default=0), max(values, default=0))
+    return array(code, values) if code else values
 
 
 _TYPE_CASTS = {"int64": int, "float64": float, "string": str}
@@ -629,14 +647,9 @@ def load_table(path, schema_file=None) -> Table:
     header, raises SmashError naming the file (and the row's line).  So
     does a sidecar that gives a column no type or an unknown one (naming
     the sidecar and the column), or a value its column's type does not
-    parse (naming the file, line and column).  The table holds one int
-    object per int value.
+    parse (naming the file, line and column).  An int column is an array
+    of the narrowest typecode for its values (a list beyond 64 bits).
     """
-    return _load_table(path, schema_file, {})
-
-
-def _load_table(path, schema_file, ints):
-    """`load_table`, its int columns' values shared through `ints`."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -658,7 +671,7 @@ def _load_table(path, schema_file, ints):
     cast_columns = []
     for col, values, cast in zip(header, columns, casts):
         try:
-            cast_columns.append(_cast_column(values, ints, cast))
+            cast_columns.append(_cast_column(values, cast))
         except ValueError:
             raise _bad_value(path, col, cast, values) from None
     return Table(path.stem, header, cast_columns)
@@ -679,18 +692,14 @@ def load_database(directory) -> Database:
     """Every `*.csv` of `directory` as a table (see `load_table`), with the
     sidecar `<table>.schema.json` when one exists.
 
-    One dict interns the int values of every table, so the database holds
-    one int object per value, as a generated one does: a `save_database`
-    round trip keeps the memory and the identity-comparing hash probes of
-    the database it saved.  A `directory` that is not one raises
-    SmashError naming it.
+    Int columns come back compact, whatever form they were saved from.  A
+    `directory` that is not one raises SmashError naming it.
     """
     db = Database()
     directory = Path(directory)
     if not directory.is_dir():
         raise SmashError(f"{directory}: not a directory")
-    ints = {}
     for path in sorted(directory.glob("*.csv")):
         sidecar = path.with_suffix(".schema.json")
-        db.add(_load_table(path, sidecar if sidecar.exists() else None, ints))
+        db.add(load_table(path, sidecar if sidecar.exists() else None))
     return db

@@ -7,7 +7,7 @@ discarded warm-up run and five timed repetitions (arithmetic mean
 reported).  The timeout is checked only after a run returns: a run that
 took longer marks the entry timed out and charges exactly the timeout,
 but nothing stops a runaway query while it runs (enforcing deadlines
-inside that loop is ROADMAP item 5).  The end-to-end
+inside that loop is ROADMAP item 18).  The end-to-end
 report compares Base, Rewriting, the learned SMASH selector (charged the
 chosen strategy's measured mean plus the measured decision latency), and
 the per-query oracle best, and splits the decision latency into its

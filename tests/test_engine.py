@@ -1,5 +1,7 @@
 """Relational engine unit tests."""
 
+import operator
+from array import array
 from collections import Counter
 
 import pytest
@@ -57,12 +59,30 @@ class TestDatabaseAdd:
         assert table.rows is not rows
 
     def test_columns_are_stored_as_given(self):
-        columns = [[1, 1000, 1000], ["u", "v", "u"]]
+        columns = [[1, 1000, 1000], ["u", "v", "u"], range(3), array("H", [7, 7, 9])]
         db = Database()
-        db.add(Table("x", ["a", "b"], columns))
+        db.add(Table("x", ["a", "b", "c", "d"], columns))
         table = db.table("x")
         assert table.columns is columns
-        assert db.stats["x"].ndv == {"a": 2, "b": 2} and db.stats["x"].rows == 3
+        assert all(map(operator.is_, table.columns, columns))
+        assert db.stats["x"].ndv == {"a": 2, "b": 2, "c": 3, "d": 2}
+        assert db.stats["x"].rows == 3
+        assert table.rows == [(1, "u", 0, 7), (1000, "v", 1, 7), (1000, "u", 2, 9)]
+
+    def test_a_column_of_another_type_is_rejected_and_not_stored(self):
+        db = Database()
+        for column, kind in [({1, 2}, "set"), ((v for v in [1, 2]), "generator"),
+                             ((1, 2), "tuple")]:
+            with pytest.raises(SmashError, match=(
+                    f"^column b of table s is a {kind}, not a list, array or range$")):
+                db.add(Table("s", ["a", "b"], [[1, 2], column]))
+            assert "s" not in db.tables and "s" not in db.stats
+        # a failure while the statistics are computed leaves no table either
+        with pytest.raises(TypeError, match="unhashable"):
+            db.add(Table("s", ["a"], [[[1], [2]]]))
+        assert "s" not in db.tables and "s" not in db.stats
+        db.add(Table("s", ["a", "b"], [[1, 2], [3, 4]]))
+        assert db.table("s").rows == [(1, 3), (2, 4)] and db.stats["s"].rows == 2
 
     def test_ragged_row_names_the_table(self):
         db = Database()
