@@ -210,6 +210,11 @@ def cmd_e2e(args):
 
 def cmd_significance(args):
     log = harness.RunLog.load(args.runlog)
+    held = list(dict.fromkeys(e.strategy for e in log.entries))
+    for strategy in (args.strategy_a, args.strategy_b):
+        if strategy not in held:
+            raise SmashError(f"{args.runlog}: no strategy {strategy!r}; the run log "
+                             f"holds {', '.join(held) or 'none'}")
     a, b = [], []
     for qid in log.query_ids():
         ea = log.entry(qid, args.strategy_a)

@@ -17,6 +17,7 @@ column its table lacks and raise the same filter errors.
 from __future__ import annotations
 
 import csv
+import json
 import operator
 from array import array
 from collections import defaultdict
@@ -190,9 +191,9 @@ class OpCounter:
     before its operator runs, its output rows and a passed filter after."""
 
     joins: int = 0  # natural joins: one per child of a join_project
-    semijoins: int = 0  # semi-joins, of semijoin and semijoin_agg
+    semijoins: int = 0  # semi-joins: one per semijoin
     filters: int = 0  # atoms with filters whose scan passed them all
-    aggregates: int = 0  # groupings: aggregate, semijoin_agg and final_agg
+    aggregates: int = 0  # groupings: one per aggregate
     intermediate_tuples: int = 0  # (semi-)join output rows, summed: C_out
 
 
@@ -403,8 +404,18 @@ def atom_relation(cq, atom, db: Database) -> Relation:
 
 
 class Statement(NamedTuple):
-    name: str | None
+    name: str | None  # None for the plan's result, its one unnamed statement
     form: tuple  # structural form: the op, then its operands
+
+
+def _result(cq, source):
+    """A plan's last statement, its result: the query's output over
+    `source`, a projection on the output columns for an enumeration and
+    the grouping for an aggregate query."""
+    out = cq.output
+    if out.kind == "enumeration":
+        return Statement(None, ("join_project", source, [], list(out.columns)))
+    return Statement(None, ("aggregate", source))
 
 
 def _base_plan(cq):
@@ -413,11 +424,7 @@ def _base_plan(cq):
     views = [f"E{i + 1}" for i in range(len(cq.atoms))]
     statements = [Statement(name, ("atom", i)) for i, name in enumerate(views)]
     statements.append(Statement("F1", ("join_project", views[0], views[1:], [])))
-    out = cq.output
-    if out.kind == "enumeration":
-        statements.append(Statement(None, ("final_project", "F1", list(out.columns))))
-    else:
-        statements.append(Statement(None, ("final_agg", "F1")))
+    statements.append(_result(cq, "F1"))
     return statements
 
 
@@ -430,8 +437,9 @@ def evaluate_baseline(cq, db: Database, counter: OpCounter | None = None) -> Rel
 def _run(statements, cq, db, counter):
     """The one loop that executes plans, Base's and the rewriter's alike:
     runs the statements in order, counting them into `counter` (or a
-    throwaway `OpCounter`), and returns every intermediate, by name, and
-    the relation of the last final SELECT (None if there is none)."""
+    throwaway `OpCounter`), and returns every named intermediate, by name,
+    and the result, the unnamed statement's relation (None if there is
+    none; a second unnamed statement is a duplicate name)."""
     if counter is None:
         counter = OpCounter()
     namespace = {}
@@ -441,7 +449,6 @@ def _run(statements, cq, db, counter):
             raise SmashError(f"undefined intermediate {name!r}")
         return namespace[name]
 
-    result = None
     for stmt in statements:
         form = stmt.form
         op = form[0]
@@ -450,21 +457,15 @@ def _run(statements, cq, db, counter):
             rel = atom_relation(cq, atom, db)
             if cq.filters.get(atom.alias):
                 counter.filters += 1
-        elif op in ("semijoin", "semijoin_agg"):
+        elif op == "semijoin":
             left, right = resolve(form[1]), resolve(form[2])
             counter.semijoins += 1
             rel = semi_join(left, right)
             counter.intermediate_tuples += len(rel)
-            if op == "semijoin_agg":
-                counter.aggregates += 1
-                rel = group_aggregate(rel, cq.output.group_by, cq.output.aggregates)
-        elif op in ("aggregate", "final_agg"):
+        elif op == "aggregate":
             rel = resolve(form[1])
             counter.aggregates += 1
             rel = group_aggregate(rel, cq.output.group_by, cq.output.aggregates)
-            if op == "final_agg":
-                result = rel
-                continue
         elif op == "join_project":
             rel = resolve(form[1])
             for child in form[2]:
@@ -474,18 +475,12 @@ def _run(statements, cq, db, counter):
                 counter.intermediate_tuples += len(rel)
             if form[3]:
                 rel = project(rel, form[3])
-        elif op == "final_all":
-            result = resolve(form[1])
-            continue
-        elif op == "final_project":
-            result = project(resolve(form[1]), form[2])
-            continue
         else:
             raise ValueError(f"unknown structural form {op!r}")
         if stmt.name in namespace:
             raise ValueError(f"duplicate intermediate name {stmt.name!r}")
         namespace[stmt.name] = rel
-    return namespace, result
+    return namespace, namespace.pop(None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -677,15 +672,35 @@ def load_table(path, schema_file=None) -> Table:
     return Table(path.stem, header, cast_columns)
 
 
+_SAVED_TYPES = {cast: name for name, cast in _TYPE_CASTS.items()}
+
+
 def save_database(db: Database, directory):
-    """Write each table as a headered CSV that load_database can read back."""
+    """Write each table as a headered CSV and its sidecar
+    `<table>.schema.json`, which load_database reads back with the values'
+    types: each column's one type, int64 for an empty one as the guess
+    gives.  A column of bools, or of values of several types, which a CSV
+    would give back as other values, raises SmashError naming the table and
+    the column before any file is written."""
+    types = {name: {} for name in db.tables}
+    for name, table in db.tables.items():
+        for attr, col in zip(table.schema, table.columns):
+            # an array's or a range's values all have its first value's type
+            kinds = set(map(type, col if type(col) is list else col[:1])) or {int}
+            if len(kinds) > 1 or not kinds <= _SAVED_TYPES.keys():
+                raise SmashError(
+                    f"{name}: column {attr!r} holds "
+                    f"{' and '.join(sorted(k.__name__ for k in kinds))} values, but a "
+                    f"saved column holds only ints, only floats or only strs")
+            types[name][attr] = _SAVED_TYPES[kinds.pop()]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for table in db.tables.values():
-        with open(directory / f"{table.name}.csv", "w", newline="") as fh:
+    for name, table in db.tables.items():
+        with open(directory / f"{name}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(table.schema)
             writer.writerows(zip(*table.columns))
+        (directory / f"{name}.schema.json").write_text(json.dumps(types[name]) + "\n")
 
 
 def load_database(directory) -> Database:

@@ -1,20 +1,23 @@
 """Rewriting a join tree into a Yannakakis-style sequence of SQL statements.
 
-A plan is a list of statements, each a name and a structural form: a view
-per atom, a table per semi-join step and a final SELECT.  For guarded
-set-safe aggregate queries only the bottom-up semi-join pass is planned,
-with the aggregation on its last step.  For all other queries the top-down
-semi-join pass and the bottom-up join pass follow.  The forms are the
-plan, and it has two readings.  The engine's one statement loop, which
-also runs Base's plan, executes it: `interpret_sequence` runs the whole
-plan, and `full_reduce` its filters and both semi-join passes, so the plan
-is the one implementation of the Yannakakis passes.
+A plan is a list of statements, each a name and a structural form of one
+of four ops: `atom` (a view per atom), `semijoin`, `join_project` and
+`aggregate`.  The one statement without a name is the last, the result.
+For guarded set-safe aggregate queries only the bottom-up semi-join pass is
+planned, and the result aggregates its root's artifact.  For all other
+queries the top-down semi-join pass and the bottom-up join pass follow.
+The forms are the plan, and it has two readings.  The engine's one
+statement loop, which also runs Base's plan, executes it:
+`interpret_sequence` runs the whole plan, and `full_reduce` its filters
+and both semi-join passes, so the plan is the one implementation of the
+Yannakakis passes.
 `StatementSequence.render` writes it as plain SQL, one statement per form:
 views rename every column to its class id, semi-joins keep the left rows
 whose shared class columns are IN the right side's, and joins state their
 equalities on the class columns they share, so the text computes the
-engine's result on a SQL engine such as stdlib sqlite3.  The plan holds no
-DROP: `render` writes them, one per view and table, after the final SELECT.
+engine's result on a SQL engine such as stdlib sqlite3; the result is a
+bare SELECT.  The plan holds no DROP: `render` writes them, one per view
+and table, after the result.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
 
-from .engine import Database, OpCounter, Statement, _run
+from .engine import Database, OpCounter, Statement, _result, _run
 from .errors import SmashError
 from .frontend import NormalizedCQ, _literal_sql
 
@@ -68,12 +71,10 @@ def _emit(tree, cq):
     # (numbered by the 1-based FROM position of its atom), then per child,
     # higher FROM positions first (E3E2 before E1), the child's subtree and
     # a table semi-joining the node's accumulated artifact with the child's.
-    # For a 0MA tree the root's last semi-join aggregates, or, without
-    # children, a table of its own.  `art` ends as each node's artifact and
-    # `finished` lists the nodes children first.
+    # `art` ends as each node's artifact and `finished` lists the nodes
+    # children first.
     art = {root: f"E{root + 1}"}
     add(_new(Statement, (art[root], ("atom", root))))
-    last_at_root = min(kids[root]) if tree.oma_flag and kids[root] else None
     finished = []
     stack = [(root, iter(sorted(kids[root], reverse=True)))]
     while stack:
@@ -88,64 +89,54 @@ def _emit(tree, cq):
         finished.append(node)
         if stack:
             above = stack[-1][0]
-            op = "semijoin_agg" if above == root and node == last_at_root else "semijoin"
             acc = art[above]
             name = art[above] = acc + art[node]
-            add(_new(Statement, (name, (op, acc, art[node]))))
-    if tree.oma_flag and not kids[root]:
-        acc = art[root]
-        name = art[root] = acc + "A"
-        add(_new(Statement, (name, ("aggregate", acc))))
-    root_art = art[root]
+            add(_new(Statement, (name, ("semijoin", acc, art[node]))))
     if tree.oma_flag:
-        add(_new(Statement, (None, ("final_all", root_art))))
-        topdown = {}
-    else:
-        # top-down semi-joins, parents before their children
-        topdown = {root: root_art}
-        for node in reversed(finished[:-1]):
-            name = f"D{node + 1}"
-            add(_new(Statement, (name, ("semijoin", art[node], topdown[parent_of[node]]))))
-            topdown[node] = name
+        # a 0MA plan ends here: the result aggregates the root's artifact
+        add(_result(cq, art[root]))
+        return statements, {}
 
-        # bottom-up joins, each projected on the classes the output or the
-        # parent needs, in class-id order
-        masks = cq.masks
-        output = cq.mask_of(cq.output.needed_classes())
-        class_ids = None  # by bit, once a join needs them
-        joined = {}
-        sub_mask = {}
-        for node in finished:
-            children = kids[node]
-            keep = masks[node]
-            for c in children:
-                keep |= sub_mask[c]
-            parent = parent_of[node]
-            keep &= output if parent is None else output | masks[parent]
-            sub_mask[node] = keep
-            if not children:
-                joined[node] = topdown[node]
-                continue
-            if class_ids is None:
-                class_ids = list(cq.class_index)
-            kept = []
-            while keep:
-                bit = keep & -keep
-                kept.append(class_ids[bit.bit_length() - 1])
-                keep ^= bit
-            kept.sort()
-            name = f"F{node + 1}"
-            sources = []
-            for c in children:
-                sources.append(joined[c])
-            add(_new(Statement, (name, ("join_project", topdown[node], sources, kept))))
-            joined[node] = name
+    # top-down semi-joins, parents before their children
+    topdown = {root: art[root]}
+    for node in reversed(finished[:-1]):
+        name = f"D{node + 1}"
+        add(_new(Statement, (name, ("semijoin", art[node], topdown[parent_of[node]]))))
+        topdown[node] = name
 
-        out = cq.output
-        if out.kind == "enumeration":
-            add(_new(Statement, (None, ("final_project", joined[root], list(out.columns)))))
-        else:
-            add(_new(Statement, (None, ("final_agg", joined[root]))))
+    # bottom-up joins, each projected on the classes the output or the
+    # parent needs, in class-id order
+    masks = cq.masks
+    output = cq.mask_of(cq.output.needed_classes())
+    class_ids = None  # by bit, once a join needs them
+    joined = {}
+    sub_mask = {}
+    for node in finished:
+        children = kids[node]
+        keep = masks[node]
+        for c in children:
+            keep |= sub_mask[c]
+        parent = parent_of[node]
+        keep &= output if parent is None else output | masks[parent]
+        sub_mask[node] = keep
+        if not children:
+            joined[node] = topdown[node]
+            continue
+        if class_ids is None:
+            class_ids = list(cq.class_index)
+        kept = []
+        while keep:
+            bit = keep & -keep
+            kept.append(class_ids[bit.bit_length() - 1])
+            keep ^= bit
+        kept.sort()
+        name = f"F{node + 1}"
+        sources = []
+        for c in children:
+            sources.append(joined[c])
+        add(_new(Statement, (name, ("join_project", topdown[node], sources, kept))))
+        joined[node] = name
+    add(_result(cq, joined[root]))
     return statements, topdown
 
 
@@ -163,10 +154,11 @@ def rewrite(tree, cq, db: Database | None = None) -> StatementSequence:
 
 def interpret_sequence(seq: StatementSequence, cq, db: Database,
                        counter: OpCounter | None = None):
-    """Run the plan in the engine's statement loop, `engine._run`."""
+    """Run the plan in the engine's statement loop, `engine._run`, and
+    return its result, the relation of its unnamed statement."""
     _, result = _run(seq.statements, cq, db, counter)
     if result is None:
-        raise SmashError("sequence has no final SELECT")
+        raise SmashError("sequence has no result: no unnamed statement")
     return result
 
 
@@ -199,33 +191,20 @@ def _render(statements, cq, db):
         form = stmt.form
         op = form[0]
         if op == "atom":
-            columns[stmt.name], select = _view(cq, cq.atoms[form[1]], db)
-            texts.append(f"CREATE VIEW {stmt.name} AS {select}")
-            continue
-        if op == "semijoin":
+            cols, select = _view(cq, cq.atoms[form[1]], db)
+        elif op == "semijoin":
             cols = columns[form[1]]
             select = "SELECT * FROM " + _semi_joined(form[1], form[2], columns)
-        elif op == "semijoin_agg":
-            cols, select = _aggregate(
-                cq.output, _semi_joined(form[1], form[2], columns)
-            )
         elif op == "aggregate":
             cols, select = _aggregate(cq.output, form[1])
         elif op == "join_project":
             cols, select = _join(form[1], form[2], form[3], columns)
-        elif op == "final_all":
-            texts.append(f"SELECT * FROM {form[1]}")
-            continue
-        elif op == "final_project":
-            texts.append(f"SELECT {', '.join(map(_quote, form[2]))} FROM {form[1]}")
-            continue
-        elif op == "final_agg":
-            texts.append(_aggregate(cq.output, form[1])[1])
-            continue
         else:
             raise ValueError(f"unknown structural form {op!r}")
         columns[stmt.name] = cols
-        texts.append(f"CREATE TABLE {stmt.name} AS {select}")
+        if stmt.name is not None:
+            select = f"CREATE {'VIEW' if op == 'atom' else 'TABLE'} {stmt.name} AS {select}"
+        texts.append(select)
     return texts
 
 

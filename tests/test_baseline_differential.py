@@ -154,7 +154,7 @@ class TestBasePlanShape:
         assert self.forms("SELECT R.a FROM R", chain_db) == [
             ("E1", ("atom", 0)),
             ("F1", ("join_project", "E1", [], [])),
-            (None, ("final_project", "F1", ["R.a"])),
+            (None, ("join_project", "F1", [], ["R.a"])),
         ]
 
     def test_enumeration(self, chain_db):
@@ -164,15 +164,15 @@ class TestBasePlanShape:
             ("E2", ("atom", 1)),
             ("E3", ("atom", 2)),
             ("F1", ("join_project", "E1", ["E2", "E3"], [])),
-            (None, ("final_project", "F1", ["R.a", "T.d"])),
+            (None, ("join_project", "F1", [], ["R.a", "T.d"])),
         ]
 
     def test_aggregate(self, chain_db):
         plan = self.forms(CHAIN_SQL, chain_db)
         assert plan[3:5] == [
             ("F1", ("join_project", "E1", ["E2", "E3"], [])),
-            (None, ("final_agg", "F1")),
+            (None, ("aggregate", "F1")),
         ]
         assert [form[0] for _, form in plan] == [
-            "atom", "atom", "atom", "join_project", "final_agg",
+            "atom", "atom", "atom", "join_project", "aggregate",
         ]

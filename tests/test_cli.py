@@ -268,6 +268,19 @@ class TestRejectedInput:
                                   "--model", str(path)])
         assert err == "error: " + message.format(path=path)
 
+    @pytest.mark.parametrize("strategies, message", [
+        (["base", "Rewriting"], "no strategy 'base'; the run log holds Base, Rewriting"),
+        (["Base", "rewriting"], "no strategy 'rewriting'; the run log holds Base, Rewriting"),
+    ], ids=["first", "second"])
+    def test_significance_of_a_strategy_the_runlog_lacks(self, capsys, tmp_path,
+                                                         strategies, message):
+        entries = [{"query_id": f"q{i}", "strategy": s, "mean_s": 0.1 * i}
+                   for i in range(3) for s in ("Base", "Rewriting")]
+        path = tmp_path / "log.json"
+        path.write_text(json.dumps({"config": {}, "entries": entries}))
+        err = self.error(capsys, ["significance", "--runlog", str(path), *strategies])
+        assert err == f"error: {path}: {message}"
+
     @pytest.mark.parametrize("text, message", [
         ("not json", "{path}: not valid JSON: Expecting value: line 1 column 1 (char 0)"),
         ("3", "{path}: not a JSON object of run log fields"),

@@ -149,10 +149,11 @@ class TestOperators:
             Statement("E2", ("atom", 1)),
             Statement("E3", ("atom", 2)),
             Statement("S1", ("semijoin", "E2", "E3")),  # 3 rows
-            Statement("A1", ("semijoin_agg", "E1", "S1")),  # 3 rows, grouped
+            Statement("S2", ("semijoin", "E1", "S1")),  # 3 rows
+            Statement("A1", ("aggregate", "S2")),
             Statement("A2", ("aggregate", "E1")),
             Statement("F1", ("join_project", "E1", ["E2", "E3"], [])),  # 5, then 7 rows
-            Statement(None, ("final_agg", "F1")),
+            Statement(None, ("aggregate", "F1")),
         ])
         counter = OpCounter()
         out = interpret_sequence(plan, cq, db, counter)
@@ -213,8 +214,7 @@ class TestEvaluation:
         before = list(table.rows)
         cq = normalize(parse_query("SELECT x.a, x.b FROM x"), db)
         tree, _ = analyze(cq)
-        bare_atom = StatementSequence([Statement("E1", ("atom", 0)),
-                                       Statement(None, ("final_all", "E1"))])
+        bare_atom = StatementSequence([Statement(None, ("atom", 0))])
         results = {
             "base": evaluate_baseline(cq, db),
             "rewriting": interpret_sequence(rewrite(tree, cq, db), cq, db),
@@ -375,6 +375,26 @@ class TestPersistence:
         for name, rel in db.tables.items():
             assert back.table(name).schema == rel.schema
             assert repr(back.table(name).rows) == repr(rel.rows), name
+
+    def test_digit_strings_stay_strings(self, tmp_path):
+        db = Database()
+        db.add(from_rows("codes", ["s", "f", "e"], [("007", 1.0, ""), ("12", 2.5, "1")]))
+        save_database(db, tmp_path)
+        back = load_database(tmp_path).table("codes")
+        assert back.columns == [["007", "12"], [1.0, 2.5], ["", "1"]]
+
+    @pytest.mark.parametrize("values, kinds", [
+        ([True, False], "bool"), ([1, "1"], "int and str"), ([1, 2.0], "float and int"),
+    ])
+    def test_a_column_a_csv_cannot_keep_is_rejected_before_any_file(
+            self, tmp_path, chain_db, values, kinds):
+        chain_db.add(from_rows("X", ["a", "x"], [(1, v) for v in values]))
+        with pytest.raises(SmashError) as info:
+            save_database(chain_db, tmp_path / "out")
+        assert str(info.value) == (
+            f"X: column 'x' holds {kinds} values, but a saved column holds "
+            "only ints, only floats or only strs")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("body, fields", [("3,4,5\n", 3), ("3\n", 1)])
     def test_ragged_row_rejected(self, tmp_path, body, fields):

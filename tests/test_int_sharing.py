@@ -21,6 +21,7 @@ import pytest
 
 from smash.augmentation import WorkloadSpec, generate_two_regime_workload, generate_workload
 from smash.engine import Database, Table, int_typecode, load_database, load_table, save_database
+from smash.errors import SmashError
 
 from conftest import from_rows
 
@@ -82,13 +83,15 @@ def test_csv_round_trip_keeps_rows_and_types_in_compact_columns(tmp_path):
     db, _ = generate_two_regime_workload(7, 24)
     db.add(from_rows("mixed", ["i", "f", "s", "big"], [
         (256, 1000.0, "1000", 2**64), (-5, 0.5, "x", 0), (256, -0.0, "", 1)]))
-    db.add(from_rows("flags", ["b"], [(True,), (False,)]))
+    flags = Database()
+    flags.add(from_rows("flags", ["b"], [(True,), (False,)]))
+    # a CSV holds no bool: saving a bool column is an error
+    with pytest.raises(SmashError, match="^flags: column 'b' holds bool values"):
+        save_database(flags, tmp_path)
     save_database(db, tmp_path)
     back = load_database(tmp_path)
     assert set(back.tables) == set(db.tables)
     for name, rel in db.tables.items():
-        if name == "flags":
-            continue
         assert back.table(name).schema == rel.schema
         assert back.table(name).rows == rel.rows, name
         assert repr(back.table(name).rows) == repr(rel.rows), name
@@ -100,8 +103,6 @@ def test_csv_round_trip_keeps_rows_and_types_in_compact_columns(tmp_path):
     mixed = back.table("mixed")
     assert [type(col) for col in mixed.columns] == [array, list, list, list]
     assert mixed.column("i").typecode == "h"
-    # a CSV holds no bool: a bool column comes back as its str form
-    assert back.table("flags").columns == [["True", "False"]]
 
 
 def test_load_table_picks_the_narrowest_typecode(tmp_path):

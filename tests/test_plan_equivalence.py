@@ -27,7 +27,7 @@ from pathlib import Path
 
 from smash.acyclic import analyze
 from smash.augmentation import generate_two_regime_workload
-from smash.engine import Database, estimate_cardinalities
+from smash.engine import Database, _base_plan, estimate_cardinalities
 from smash.features import FeatureVector, extract_features
 from smash.frontend import normalize, parse_query, to_sql
 from smash.harness import plan_query
@@ -37,6 +37,7 @@ from smash.rewriter import rewrite
 from conftest import from_rows, random_specs, selector_wide
 
 FIXTURE = Path(__file__).resolve().parent / "plan_digests.json"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 STAGES = ("spec", "cq", "tree", "est", "features", "statements", "sql")
 
 
@@ -119,6 +120,42 @@ def test_plans_match_pinned_digests():
     assert not differing, (
         f"{len(differing)} queries plan differently:\n" + "\n".join(differing[:20])
     )
+
+
+def _reads(form):
+    """The statement names a form reads."""
+    op, *operands = form
+    if op == "atom":
+        return []
+    if op == "join_project":
+        return [operands[0], *operands[1]]
+    return operands
+
+
+def test_plans_have_four_ops_and_end_in_their_one_unnamed_statement(monkeypatch):
+    """Base's and Rewriting's plans of the corpus and of both benchmark
+    workloads use only the four ops; the one unnamed statement, the result,
+    is the last, and every named statement is read by a later one."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from smashbench import WORKLOADS
+
+    queries = list(corpus())
+    for workload, generator in WORKLOADS.items():
+        db, specs = generator.generate(42)
+        queries += [(f"{workload}/{qid}", db, spec) for qid, spec in specs]
+    for name, db, spec in queries:
+        cq = normalize(spec, db)
+        tree, _ = analyze(cq)
+        for plan in (_base_plan(cq), rewrite(tree, cq, db).statements):
+            assert {s.form[0] for s in plan} <= {"atom", "semijoin", "join_project",
+                                                 "aggregate"}, name
+            assert [s.name is None for s in plan].count(True) == 1, name
+            assert plan[-1].name is None, name
+            read = set()
+            for stmt in reversed(plan):
+                assert stmt.name is None or stmt.name in read, (name, stmt)
+                read.update(_reads(stmt.form))
+    assert len(queries) == 435 + 480
 
 
 def _median_split_model(vectors, feature):

@@ -60,8 +60,8 @@ class TestEmission:
             ("atom", "E2"),
             ("semijoin", "E3E2"),
             ("atom", "E1"),
-            ("semijoin_agg", "E3E2E1"),
-            ("final_all", None),
+            ("semijoin", "E3E2E1"),
+            ("aggregate", None),
         ]
         text = seq.render(with_drops=False)
         # views rename every column to its class id
@@ -74,24 +74,25 @@ class TestEmission:
             'IN (SELECT "v.UserId" FROM E2)'
         )
         assert text[4] == (
-            'CREATE TABLE E3E2E1 AS SELECT MIN("v.UserId") AS EXPR$0 '
-            'FROM E3E2 WHERE "v.UserId" IN (SELECT "v.UserId" FROM E1)'
+            'CREATE TABLE E3E2E1 AS SELECT * FROM E3E2 '
+            'WHERE "v.UserId" IN (SELECT "v.UserId" FROM E1)'
         )
-        assert text[5] == "SELECT * FROM E3E2E1"
+        # the result, the unnamed statement, is a bare SELECT
+        assert text[5] == 'SELECT MIN("v.UserId") AS EXPR$0 FROM E3E2E1'
 
     def test_semijoin_on_two_keys_is_a_row_value_in(self):
         _, _, seq = rewritten(
             "SELECT MIN(R.a) FROM R, S WHERE R.a = S.a AND R.b = S.b"
         )
         assert seq.render(with_drops=False)[2] == (
-            'CREATE TABLE E1E2 AS SELECT MIN("R.a") AS EXPR$0 FROM E1 '
+            'CREATE TABLE E1E2 AS SELECT * FROM E1 '
             'WHERE ("R.a", "R.b") IN (SELECT "R.a", "R.b" FROM E2)'
         )
 
     def test_semijoin_without_shared_columns_keeps_exists(self):
         _, _, seq = rewritten("SELECT MIN(R.a) FROM R, S")
         assert seq.render(with_drops=False)[2] == (
-            'CREATE TABLE E1E2 AS SELECT MIN("R.a") AS EXPR$0 FROM E1 '
+            'CREATE TABLE E1E2 AS SELECT * FROM E1 '
             "WHERE EXISTS (SELECT 1 FROM E2)"
         )
 
@@ -105,7 +106,7 @@ class TestEmission:
             'FROM E2E3E1, D1, D3 WHERE E2E3E1."R.b" = D1."R.b" '
             'AND E2E3E1."S.c" = D3."S.c"'
         )
-        assert seq.render(with_drops=False)[-1] == 'SELECT "R.a", "T.d" FROM F2'
+        assert seq.render(with_drops=False)[-1] == 'SELECT F2."R.a", F2."T.d" FROM F2'
 
     def test_intra_atom_equality_keeps_one_column(self):
         _, _, seq = rewritten("SELECT MIN(Q.qty) FROM Q WHERE Q.pid = Q.qty")
@@ -115,7 +116,7 @@ class TestEmission:
 
     def test_single_atom_aggregate(self):
         _, _, seq = rewritten("SELECT MIN(R.a) FROM R")
-        assert [s.form[0] for s in seq.statements] == ["atom", "aggregate", "final_all"]
+        assert [s.form[0] for s in seq.statements] == ["atom", "aggregate"]
 
     def test_count_distinct_star_is_rejected(self):
         # SQL has no COUNT(DISTINCT *); the parser rejects it as it does MIN(*)

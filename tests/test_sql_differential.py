@@ -3,10 +3,11 @@
 `StatementSequence.render` is the plan's second reading, next to the
 engine's statement loop, for both strategies' plans: Base's and the
 rewriter's.  Each plan is rendered and every statement runs in order on
-an in-memory sqlite3 database holding the same tables.  The final SELECT's
-value multiset must equal the independent oracle's on acceptance 1's
-corpus and, on benchmark-shaped workloads too large for the oracle, both
-the engine's Base evaluation and sqlite3 running the original query.
+an in-memory sqlite3 database holding the same tables.  The value
+multiset of the result, the plan's unnamed statement, must equal the
+independent oracle's on acceptance 1's corpus and, on benchmark-shaped
+workloads too large for the oracle, both the engine's Base evaluation and
+sqlite3 running the original query.
 Each statement runs under a step budget, so a runaway statement, such as
 a join without its predicates, fails instead of hanging, and every join
 is checked to equate each class column its sources share.
@@ -67,7 +68,7 @@ def _assert_join_predicates(conn, form, text):
 
 
 def _run_plan(conn, seq):
-    """Value multiset of the plan's final SELECT, running each rendered
+    """Value multiset of the plan's result, running each rendered
     statement in order under `STEP_BUDGET`, then the rendered DROPs, which
     leave the connection holding only the base tables."""
     checks = 0
@@ -88,7 +89,7 @@ def _run_plan(conn, seq):
             checks = 0
             try:
                 cursor = conn.execute(text)
-                if stmt.form[0].startswith("final_"):
+                if stmt.name is None:
                     rows = cursor.fetchall()
             except sqlite3.OperationalError as exc:
                 pytest.fail(f"{exc} after {checks * _STEPS_PER_CHECK} steps: {text}")
