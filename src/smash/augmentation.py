@@ -20,7 +20,7 @@ from itertools import compress, repeat, starmap
 
 import numpy as np
 
-from .engine import _OPS, Database, Table, int_typecode
+from .engine import _OPS, Database, Table, _check_literal, int_typecode
 from .errors import SmashError
 from .frontend import ColumnRef, QuerySpec, SelectAggregate
 
@@ -57,7 +57,7 @@ def _perturb_literal(column_values, op, literal, direction):
         if arr is not None:
             lo = float(np.quantile(arr, 0.25))
             hi = float(np.quantile(arr, 0.75))
-            if all(isinstance(v, int) for v in values):
+            if isinstance(values[0], int):  # a column holds one type
                 lo, hi = round(lo), round(hi)
         else:
             lo = values[len(values) // 4]
@@ -77,22 +77,29 @@ def _perturb_literal(column_values, op, literal, direction):
 
 
 def augment_filters(q: QuerySpec, db: Database):
-    """0 filters -> [q]; 1 filter -> 2 variants; >=2 filters -> 3 variants."""
+    """0 filters -> [q]; 1 filter -> 2 variants; >=2 filters -> 3 variants.
+
+    A filter the engine would reject on its column's first value raises
+    the engine's SmashError (see `engine._check_literal`)."""
     if not q.filters:
         return [q]
+    columns = []  # each filter's column
+    for col, _, lit in q.filters:
+        name = _table_of(q, col.alias)
+        columns.append(db.table(name).column(col.attr))
+        if columns[-1]:
+            _check_literal(db.stats[name].types[col.attr], columns[-1][0], lit)
     if len(q.filters) == 1:
         col, op, lit = q.filters[0]
-        values = db.table(_table_of(q, col.alias)).column(col.attr)
-        new_lit = _perturb_literal(values, op, lit, "smaller")
+        new_lit = _perturb_literal(columns[0], op, lit, "smaller")
         if new_lit == lit:
-            new_lit = _perturb_literal(values, op, lit, "bigger")
+            new_lit = _perturb_literal(columns[0], op, lit, "bigger")
         variant = _copy(q)
         variant.filters = [(col, op, new_lit)]
         return [q, variant]
     # rank filters by how strongly a perturbation changes the post-filter count
     impact = []
-    for i, (col, op, lit) in enumerate(q.filters):
-        values = db.table(_table_of(q, col.alias)).column(col.attr)
+    for i, ((_, op, lit), values) in enumerate(zip(q.filters, columns)):
         compare = _OPS[op]
         base = sum(1 for v in values if compare(v, lit))
         deltas = []
@@ -104,8 +111,7 @@ def augment_filters(q: QuerySpec, db: Database):
 
     def variant_with(idx, direction):
         col, op, lit = q.filters[idx]
-        values = db.table(_table_of(q, col.alias)).column(col.attr)
-        new_lit = _perturb_literal(values, op, lit, direction)
+        new_lit = _perturb_literal(columns[idx], op, lit, direction)
         variant = _copy(q)
         variant.filters = list(q.filters)
         variant.filters[idx] = (col, op, new_lit)

@@ -2,16 +2,18 @@
 
 A database stores each base table by column (`Table`); the relations the
 operators pass on are named schemas over multisets of row tuples.
-`Database.add` checks a table once, as it enters a database; the operators
-build their outputs without a second check and count nothing.  The module
+`Database.add` checks a table once, as it enters a database, and records
+its column types (int, float or str, one per column); the operators build
+their outputs without a second check and count nothing.  The module
 provides the basic operators (semi-join, natural join, projection,
 grouping), the one loop that runs a plan of statements on them and counts
 their work in an `OpCounter`, for Base's left-deep plan and the rewriter's
 semi-join (Yannakakis) plan alike, and a simple cardinality estimator based
 on distinct-value counts, which a `Database` records per base table when
 the table is added.  Evaluation and estimation read a query atom through
-one scan (renaming, intra-atom equalities, filters), so both reject a
-column its table lacks and raise the same filter errors.
+one scan (renaming, intra-atom equalities, filters, each compared a whole
+column at a time), so both reject a column its table lacks and raise the
+same filter errors.
 """
 
 from __future__ import annotations
@@ -40,20 +42,19 @@ _OPS = {
 AGG_FUNCTIONS = ("MIN", "MAX", "COUNT", "SUM", "AVG")
 
 
-@dataclass(frozen=True, slots=True)
-class Predicate:
+class Predicate(NamedTuple):
     """Single-relation comparison against a literal."""
 
     attribute: str
     op: str
     literal: object
 
-    def matches(self, value):
-        if _is_number(value) != _is_number(self.literal):
-            raise SmashError(
-                f"cannot compare {value!r} with literal {self.literal!r}"
-            )
-        return _OPS[self.op](value, self.literal)
+
+def _check_literal(kind, value, literal):
+    """Raise SmashError unless a filter may compare `value`, of the column
+    type `kind`, with `literal`: a number with an int or float, a str with a str."""
+    if type(literal) not in ((str,) if kind is str else (int, float)):
+        raise SmashError(f"cannot compare {value!r} with literal {literal!r}")
 
 
 def _position(name, schema, attr):
@@ -123,10 +124,11 @@ _NDV_SAMPLE_ROWS = 512
 
 @dataclass(frozen=True)
 class TableStats:
-    """What the estimator knows of a base table without reading its rows."""
+    """What planning and rendering know of a base table without reading it."""
 
     ndv: dict  # column -> distinct values among the first _NDV_SAMPLE_ROWS rows
     rows: int  # row count
+    types: dict  # column -> its values' one type: int, float or str
 
 
 @dataclass
@@ -146,8 +148,11 @@ class Database:
         The schema becomes a list; the columns (see `Table`) are stored as
         given, not copied or converted.  A duplicate attribute, a column
         count other than the schema's, a column that is not a list, array
-        or range, or columns of unequal length raise SmashError naming the
-        table, and leave the database as it was.
+        or range, columns of unequal length, or a list of values not all
+        ints, all floats or all strs (a bool is none) raise SmashError
+        naming the table, and leave the database as it was.  It records
+        each column's one type, an array's by its typecode (int for an
+        empty list).
         """
         name = table.name
         if name in self.tables:
@@ -159,11 +164,20 @@ class Database:
         if len(columns) != len(schema):
             raise SmashError(
                 f"{len(columns)} columns != schema arity {len(schema)} in table {name}")
+        types = {}
         for attr, col in zip(schema, columns):
             if not isinstance(col, (list, array, range)):
                 raise SmashError(
                     f"column {attr} of table {name} is a {type(col).__name__}, "
                     f"not a list, array or range")
+            kinds = (set(map(type, col)) or {int}) if isinstance(col, list) else {
+                float if type(col) is array and col.typecode in "fd" else int}
+            if len(kinds) > 1 or not kinds <= {int, float, str}:
+                raise SmashError(
+                    f"{name}: column {attr!r} holds "
+                    f"{' and '.join(sorted(k.__name__ for k in kinds))} values, but a "
+                    f"stored column holds only ints, only floats or only strs")
+            types[attr] = kinds.pop()
         n = len(columns[0]) if columns else 0
         for attr, col in zip(schema, columns):
             if len(col) != n:
@@ -174,6 +188,7 @@ class Database:
             ndv={attr: len(set(col[:_NDV_SAMPLE_ROWS]))
                  for attr, col in zip(schema, columns)},
             rows=n,
+            types=types,
         )
         table.schema = schema
         self.tables[name] = table
@@ -195,10 +210,6 @@ class OpCounter:
     filters: int = 0  # atoms with filters whose scan passed them all
     aggregates: int = 0  # groupings: one per aggregate
     intermediate_tuples: int = 0  # (semi-)join output rows, summed: C_out
-
-
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +287,7 @@ def _agg_value(agg: Aggregate, values):
         return min(values)
     if agg.fn == "MAX":
         return max(values)
-    if any(not _is_number(v) for v in values):
+    if isinstance(values[0], str):  # a column's values share one type
         raise SmashError(f"{agg.label()} over non-numeric values")
     if agg.fn == "SUM":
         return sum(values)
@@ -320,34 +331,6 @@ def group_aggregate(rel: Relation, grouping, aggs) -> Relation:
 # query evaluation over a NormalizedCQ: atom scans, plans and their loop
 # ---------------------------------------------------------------------------
 
-# literal type -> value types on which every comparison with such a literal
-# neither mismatches nor raises (a bool literal has none: "a" < True raises)
-_NUMBERS = frozenset((int, float))
-_PLAIN_TYPES = {int: _NUMBERS, float: _NUMBERS, str: frozenset((str,))}
-
-
-def _select(values, positions, pred):
-    """The `positions` whose value in `values` (the column at those
-    positions, in order) satisfies `pred`, tested a column at a time.
-
-    Returns (kept positions, error).  When `pred.matches` raises on some
-    value, the error is the first such value's and only positions before it
-    are kept: exactly the rows a row-at-a-time filter compares with later
-    predicates before it raises.
-    """
-    if set(map(type, values)) <= _PLAIN_TYPES.get(type(pred.literal), frozenset()):
-        keep = map(_OPS[pred.op], values, repeat(pred.literal))
-        return list(compress(positions, keep)), None
-    kept = []
-    for position, value in zip(positions, values):
-        try:
-            if pred.matches(value):
-                kept.append(position)
-        except Exception as exc:
-            return kept, exc
-    return kept, None
-
-
 def _atom_rows(cq, atom, db: Database):
     """The one scan of a query atom, which execution and estimation share.
 
@@ -355,9 +338,12 @@ def _atom_rows(cq, atom, db: Database):
     positions of its attributes, in schema order; a column the renaming
     does not name is the class `alias.col`.  `keep` holds the positions, in
     table order, of the rows that satisfy the intra-atom equalities and then
-    each predicate in query order (see `_select`): a `range` of every row
-    when nothing is dropped.  The scan reads the table's columns and builds
-    no row, apart from the rows of an atom with an intra-atom equality.
+    each predicate in query order, a column at a time: a `range` of every
+    row when nothing is dropped.  The scan stops once no row is left.  A
+    predicate whose literal the column's recorded type does not compare
+    with (see `_check_literal`) raises, naming the first row it reaches.
+    The scan reads the table's columns and builds no row, apart from the
+    rows of an atom with an intra-atom equality.
     """
     table = db.table(atom.table)
     renaming = atom.renaming
@@ -379,15 +365,14 @@ def _atom_rows(cq, atom, db: Database):
     if dup:  # intra-atom equalities
         keep = [k for k, r in enumerate(zip(*columns))
                 if all(len({r[i] for i in ix}) == 1 for ix in dup)]
-    error = None
     for p in cq.filters.get(atom.alias, ()):
-        col = columns[classes[p.attribute][0]]
-        values = col if len(keep) == len(col) else list(map(col.__getitem__, keep))
-        keep, exc = _select(values, keep, p)
-        if exc is not None:
-            error = exc
-    if error is not None:
-        raise error
+        if not keep:
+            break
+        i = classes[p.attribute][0]
+        col = columns[i]
+        _check_literal(stats.types[table.schema[i]], col[keep[0]], p.literal)
+        values = col if len(keep) == len(col) else map(col.__getitem__, keep)
+        keep = list(compress(keep, map(_OPS[p.op], values, repeat(p.literal))))
     return classes, keep
 
 
@@ -678,21 +663,8 @@ _SAVED_TYPES = {cast: name for name, cast in _TYPE_CASTS.items()}
 def save_database(db: Database, directory):
     """Write each table as a headered CSV and its sidecar
     `<table>.schema.json`, which load_database reads back with the values'
-    types: each column's one type, int64 for an empty one as the guess
-    gives.  A column of bools, or of values of several types, which a CSV
-    would give back as other values, raises SmashError naming the table and
-    the column before any file is written."""
-    types = {name: {} for name in db.tables}
-    for name, table in db.tables.items():
-        for attr, col in zip(table.schema, table.columns):
-            # an array's or a range's values all have its first value's type
-            kinds = set(map(type, col if type(col) is list else col[:1])) or {int}
-            if len(kinds) > 1 or not kinds <= _SAVED_TYPES.keys():
-                raise SmashError(
-                    f"{name}: column {attr!r} holds "
-                    f"{' and '.join(sorted(k.__name__ for k in kinds))} values, but a "
-                    f"saved column holds only ints, only floats or only strs")
-            types[name][attr] = _SAVED_TYPES[kinds.pop()]
+    types: each column's one type as `Database.add` recorded it, int64 for
+    an empty one as the guess gives."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name, table in db.tables.items():
@@ -700,7 +672,8 @@ def save_database(db: Database, directory):
             writer = csv.writer(fh)
             writer.writerow(table.schema)
             writer.writerows(zip(*table.columns))
-        (directory / f"{name}.schema.json").write_text(json.dumps(types[name]) + "\n")
+        types = {attr: _SAVED_TYPES[kind] for attr, kind in db.stats[name].types.items()}
+        (directory / f"{name}.schema.json").write_text(json.dumps(types) + "\n")
 
 
 def load_database(directory) -> Database:

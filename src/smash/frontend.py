@@ -507,8 +507,7 @@ def normalize(spec: QuerySpec, db=None) -> NormalizedCQ:
     filters = {}
     for (alias, attr), op, literal in spec.filters:
         filters.setdefault(alias, []).append(
-            Predicate(renamings[alias][attr], op, literal)
-        )
+            _new(Predicate, (renamings[alias][attr], op, literal)))
 
     if spec.is_aggregate:
         group_by = []

@@ -220,6 +220,9 @@ def _view(cq, atom, db):
     """Class-id columns and SELECT of an atom's relation, as
     `engine.atom_relation` builds it: every column renamed to its class id,
     one column per class under the intra-atom equalities, then the filters.
+    A numeric literal meets a str column, by the type `Database.add`
+    recorded, through a CAST (REAL keeps fractions), so a SQL engine
+    compares numbers; the engine rejects such a filter once a row reaches it.
     """
     first = {}  # class id -> its first attribute in the atom
     conditions = []
@@ -228,23 +231,16 @@ def _view(cq, atom, db):
             conditions.append(f"{first[cid]} = {attr}")
         else:
             first[cid] = attr
+    types = db.stats[atom.table].types if db is not None else {}
     for pred in cq.filters.get(atom.alias, []):
         lhs = first[pred.attribute]
-        if _needs_cast(db, atom.table, lhs, pred.literal):
+        if types.get(lhs) is str and not isinstance(pred.literal, str):
             lhs = f"CAST({lhs} AS REAL)"
         conditions.append(f"{lhs} {pred.op} {_literal_sql(pred.literal)}")
     # without a database, an atom whose columns the query never names has
     # no class column to select
     select = ", ".join(f"{attr} AS {_quote(cid)}" for cid, attr in first.items())
     return list(first), f"SELECT {select or '*'} FROM {atom.table}{_where(conditions)}"
-
-
-def _needs_cast(db, table, column, literal):
-    """Whether a numeric literal meets a column holding strings, which a SQL
-    engine compares as numbers only through a CAST (REAL keeps fractions)."""
-    if db is None or isinstance(literal, str):
-        return False
-    return any(isinstance(v, str) for v in db.table(table).column(column))
 
 
 def _semi_joined(left, right, columns):

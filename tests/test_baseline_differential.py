@@ -116,8 +116,9 @@ def test_benchmark_workloads(workload):
 
 def test_raising_queries():
     db = Database()
-    db.add(from_rows("T", ["a", "b"], [(5, "s"), ("t", 3), (1, 1)]))
-    db.add(from_rows("V", ["a", "b"], [(1, "s"), (2, 5), (3, 7)]))
+    # T holds strs, which a filter with an int literal does not compare with
+    db.add(from_rows("T", ["a", "b"], [("t", "s"), ("u", "v"), ("w", "x")]))
+    db.add(from_rows("V", ["a", "b"], [(1, 4), (2, 5), (3, 7)]))
     db.add(from_rows("W", ["a", "s"], [(1, "x"), (2, "y")]))
     specs = [parse_query(sql) for sql in (
         # the second atom's filter fails after the first scan

@@ -231,6 +231,21 @@ class TestRejectedInput:
         err = self.error(capsys, ["parse", str(tmp_path / "q")])
         assert err == "error: unexpected character '/' (line 1, column 1)"
 
+    @pytest.mark.parametrize("filters", [
+        "t.name > 1 AND t.name != 'a'", "t.name > 1",
+    ], ids=["two-filters", "one-filter"])
+    def test_augment_a_filter_the_engine_cannot_compare(self, capsys, tmp_path, filters):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "t.csv").write_text("id,name\nx,a\ny,b\nz,c\nw,d\n")
+        sql_file = tmp_path / "q.sql"
+        sql_file.write_text(f"SELECT MIN(t.id) FROM t WHERE {filters}\n")
+        out = tmp_path / "aug"
+        err = self.error(capsys, ["--data-dir", str(data), "augment", str(sql_file),
+                                  "--out", str(out)])
+        assert err == "error: cannot compare 'a' with literal 1"
+        assert not list(out.glob("*.sql"))
+
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     @pytest.mark.parametrize("text, message", [
         ("", "{path}: empty file, no header"),

@@ -4,6 +4,7 @@ import operator
 from array import array
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from smash.engine import (
@@ -13,7 +14,6 @@ from smash.engine import (
     Predicate,
     Relation,
     Table,
-    _select,
     atom_relation,
     estimate_cardinalities,
     evaluate_baseline,
@@ -77,12 +77,37 @@ class TestDatabaseAdd:
                     f"^column b of table s is a {kind}, not a list, array or range$")):
                 db.add(Table("s", ["a", "b"], [[1, 2], column]))
             assert "s" not in db.tables and "s" not in db.stats
-        # a failure while the statistics are computed leaves no table either
-        with pytest.raises(TypeError, match="unhashable"):
+        # nor does a list of values that are not ints, floats or strs
+        with pytest.raises(SmashError, match="^s: column 'a' holds list values"):
             db.add(Table("s", ["a"], [[[1], [2]]]))
         assert "s" not in db.tables and "s" not in db.stats
         db.add(Table("s", ["a", "b"], [[1, 2], [3, 4]]))
         assert db.table("s").rows == [(1, 3), (2, 4)] and db.stats["s"].rows == 2
+
+    @pytest.mark.parametrize("values, kinds", [
+        ([True, False], "bool"), ([1, True], "bool and int"),
+        ([1.0, np.float64(2.0)], "float and float64"), ([np.int64(1)], "int64"),
+        ([1, "1"], "int and str"), ([1, 2.0], "float and int"),
+        ([0.5, "a"], "float and str"), ([None], "NoneType"), ([(1,)], "tuple"),
+    ])
+    def test_a_column_of_several_or_other_value_types_is_rejected(self, values, kinds):
+        db = Database()
+        with pytest.raises(SmashError) as info:
+            db.add(Table("s", ["a", "b"], [list(range(len(values))), values]))
+        assert str(info.value) == (
+            f"s: column 'b' holds {kinds} values, but a stored column holds "
+            "only ints, only floats or only strs")
+        assert "s" not in db.tables and "s" not in db.stats
+
+    def test_each_column_records_its_value_type(self):
+        columns = [range(2), array("H", [7, 9]), array("q", [-1, 2]), array("d", [0.5, 1.0]),
+                   array("f", [1.5, 2.5]), [1, 2**70], [0.5, -0.0], ["u", "v"]]
+        schema = list("abcdefgh")
+        db = Database()
+        db.add(Table("x", schema, columns))
+        db.add(Table("e", ["i", "s"], [[], []]))
+        assert db.stats["x"].types == dict(zip(schema, [int] * 3 + [float] * 2 + [int, float, str]))
+        assert db.stats["e"].types == {"i": int, "s": int}  # an empty column reads as int
 
     def test_ragged_row_names_the_table(self):
         db = Database()
@@ -248,19 +273,23 @@ class TestEstimates:
 
 
 class TestFilterTypes:
-    """A filter compares a value with a literal only if both are numbers or
-    neither is (bools are not numbers).  Rows are checked in table order and
-    predicates in query order; a row dropped by an intra-atom equality or an
-    earlier predicate is never compared.  The estimator and the evaluator
-    agree on all of it."""
+    """A filter compares a column with a literal only if the column's type,
+    which `Database.add` records, is a number (int or float) and the
+    literal an int or float, or both are str (a bool is neither).  Rows are
+    scanned in table order and predicates in query order; a mismatch raises
+    once a row reaches it, naming the first such row's value, and a row
+    dropped by an intra-atom equality or an earlier predicate is never
+    reached.  The estimator and the evaluator agree on all of it."""
 
     @pytest.fixture
     def mixed_db(self):
         db = Database()
-        db.add(from_rows("T", ["a", "b"], [(5, "s"), ("t", 3), (1, 1)]))
-        db.add(from_rows("B", ["f", "n"], [(True, 1), (False, 0), (True, 2)]))
-        db.add(from_rows("U", ["a", "b"], [("s", 5), (3, "t"), (2, 2)]))
-        db.add(from_rows("V", ["a", "b"], [(1, "s"), (2, 5), (3, 7)]))
+        db.add(from_rows("T", ["a", "b"], [(5, "s"), (7, "t"), (1, "u")]))
+        db.add(from_rows("B", ["n", "x"], [(1, 0.5), (0, 1.5), (2, 2.0)]))
+        db.add(from_rows("U", ["a", "b"], [("s", 5), ("t", 3), ("u", 2)]))
+        db.add(from_rows("V", ["a", "b"], [(1, "s"), (2, "t"), (3, "u")]))
+        db.add(from_rows("W", ["a", "b", "s"], [(1, 2.0, "p"), (2, 2.0, "q"), (3, 3.0, "r")]))
+        db.add(from_rows("X", ["a"], []))
         return db
 
     @staticmethod
@@ -282,13 +311,14 @@ class TestFilterTypes:
         return out
 
     @pytest.mark.parametrize("sql,message", [
-        # the first row in table order that reaches a mismatch is named
+        # a filter mixing a column's type with another literal type raises,
+        # naming the first row in table order that reaches it
         ("SELECT T.a FROM T WHERE T.a > 0 AND T.b > 0", "'s' with literal 0"),
         ("SELECT T.a FROM T WHERE T.b > 0 AND T.a > 0", "'s' with literal 0"),
-        ("SELECT T.a FROM T WHERE T.a = 1 AND T.b > 0", "'t' with literal 1"),
+        ("SELECT T.a FROM T WHERE T.a = 1 AND T.b > 0", "'u' with literal 0"),
         ("SELECT T.a FROM T WHERE T.b = 3 AND T.a = 't'", "'s' with literal 3"),
-        ("SELECT U.a FROM U WHERE U.b = 2 AND U.a > 1", "'t' with literal 2"),
-        ("SELECT U.a FROM U WHERE U.a != 's' AND U.a > 2", "3 with literal 's'"),
+        ("SELECT U.a FROM U WHERE U.b = 2 AND U.a > 1", "'u' with literal 1"),
+        ("SELECT U.a FROM U WHERE U.a != 's' AND U.b > 'x'", "3 with literal 'x'"),
     ])
     def test_mixed_column_raises(self, mixed_db, sql, message):
         expected = (SmashError, f"cannot compare {message}")
@@ -296,23 +326,48 @@ class TestFilterTypes:
 
     def test_row_removed_by_earlier_predicate_is_not_compared(self, mixed_db):
         sql = "SELECT V.a FROM V WHERE V.a > 1 AND V.b > 6"
-        assert self.outcomes(mixed_db, sql) == [[1], [(3,)]]
+        assert self.outcomes(mixed_db, sql) == [
+            (SmashError, "cannot compare 't' with literal 6")] * 2
+        sql = "SELECT V.a FROM V WHERE V.a > 3 AND V.b > 6"
+        assert self.outcomes(mixed_db, sql) == [[0], []]
 
     def test_row_removed_by_intra_atom_equality_is_not_compared(self, mixed_db):
-        for sql in ("SELECT T.a FROM T WHERE T.a = T.b AND T.b > 0",
-                    "SELECT T.a FROM T WHERE T.a = T.b AND T.a = 1"):
-            assert self.outcomes(mixed_db, sql) == [[1], [(1,)]]
+        # an int column equals a float one where the values compare equal
+        assert self.outcomes(mixed_db, "SELECT W.a FROM W WHERE W.a = W.b AND W.s > 0") == [
+            (SmashError, "cannot compare 'q' with literal 0")] * 2
+        assert self.outcomes(mixed_db, "SELECT W.a FROM W WHERE W.b = W.a AND W.a >= 2") == [
+            [2], [(2,), (3,)]]
+        assert self.outcomes(mixed_db, "SELECT T.a FROM T WHERE T.a = T.b AND T.b > 0") == [
+            [0], []]
+
+    def test_a_mismatch_no_row_reaches_does_not_raise(self, mixed_db):
+        for sql in ("SELECT X.a FROM X WHERE X.a = 'x'",  # an empty table
+                    "SELECT T.a FROM T WHERE T.a > 7 AND T.b > 0",
+                    "SELECT T.a FROM T WHERE T.a > 7 AND T.b > 0 AND T.a = 'x'",
+                    "SELECT U.a FROM U WHERE U.b < 0 AND U.a > 1.5"):
+            assert self.outcomes(mixed_db, sql) == [[0], []], sql
+        # the same filters raise once a row reaches them
+        for sql, message in (
+                ("SELECT T.a FROM T WHERE T.a > 6 AND T.b > 0", "'t' with literal 0"),
+                ("SELECT U.a FROM U WHERE U.b < 4 AND U.a > 1.5", "'t' with literal 1.5")):
+            assert self.outcomes(mixed_db, sql) == [
+                (SmashError, f"cannot compare {message}")] * 2
 
     def test_bool_values_and_literals_are_not_numbers(self, mixed_db):
         db = mixed_db
         assert self.outcomes(db, "SELECT B.n FROM B WHERE B.n = 1") == [[1], [(1,)]]
-        assert self.outcomes(db, "SELECT B.n FROM B WHERE B.f = 1") == [
-            (SmashError, "cannot compare True with literal 1")] * 2
-        assert self.outcomes(db, "SELECT B.n FROM B WHERE B.f = 1", True) == [
-            [2], [(1,), (2,)]]
         assert self.outcomes(db, "SELECT B.n FROM B WHERE B.n = 1", True) == [
             (SmashError, "cannot compare 1 with literal True")] * 2
+        assert self.outcomes(db, "SELECT B.n FROM B WHERE B.x >= 1", False) == [
+            (SmashError, "cannot compare 0.5 with literal False")] * 2
+        # nor strs: a bool literal compares with no column
+        assert self.outcomes(db, "SELECT T.a FROM T WHERE T.b < 'x'", True) == [
+            (SmashError, "cannot compare 's' with literal True")] * 2
+        # ints and floats compare with each other
         assert self.outcomes(db, "SELECT B.n FROM B WHERE B.n = 1", 1.0) == [[1], [(1,)]]
+        assert self.outcomes(db, "SELECT B.n FROM B WHERE B.x = 2") == [[1], [(2,)]]
+        with pytest.raises(SmashError, match="^Z: column 'f' holds bool values"):
+            db.add(from_rows("Z", ["f"], [(True,), (False,)]))
 
     def test_unknown_column_raises(self, mixed_db):
         cq = normalize(parse_query("SELECT MIN(T.zzz) FROM T"), mixed_db)
@@ -337,18 +392,6 @@ class TestFilterTypes:
             (BASE, True, "V has no column zzz"),
             (REWRITING, True, "V has no column zzz"),
         ]
-
-    def test_unordered_types_raise_type_error(self, mixed_db):
-        message = "'<' not supported between instances of 'bool' and 'str'"
-        assert self.outcomes(mixed_db, "SELECT B.n FROM B WHERE B.f < 1", "x") == [
-            (TypeError, message)] * 2
-
-    def test_select_returns_the_error_of_a_bool_literal(self):
-        # strings are plain for a str literal, not for a bool one
-        values = ["s", "t"]
-        assert _select(values, range(2), Predicate("a", "!=", True)) == ([0, 1], None)
-        kept, exc = _select(values, range(2), Predicate("a", "<", True))
-        assert kept == [] and isinstance(exc, TypeError)
 
 
 class TestPersistence:
@@ -388,13 +431,16 @@ class TestPersistence:
     ])
     def test_a_column_a_csv_cannot_keep_is_rejected_before_any_file(
             self, tmp_path, chain_db, values, kinds):
-        chain_db.add(from_rows("X", ["a", "x"], [(1, v) for v in values]))
+        # `add` rejects it, so no database holds it and no save meets it
         with pytest.raises(SmashError) as info:
-            save_database(chain_db, tmp_path / "out")
+            chain_db.add(from_rows("X", ["a", "x"], [(1, v) for v in values]))
         assert str(info.value) == (
-            f"X: column 'x' holds {kinds} values, but a saved column holds "
+            f"X: column 'x' holds {kinds} values, but a stored column holds "
             "only ints, only floats or only strs")
-        assert not (tmp_path / "out").exists()
+        assert "X" not in chain_db.tables and "X" not in chain_db.stats
+        save_database(chain_db, tmp_path / "out")
+        assert sorted(p.name for p in (tmp_path / "out").glob("*.csv")) == [
+            "R.csv", "S.csv", "T.csv"]
 
     @pytest.mark.parametrize("body, fields", [("3,4,5\n", 3), ("3\n", 1)])
     def test_ragged_row_rejected(self, tmp_path, body, fields):

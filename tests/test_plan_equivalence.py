@@ -41,7 +41,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 STAGES = ("spec", "cq", "tree", "est", "features", "statements", "sql")
 
 
-# string, mixed-type and self-joined columns, which the generators never make
+# string, float and self-joined columns, which the generators never make
 _HAND_SQL = [
     "SELECT MIN(P.id) FROM P, Q WHERE P.id = Q.pid AND P.name = 'b'",
     "SELECT P.name, Q.qty FROM P, Q WHERE P.id = Q.pid AND P.id != 2 AND P.score > 1",
@@ -57,7 +57,7 @@ _HAND_SQL = [
 def _hand_db():
     db = Database()
     db.add(from_rows("P", ["id", "name", "score"], [
-        (1, "a", 3), (2, "b", "n/a"), (3, "it's", 7), (4, "c", 1.5),
+        (1, "a", 3.0), (2, "b", 0.5), (3, "it's", 7.0), (4, "c", 1.5),
     ]))
     db.add(from_rows("Q", ["pid", "qty"], [(1, 1), (1, 4), (3, 3), (4, 4), (5, 2)]))
     return db
