@@ -24,61 +24,19 @@ class OmaResult:
     failure_reason: str | None = None  # NotAggregate | NotGuarded | NotSetSafe
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class JoinTree:
-    """A rooted join tree over atom ids.  `children()` and `depth()` are
-    computed on first use and kept, so a tree must not change after."""
+    """A rooted join tree over atom ids, as `analyze` builds it: `children`
+    maps every node to its children in node order, and `depth` counts the
+    edges of the longest root-to-leaf path (both derived, so not compared)."""
 
     nodes: list  # atom ids
     parent: dict  # atom id -> atom id | None
     root: int
-    oma_flag: bool = False
-    guard: int | None = None
-    _children: dict = field(default=None, init=False, repr=False, compare=False)
-    _depth: int = field(default=None, init=False, repr=False, compare=False)
-
-    def children(self):
-        """node -> its children in node order, for every node (shared: do
-        not change it)."""
-        if self._children is None:
-            nodes, parent = self.nodes, self.parent
-            kids = {}
-            for u in nodes:
-                kids[u] = []
-            for v in nodes:
-                p = parent[v]
-                if p is not None:
-                    kids[p].append(v)
-            self._children = kids
-        return self._children
-
-    def depth(self):
-        """Edges on the longest root-to-leaf path.
-
-        Walks down from the root level by level.  Every node but the root
-        is reached only through its one parent, so a node is reached twice
-        only on a cycle through the root; the walk stops there, once it
-        has seen more nodes than the tree has.
-        """
-        if self._depth is None:
-            kids = self.children()
-            level = [self.root]
-            seen = depth = 0
-            while True:
-                seen += len(level)
-                if seen > len(self.nodes):
-                    break
-                below = []
-                for u in level:
-                    below += kids[u]
-                if not below:
-                    break
-                level = below
-                depth += 1
-            if seen != len(self.nodes):
-                raise SmashError(f"parent map is not a tree rooted at {self.root}")
-            self._depth = depth
-        return self._depth
+    oma_flag: bool
+    guard: int | None
+    children: dict = field(repr=False, compare=False)
+    depth: int = field(repr=False, compare=False)
 
     def to_dict(self, cq):
         nodes = []
@@ -100,11 +58,10 @@ class JoinTree:
             return atom.alias if atom.alias == atom.table else f"{atom.table} AS {atom.alias}"
 
         lines = []
-        kids = self.children()
 
         def rec(u, indent):
             lines.append("  " * indent + label(u))
-            for c in kids[u]:
+            for c in self.children[u]:
                 rec(c, indent + 1)
 
         rec(self.root, 0)
@@ -155,10 +112,7 @@ def classify_0ma(cq) -> OmaResult:
     if out.kind != "aggregate":
         return OmaResult(False, failure_reason="NotAggregate")
     needed = cq.mask_of(out.needed_classes())
-    qualifying = []
-    for i, mask in enumerate(cq.masks):
-        if not needed & ~mask:
-            qualifying.append(i)
+    qualifying = [i for i, mask in enumerate(cq.masks) if not needed & ~mask]
     if not qualifying:
         return OmaResult(False, failure_reason="NotGuarded")
     # prefer the atom whose alias is written in the output, so e.g.
@@ -177,34 +131,6 @@ def classify_0ma(cq) -> OmaResult:
     return OmaResult(True, guard=guard)
 
 
-def check_connectedness(tree: JoinTree, cq):
-    """Raise SmashError unless each class's atoms form a subtree.
-
-    The atoms holding a class induce a forest in the tree, which is
-    connected iff it has one edge fewer than it has atoms.  The tree edges
-    inside a class are counted as the bits two adjacent atoms' masks
-    share; the first class left uneven, in the atoms' renaming order, is
-    named.
-    """
-    masks = cq.masks
-    missing = [n - 1 for n in cq.occurrences.values()]  # bit order
-    for node, parent in tree.parent.items():
-        if parent is not None:
-            inside = masks[node] & masks[parent]
-            while inside:
-                bit = inside & -inside
-                missing[bit.bit_length() - 1] -= 1
-                inside ^= bit
-    if any(missing):
-        index = cq.class_index
-        for atom in cq.atoms:
-            for cid in atom.renaming.values():
-                if missing[index[cid]]:
-                    raise SmashError(
-                        f"attribute class {cid} not connected in join tree"
-                    )
-
-
 def _reroot(parent, new_root):
     path = [new_root]
     while parent[path[-1]] is not None:
@@ -216,55 +142,33 @@ def _reroot(parent, new_root):
     return rerooted
 
 
-def build_join_tree(ears, cq, oma: OmaResult) -> JoinTree:
-    """The join tree of an ear ordering, rerooted at a 0MA guard.
-
-    When every ear's witness becomes an ear only after it, as in GYO, the
-    parent map is a tree.  In a tree the atoms holding a class induce a
-    forest, so the tree edges inside a class never number more than its
-    atoms less one; every class is then connected iff the edges, each
-    counted once per class its two atoms share, number the query's
-    occurrences less one per class, and only otherwise does
-    `check_connectedness` count them class by class.
-    """
-    parent = {}
-    root = None
-    ordered = True
-    for atom, witness in ears:
-        if witness in parent:
-            ordered = False
-        parent[atom] = witness
-        if witness is None:
-            root = atom
-    nodes = sorted(parent)
-    if root is None or len(nodes) != len(cq.atoms):
-        raise SmashError("ear ordering does not cover the query atoms")
-    oma_flag = oma.is_0ma
-    guard = oma.guard if oma_flag else None
-    if oma_flag and guard != root:
-        parent = _reroot(parent, guard)
-        root = guard
-    tree = JoinTree(nodes, parent, root, oma_flag, guard)
-    if ordered and len(ears) == len(nodes):
-        masks = cq.masks
-        inside = 0
-        for node, above in parent.items():
-            if above is not None:
-                inside += (masks[node] & masks[above]).bit_count()
-        occurrences = cq.occurrences
-        if inside == sum(occurrences.values()) - len(occurrences):
-            return tree
-    check_connectedness(tree, cq)
-    return tree
-
-
 def analyze(cq):
-    """GYO + 0MA classification + join tree in one step, over the query IR.
+    """GYO, 0MA classification and the join tree in one step, over the
+    query IR: (tree, oma), or SmashError for a cyclic query.
 
-    Returns (tree, oma) or raises SmashError for cyclic queries.
+    The tree is GYO's ear/witness map, rerooted at a 0MA query's guard:
+    each ear hangs under the witness that holds what is left of it, so
+    every class's atoms are connected (Beeri, Fagin, Maier and
+    Yannakakis, JACM 1983), and the last ear, which has none, is the root.
     """
     ears, alive = _gyo(cq.masks)
     if alive:
         raise SmashError("query is cyclic; no join tree exists")
     oma = classify_0ma(cq)
-    return build_join_tree(ears, cq, oma), oma
+    parent = dict(ears)
+    root = ears[-1][0]
+    guard = oma.guard if oma.is_0ma else None
+    if guard is not None and guard != root:
+        parent = _reroot(parent, guard)
+        root = guard
+    nodes = sorted(parent)
+    children = {u: [] for u in nodes}
+    for v in nodes:
+        if parent[v] is not None:
+            children[parent[v]].append(v)
+    depth = -1
+    level = [root]
+    while level:
+        depth += 1
+        level = [c for u in level for c in children[u]]
+    return JoinTree(nodes, parent, root, oma.is_0ma, guard, children, depth), oma

@@ -563,6 +563,17 @@ def estimate_cardinalities(cq, db: Database) -> EstimateSet:
 # table ingestion
 # ---------------------------------------------------------------------------
 
+def _parsed(values, cast):
+    """`values` cast by `cast`.  A number is parsed only from ASCII text
+    without `_`, as the SQL tokenizer reads one; `int` and `float` alone
+    would read `1_0` and `٣` as 10 and 3, which a save writes back."""
+    if cast is not str:
+        text = "".join(values)
+        if not text.isascii() or "_" in text:
+            raise ValueError
+    return list(map(cast, values))
+
+
 def _cast_column(values, cast=None):
     """A column's values cast once: by `cast` if given, else by the first
     of int, float and str that parses every value.  An int column becomes
@@ -570,12 +581,12 @@ def _cast_column(values, cast=None):
     if cast is None:
         for cast in (int, float, str):
             try:
-                values = list(map(cast, values))
+                values = _parsed(values, cast)
                 break
             except ValueError:
                 pass
     else:
-        values = list(map(cast, values))
+        values = _parsed(values, cast)
     code = cast is int and int_typecode(min(values, default=0), max(values, default=0))
     return array(code, values) if code else values
 
@@ -607,7 +618,7 @@ def _bad_value(path, col, cast, values):
     rejects: it names the file, the line, the column and the value."""
     for i, value in enumerate(values):
         try:
-            cast(value)
+            _parsed((value,), cast)
         except ValueError:
             break
     with open(path, newline="") as fh:

@@ -114,7 +114,7 @@ def extract_features(cq, tree, est: EstimateSet) -> FeatureVector:
     n_joins = sum(occurrences.values()) - len(occurrences)
     n_filters = sum(map(len, cq.filters.values()))
     branching = []
-    for kids in tree.children().values():
+    for kids in tree.children.values():
         if kids:
             branching.append(float(len(kids)))
     branching.sort()
@@ -124,7 +124,7 @@ def extract_features(cq, tree, est: EstimateSet) -> FeatureVector:
         float(n_joins + n_filters),
         float(n_filters),
         float(n_joins),
-        float(tree.depth()),
+        float(tree.depth),
         *reduce_set(occurrences.values()),
         *(_summarize(branching) if branching else _ZEROS),
         float(est.total_cost),

@@ -207,7 +207,12 @@ def run_workload(db: Database, queries, config: RunConfig) -> RunLog:
     query or a non-finite feature) is recorded as skipped under both
     strategies, with the planning error as the reason.  The log keeps the
     feature vector of every query planned (`RunLog.features`), for
-    `build_dataset`."""
+    `build_dataset`.  Fewer than one repetition, or a timeout that is not
+    positive, raises SmashError before any query runs."""
+    if config.repeats < 1:
+        raise SmashError(f"repeats must be at least 1, not {config.repeats}")
+    if not config.timeout_s > 0:
+        raise SmashError(f"timeout must be positive, not {config.timeout_s:g}")
     log = RunLog(config=config)
     for qid, spec in queries:
         try:

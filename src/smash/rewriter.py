@@ -61,7 +61,7 @@ def _emit(tree, cq):
     """The statements of one join tree and the top-down pass's artifact per
     node, planned from the query IR: each atom's class set is its bitmask,
     so projections are mask operations."""
-    kids = tree.children()
+    kids = tree.children
     parent_of = tree.parent
     root = tree.root
     statements = []

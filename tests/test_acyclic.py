@@ -1,21 +1,17 @@
 """GYO reduction, 0MA classification, and join-tree tests."""
 
+from pathlib import Path
+
 import pytest
 
-import random
-
-from smash.acyclic import (
-    JoinTree,
-    _gyo,
-    analyze,
-    build_join_tree,
-    check_connectedness,
-    classify_0ma,
-)
+from smash.acyclic import _gyo, analyze
 from smash.errors import SmashError
 from smash.frontend import normalize, parse_query
 
 from conftest import CHAIN_SQL, random_specs
+from test_gyo_differential import generated_hypergraph_cqs
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 TRIANGLE = (
     "SELECT MIN(R.a) FROM R, S, T "
@@ -97,7 +93,7 @@ class TestOma:
 class TestJoinTree:
     def test_chain_tree_shape(self):
         cq, tree, _ = analyzed(CHAIN_SQL)
-        assert tree.depth() == 2
+        assert tree.depth == 2
         assert tree.parent == {0: None, 1: 0, 2: 1}
 
     def test_determinism(self):
@@ -107,7 +103,7 @@ class TestJoinTree:
     def test_generated_queries_acyclic_and_connected(self):
         for db, spec in random_specs(11, 40):
             cq = normalize(spec, db)
-            tree, _ = analyze(cq)  # runs the connectedness check internally
+            tree, _ = analyze(cq)
             assert set(tree.nodes) == set(range(len(cq.atoms)))
 
     def test_to_text_contains_aliases(self):
@@ -120,23 +116,18 @@ class TestJoinTree:
             "SELECT MIN(R.a) FROM R, S, T, U WHERE R.a = S.a AND R.a = T.a "
             "AND T.b = U.b"
         )
-        kids = tree.children()
+        kids = tree.children
         assert sorted(kids) == tree.nodes
         assert sorted(c for cs in kids.values() for c in cs) == sorted(
             u for u in tree.nodes if u != tree.root)
         for u, cs in kids.items():
             assert cs == sorted(cs) and all(tree.parent[c] == u for c in cs)
-        assert tree.depth() == 2
+        assert tree.depth == 2
 
 
 class TestConnectedness:
-    def test_disconnected_ear_order_rejected(self):
-        cq = normalize(parse_query(CHAIN_SQL))
-        oma = classify_0ma(cq)
-        build_join_tree([(0, 1), (1, 2), (2, None)], cq, oma)
-        # R and S share R.b, but the path between them runs through T
-        with pytest.raises(SmashError, match="R.b not connected"):
-            build_join_tree([(0, 2), (1, 2), (2, None)], cq, oma)
+    """Every class's atoms are connected in the trees `analyze` returns,
+    by an independent search along the tree edges."""
 
     @staticmethod
     def connected_by_search(tree, cq):
@@ -160,23 +151,32 @@ class TestConnectedness:
                 return False
         return True
 
+    def assert_connected(self, cqs):
+        """Analyze each query; returns how many were acyclic."""
+        acyclic = 0
+        for cq in cqs:
+            try:
+                tree, _ = analyze(cq)
+            except SmashError as exc:
+                assert str(exc) == "query is cyclic; no join tree exists"
+                continue
+            assert self.connected_by_search(tree, cq)
+            acyclic += 1
+        return acyclic
+
     def test_matches_search_on_random_trees(self):
-        rng = random.Random(3)
-        verdicts = set()
-        for db, spec in random_specs(5, 60):
-            cq = normalize(spec, db)
-            for _ in range(5):
-                order = list(range(len(cq.atoms)))
-                rng.shuffle(order)
-                parent = {order[0]: None}
-                for i, u in enumerate(order[1:], 1):
-                    parent[u] = rng.choice(order[:i])
-                tree = JoinTree(nodes=sorted(parent), parent=parent, root=order[0])
-                expected = self.connected_by_search(tree, cq)
-                verdicts.add(expected)
-                if expected:
-                    check_connectedness(tree, cq)
-                else:
-                    with pytest.raises(SmashError, match="not connected in join tree$"):
-                        check_connectedness(tree, cq)
-        assert verdicts == {True, False}
+        specs = random_specs(5, 60)
+        assert self.assert_connected(normalize(spec, db) for db, spec in specs) == 60
+
+    def test_matches_search_on_generated_hypergraphs(self):
+        assert 0 < self.assert_connected(generated_hypergraph_cqs()) < 400
+
+    def test_matches_search_on_the_benchmark_workloads(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        from smashbench import WORKLOADS
+
+        acyclic = 0
+        for workload in WORKLOADS.values():
+            db, queries = workload.generate(42)
+            acyclic += self.assert_connected(normalize(spec, db) for _, spec in queries)
+        assert acyclic == 480

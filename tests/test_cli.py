@@ -246,6 +246,26 @@ class TestRejectedInput:
         assert err == "error: cannot compare 'a' with literal 1"
         assert not list(out.glob("*.sql"))
 
+    @pytest.mark.parametrize("setting, message", [
+        (["--repeats", "0"], "repeats must be at least 1, not 0"),
+        (["--repeats", "-2"], "repeats must be at least 1, not -2"),
+        (["--timeout", "0"], "timeout must be positive, not 0"),
+        (["--timeout", "-1.5"], "timeout must be positive, not -1.5"),
+        (["--timeout", "nan"], "timeout must be positive, not nan"),
+    ], ids=["no-repeats", "negative-repeats", "no-timeout", "negative-timeout",
+            "nan-timeout"])
+    @pytest.mark.parametrize("command", ["run", "e2e"])
+    def test_timed_run_settings_out_of_range(self, capsys, tmp_path, data_dir,
+                                             setting, message, command):
+        queries = tmp_path / "queries"
+        queries.mkdir()
+        (queries / "q.sql").write_text(CHAIN_SQL + "\n")
+        args = {"run": ["run", "--queries", str(queries), "--out", str(tmp_path / "log.json")],
+                "e2e": ["e2e", "--queries", "4"]}[command]
+        err = self.error(capsys, [*setting, "--data-dir", data_dir, *args])
+        assert err == "error: " + message
+        assert not (tmp_path / "log.json").exists()
+
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     @pytest.mark.parametrize("text, message", [
         ("", "{path}: empty file, no header"),

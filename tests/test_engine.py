@@ -1,5 +1,6 @@
 """Relational engine unit tests."""
 
+import math
 import operator
 from array import array
 from collections import Counter
@@ -425,6 +426,43 @@ class TestPersistence:
         save_database(db, tmp_path)
         back = load_database(tmp_path).table("codes")
         assert back.columns == [["007", "12"], [1.0, 2.5], ["", "1"]]
+
+    @pytest.mark.parametrize("body", [
+        "1_0\n٣\n", "1_0.5\n2\n", "٣.5\n1e3\n",
+    ], ids=["underscore-and-arabic-int", "underscore-float", "arabic-float"])
+    def test_numbers_python_alone_would_read_stay_strings(self, tmp_path, body):
+        # int() and float() read 1_0 as 10 and ٣ as 3, and a save would
+        # then write changed values; the SQL tokenizer reads [0-9] only
+        path = tmp_path / "R.csv"
+        path.write_text("a\n" + body, encoding="utf-8")
+        assert load_table(path).columns[0] == body.splitlines()
+        db = Database()
+        db.add(load_table(path))
+        save_database(db, tmp_path / "out")
+        assert (tmp_path / "out" / "R.csv").read_text(encoding="utf-8") == "a\n" + body
+
+    @pytest.mark.parametrize("schema, body, message", [
+        ('{"a": "int64"}', "7\n1_0\n", "line 3: column 'a' value '1_0' is not a valid int"),
+        ('{"a": "int64"}', "٣\n", "line 2: column 'a' value '٣' is not a valid int"),
+        ('{"a": "float64"}', "0.5\n1_0.5\n",
+         "line 3: column 'a' value '1_0.5' is not a valid float"),
+    ], ids=["underscore-int", "arabic-int", "underscore-float"])
+    def test_numbers_python_alone_would_read_fail_a_sidecar_type(
+            self, tmp_path, schema, body, message):
+        path = tmp_path / "R.csv"
+        path.write_text("a\n" + body, encoding="utf-8")
+        sidecar = tmp_path / "R.schema.json"
+        sidecar.write_text(schema)
+        with pytest.raises(SmashError) as info:
+            load_table(path, schema_file=sidecar)
+        assert str(info.value) == f"{path}, {message}"
+
+    def test_float_spellings_a_save_writes_load_as_floats(self, tmp_path):
+        path = tmp_path / "R.csv"
+        path.write_text("a\nnan\ninf\n-inf\n1e-07\n2.5E3\n")
+        column = load_table(path).columns[0]
+        assert math.isnan(column[0])
+        assert column[1:] == [math.inf, -math.inf, 1e-07, 2500.0]
 
     @pytest.mark.parametrize("values, kinds", [
         ([True, False], "bool"), ([1, "1"], "int and str"), ([1, 2.0], "float and int"),

@@ -14,15 +14,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
-import pytest
-
 from smash.acyclic import (
     SET_SAFE_FUNCTIONS,
-    JoinTree,
     OmaResult,
     _gyo,
     analyze,
-    check_connectedness,
 )
 from smash.engine import Database
 from smash.errors import SmashError
@@ -183,7 +179,7 @@ def _outcome(fn, cq):
 def _analyzed(cq):
     tree, oma = analyze(cq)
     return (tree.nodes, tree.parent, tree.root, tree.oma_flag, tree.guard,
-            tree.children(), tree.depth()), oma
+            tree.children, tree.depth), oma
 
 
 def _bitmask_gyo(cq):
@@ -244,15 +240,19 @@ def _vertex_set(rng, max_size):
     return frozenset(rng.sample(range(8), rng.randint(0, max_size)))
 
 
-def test_generated_hypergraphs_match_the_set_based_oracle():
-    """400 seeded hypergraphs: 1-7 edges of up to 4 of 8 vertices each."""
+def generated_hypergraph_cqs():
+    """400 seeded hypergraph queries: 1-7 edges of up to 4 of 8 vertices
+    each, cyclic ones included."""
     rng = random.Random(3)
-    verdicts = Counter()
     for _ in range(400):
         edges = [_vertex_set(rng, 4) for _ in range(rng.randint(1, 7))]
         needed = _vertex_set(rng, 3)
         fn = rng.choice([None, "MIN", "MAX", "COUNT", "SUM"])
-        verdicts[_agree(_hypergraph_cq(edges, needed, fn, rng.random() < 0.5))] += 1
+        yield _hypergraph_cq(edges, needed, fn, rng.random() < 0.5)
+
+
+def test_generated_hypergraphs_match_the_set_based_oracle():
+    verdicts = Counter(map(_agree, generated_hypergraph_cqs()))
     assert verdicts[True] and verdicts[False]
 
 
@@ -263,26 +263,3 @@ def test_generated_hypergraphs_include_cyclic_ones():
     assert _outcome(_analyzed, cq) == ("SmashError",
                                   "query is cyclic; no join tree exists")
 
-
-CYCLE = {0: 1, 1: 0, 2: None}  # not a tree
-
-
-@pytest.mark.parametrize("parent, root", [
-    ({0: 1, 1: 2, 2: None}, 2),  # a chain: R-S-T is connected
-    ({0: 2, 1: 2, 2: None}, 2),  # R under T: class R.b breaks
-    (CYCLE, 2),
-    (CYCLE, 0),  # the cycle runs through the root
-])
-def test_connectedness_matches_the_oracle_on_given_trees(parent, root):
-    cq = normalize(parse_query(
-        "SELECT MIN(R.a) FROM R, S, T WHERE R.b = S.b AND S.c = T.c"))
-    tree = JoinTree(nodes=[0, 1, 2], parent=parent, root=root)
-    assert _outcome(lambda q: check_connectedness(tree, q), cq) == \
-        _outcome(lambda q: oracle_check_connectedness(parent, q), cq)
-
-
-@pytest.mark.parametrize("root", [0, 2])
-def test_depth_rejects_a_parent_map_with_a_cycle(root):
-    tree = JoinTree(nodes=[0, 1, 2], parent=CYCLE, root=root)
-    with pytest.raises(SmashError, match=f"not a tree rooted at {root}"):
-        tree.depth()

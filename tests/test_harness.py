@@ -63,6 +63,15 @@ class TestRunWorkload:
         log = run_workload(chain_db, [], RunConfig())
         assert log.entries == []
 
+    @pytest.mark.parametrize("config, message", [
+        (RunConfig(repeats=0), "repeats must be at least 1, not 0"),
+        (RunConfig(timeout_s=-1), "timeout must be positive, not -1"),
+    ])
+    def test_settings_out_of_range_rejected(self, chain_db, config, message):
+        queries = [("q", parse_query(CHAIN_SQL))]
+        with pytest.raises(SmashError, match=f"^{message}$"):
+            run_workload(chain_db, queries, config)
+
     def test_cyclic_recorded_as_skipped(self, chain_db):
         queries = [("cyc", parse_query(
             "SELECT MIN(R.a) FROM R, S, T "
